@@ -33,7 +33,6 @@ from .graphs import (
 from .integrate import Trajectory, euler_integrate, rk4_integrate
 from .kernels import (
     BimpParams,
-    KernelState,
     SaturationKind,
     kernel_setup,
     nod_validity,

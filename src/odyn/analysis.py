@@ -125,7 +125,7 @@ def bifurcation_sweep(
     """Equilibrium structure over a grid of attention values."""
     lo, hi, points = u_range
     if not lo < hi:
-        raise ValueError("need lo < hi")
+        raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     if points < 2:
         raise ValueError("need at least two sweep points")
     if d <= 0:
@@ -136,13 +136,18 @@ def bifurcation_sweep(
     ]
 
 
-def save_bifurcation_csv(points: list[BifurcationPoint], path) -> None:
-    """CSV with header ``u,y,stable`` (stable encoded as 1/0)."""
+def bifurcation_csv(points: list[BifurcationPoint]) -> str:
+    """CSV text with header ``u,y,stable`` (stable encoded as 1/0)."""
     lines = ["u,y,stable"]
     for p in points:
         for y, stable in p.equilibria:
             lines.append(f"{p.u!r},{y!r},{int(stable)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def save_bifurcation_csv(points: list[BifurcationPoint], path) -> None:
+    """Write :func:`bifurcation_csv` to ``path``."""
+    Path(path).write_text(bifurcation_csv(points))
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,11 @@ dynamics run.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, load_matrix_csv, save_matrix_csv
+from .graphs import Graph
 
 
 @dataclass(frozen=True)
@@ -128,24 +126,3 @@ def build_option_attention(x: np.ndarray, w: AttentionWeights) -> np.ndarray:
         queries = cols @ wq.T
         acc += _masked_softmax_rows((keys @ queries.T) / w.d_k, mask)
     return acc / w.heads
-
-
-def save_attention_weights(w: AttentionWeights, directory) -> None:
-    """Write a JSON manifest plus one CSV per head projection."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {"heads": w.heads, "dim": w.attention_dim, "d_k": w.d_k}
-    (directory / "manifest.json").write_text(json.dumps(manifest))
-    for h, (wk, wq) in enumerate(zip(w.w_k, w.w_q)):
-        save_matrix_csv(wk, directory / f"head{h}_key.csv")
-        save_matrix_csv(wq, directory / f"head{h}_query.csv")
-
-
-def load_attention_weights(directory) -> AttentionWeights:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    w_k, w_q = [], []
-    for h in range(manifest["heads"]):
-        w_k.append(load_matrix_csv(directory / f"head{h}_key.csv"))
-        w_q.append(load_matrix_csv(directory / f"head{h}_query.csv"))
-    return AttentionWeights(w_k=tuple(w_k), w_q=tuple(w_q), d_k=manifest["d_k"])

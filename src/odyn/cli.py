@@ -8,26 +8,23 @@ battery, JSON report), and ``plot`` (CSV to standalone SVG).
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3
 acceptance failures.  Diagnostics go to stderr; data goes to files or
-stdout.  ``ODYN_THREADS`` caps internal parallelism; given ``--seed``
-every command writes byte-identical output.
+stdout.  Given ``--seed`` every command writes byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import acceptance
 from .analysis import (
-    BifurcationPoint,
+    bifurcation_csv,
+    bifurcation_sweep,
     dirichlet_energy,
     opinion_diameter,
-    reduced_equilibria,
     save_bifurcation_csv,
 )
 from .errors import NumericalError
@@ -48,16 +45,6 @@ class Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CliError(message)
-
-
-def thread_cap() -> int:
-    raw = os.environ.get("ODYN_THREADS", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise CliError(f"ODYN_THREADS must be an integer, got {raw!r}")
-    return max(1, os.cpu_count() or 1)
 
 
 DEFAULTS = {
@@ -211,25 +198,15 @@ def cmd_toy(opts) -> int:
 
 
 def cmd_bifurcation(opts) -> int:
-    lo, hi, points = float(opts["u_min"]), float(opts["u_max"]), int(opts["points"])
-    if not lo < hi:
-        raise CliError("need --u-min < --u-max")
-    if points < 2:
-        raise CliError("need at least two sweep points")
-    d, alpha, b = float(opts["d"]), float(opts["alpha"]), float(opts["b"])
-    if d <= 0:
-        raise CliError("damping must be positive")
-    grid = [float(u) for u in np.linspace(lo, hi, points)]
-    with ThreadPoolExecutor(max_workers=min(thread_cap(), points)) as pool:
-        equilibria = list(pool.map(lambda u: reduced_equilibria(u, d, alpha, b), grid))
-    sweep = [BifurcationPoint(u=u, equilibria=eq) for u, eq in zip(grid, equilibria)]
+    sweep = bifurcation_sweep(
+        (float(opts["u_min"]), float(opts["u_max"]), int(opts["points"])),
+        float(opts["d"]),
+        float(opts["alpha"]),
+        float(opts["b"]),
+    )
     out = opts["out"]
     if out in (".", "-"):
-        lines = ["u,y,stable"]
-        for p in sweep:
-            for y, stable in p.equilibria:
-                lines.append(f"{p.u!r},{y!r},{int(stable)}")
-        print("\n".join(lines))
+        sys.stdout.write(bifurcation_csv(sweep))
     else:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
         save_bifurcation_csv(sweep, out)
@@ -497,7 +474,7 @@ def main(argv=None) -> int:
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -130,7 +130,12 @@ def save_graph_json(g: Graph, path) -> None:
 
 def load_graph_json(path) -> Graph:
     payload = json.loads(Path(path).read_text())
-    return from_edge_list(payload["edges"], payload["n"])
+    if not isinstance(payload, dict) or not {"n", "edges"} <= payload.keys():
+        raise ValueError(f"graph file {path} must hold an object with keys 'n' and 'edges'")
+    try:
+        return from_edge_list(payload["edges"], payload["n"])
+    except TypeError as e:
+        raise ValueError(f"graph file {path}: {e}") from None
 
 
 def save_matrix_csv(m: np.ndarray, path) -> None:

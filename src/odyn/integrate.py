@@ -1,9 +1,16 @@
 """Fixed-step time integration with trajectory recording.
 
-Forward Euler is the reference scheme for the kernels here; classical
-RK4 is provided as a higher-accuracy cross-check.  Snapshots are taken at
-step 0 and at every ``record_every``-th step, so recording densely and
-subsampling gives bit-identical snapshots to recording sparsely.
+One explicit Runge-Kutta loop advances every kernel; forward Euler is the
+reference scheme and classical RK4 a higher-accuracy cross-check, each a
+tableau of that loop.  Snapshots are taken at step 0 and at every
+``record_every``-th step, so recording densely and subsampling gives
+bit-identical snapshots to recording sparsely.
+
+The state is a plain float64 array: ``(n, o)`` for first-order kernels,
+and ``(2, n, o)`` for the second-order kernel, which stacks position over
+velocity.  Snapshots and metrics of a stacked state see its position
+``state[0]`` only.  Every new state, and every intermediate RK4 stage
+before the right-hand side sees it, must be finite.
 
 For damped kernels the step size must satisfy dt < 1/d: at dt >= 1/d the
 damping term flips the sign of the state at every update and the scheme
@@ -13,12 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import NumericalError
-from .kernels import KernelState
 
 
 @dataclass
@@ -35,12 +41,25 @@ class Trajectory:
         return self.states[-1]
 
 
-def _check_finite(state: KernelState, step: int) -> None:
-    ok = np.all(np.isfinite(state.x)) and (
-        state.y is None or np.all(np.isfinite(state.y))
-    )
-    if not ok:
-        raise NumericalError(f"non-finite state at step {step}")
+class _Tableau(NamedTuple):
+    """Explicit Runge-Kutta scheme whose stages each look along the last slope.
+
+    Stage i+1 evaluates the right-hand side at ``x + (dt / divisors[i]) * k_i``;
+    the update is ``x + (dt / denom) * sum_i weights[i] * k_i``, summed in order.
+    """
+
+    divisors: tuple[float, ...]
+    weights: tuple[float, ...]
+    denom: float
+
+
+_EULER = _Tableau(divisors=(), weights=(1.0,), denom=1.0)
+_RK4 = _Tableau(divisors=(2.0, 2.0, 1.0), weights=(1.0, 2.0, 2.0, 1.0), denom=6.0)
+
+
+def _check_finite(state: np.ndarray, step: int, what: str = "state") -> None:
+    if not np.isfinite(state).all():
+        raise NumericalError(f"non-finite {what} at step {step}")
 
 
 def _guard_step(dt: float, steps: int, damping: float | None) -> None:
@@ -55,16 +74,56 @@ def _guard_step(dt: float, steps: int, damping: float | None) -> None:
         )
 
 
-def _record(traj: Trajectory, t: float, state: KernelState, energy_fn, diameter_fn):
+def _record(traj: Trajectory, t: float, state: np.ndarray, energy_fn, diameter_fn):
+    x = state[0] if state.ndim == 3 else state
     traj.times.append(t)
-    traj.states.append(state.x.copy())
-    traj.energy.append(float(energy_fn(state.x)) if energy_fn else float("nan"))
-    traj.diameter.append(float(diameter_fn(state.x)) if diameter_fn else float("nan"))
+    traj.states.append(x.copy())
+    traj.energy.append(float(energy_fn(x)) if energy_fn else float("nan"))
+    traj.diameter.append(float(diameter_fn(x)) if diameter_fn else float("nan"))
+
+
+def _runge_kutta(
+    tableau: _Tableau,
+    state0: np.ndarray,
+    rhs: Callable[[np.ndarray], np.ndarray],
+    dt: float,
+    steps: int,
+    record_every: int,
+    kernel_tag: str,
+    damping: float | None,
+    energy_fn: Callable[[np.ndarray], float] | None,
+    diameter_fn: Callable[[np.ndarray], float] | None,
+) -> Trajectory:
+    _guard_step(dt, steps, damping)
+    if record_every < 1:
+        raise ValueError("record_every must be at least 1")
+    shifts = [dt / c for c in tableau.divisors]
+    scale = dt / tableau.denom
+    first, *later = tableau.weights
+    traj = Trajectory(kernel_tag=kernel_tag)
+    state = np.array(state0, dtype=np.float64)
+    _check_finite(state, 0)
+    _record(traj, 0.0, state, energy_fn, diameter_fn)
+    # overflow is reported by the finiteness checks, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            slope = rhs(state)
+            total = first * slope
+            for h, w in zip(shifts, later):
+                stage = state + h * slope
+                _check_finite(stage, k, "stage")
+                slope = rhs(stage)
+                total = total + w * slope
+            state = state + scale * total
+            _check_finite(state, k)
+            if k % record_every == 0:
+                _record(traj, k * dt, state, energy_fn, diameter_fn)
+    return traj
 
 
 def euler_integrate(
-    state0: KernelState,
-    rhs: Callable[[KernelState], KernelState],
+    state0: np.ndarray,
+    rhs: Callable[[np.ndarray], np.ndarray],
     dt: float,
     steps: int,
     record_every: int = 1,
@@ -75,30 +134,13 @@ def euler_integrate(
     diameter_fn: Callable[[np.ndarray], float] | None = None,
 ) -> Trajectory:
     """Forward Euler: X(t+dt) = X(t) + dt * rhs(X(t))."""
-    _guard_step(dt, steps, damping)
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
-    traj = Trajectory(kernel_tag=kernel_tag)
-    state = KernelState(
-        x=np.array(state0.x, dtype=np.float64),
-        y=None if state0.y is None else np.array(state0.y, dtype=np.float64),
-    )
-    _check_finite(state, 0)
-    _record(traj, 0.0, state, energy_fn, diameter_fn)
-    for k in range(1, steps + 1):
-        dstate = rhs(state)
-        x = state.x + dt * dstate.x
-        y = None if state.y is None else state.y + dt * dstate.y
-        state = KernelState(x=x, y=y)
-        _check_finite(state, k)
-        if k % record_every == 0:
-            _record(traj, k * dt, state, energy_fn, diameter_fn)
-    return traj
+    return _runge_kutta(_EULER, state0, rhs, dt, steps, record_every,
+                        kernel_tag, damping, energy_fn, diameter_fn)
 
 
 def rk4_integrate(
-    state0: KernelState,
-    rhs: Callable[[KernelState], KernelState],
+    state0: np.ndarray,
+    rhs: Callable[[np.ndarray], np.ndarray],
     dt: float,
     steps: int,
     record_every: int = 1,
@@ -109,37 +151,8 @@ def rk4_integrate(
     diameter_fn: Callable[[np.ndarray], float] | None = None,
 ) -> Trajectory:
     """Classical fourth-order Runge-Kutta with the same recording contract."""
-    _guard_step(dt, steps, damping)
-    if record_every < 1:
-        raise ValueError("record_every must be at least 1")
-
-    def shift(s: KernelState, h: float, ds: KernelState) -> KernelState:
-        return KernelState(
-            x=s.x + h * ds.x,
-            y=None if s.y is None else s.y + h * ds.y,
-        )
-
-    traj = Trajectory(kernel_tag=kernel_tag)
-    state = KernelState(
-        x=np.array(state0.x, dtype=np.float64),
-        y=None if state0.y is None else np.array(state0.y, dtype=np.float64),
-    )
-    _check_finite(state, 0)
-    _record(traj, 0.0, state, energy_fn, diameter_fn)
-    for k in range(1, steps + 1):
-        k1 = rhs(state)
-        k2 = rhs(shift(state, dt / 2.0, k1))
-        k3 = rhs(shift(state, dt / 2.0, k2))
-        k4 = rhs(shift(state, dt, k3))
-        x = state.x + (dt / 6.0) * (k1.x + 2.0 * k2.x + 2.0 * k3.x + k4.x)
-        y = None
-        if state.y is not None:
-            y = state.y + (dt / 6.0) * (k1.y + 2.0 * k2.y + 2.0 * k3.y + k4.y)
-        state = KernelState(x=x, y=y)
-        _check_finite(state, k)
-        if k % record_every == 0:
-            _record(traj, k * dt, state, energy_fn, diameter_fn)
-    return traj
+    return _runge_kutta(_RK4, state0, rhs, dt, steps, record_every,
+                        kernel_tag, damping, energy_fn, diameter_fn)
 
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:

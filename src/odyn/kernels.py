@@ -146,14 +146,6 @@ class BimpParams:
         object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class KernelState:
-    """Dynamical state; ``y`` is the velocity of second-order kernels only."""
-
-    x: np.ndarray
-    y: np.ndarray | None = None
-
-
 def _check_bimp_shapes(x, aa, ao, b):
     n_a, n_o = x.shape
     if aa.shape != (n_a, n_a):
@@ -236,15 +228,17 @@ def rhs_laplacian_source(x: np.ndarray, l: np.ndarray, b: np.ndarray) -> np.ndar
     return rhs_laplacian(x, l) + b
 
 
-def rhs_graphcon_tran(state: KernelState, aa: np.ndarray) -> KernelState:
+def rhs_graphcon_tran(state: np.ndarray, aa: np.ndarray) -> np.ndarray:
     """Damped oscillator wrapped around linear averaging.
 
-    dY/dt = (Aa - I) X - Y,  dX/dt = Y  (unit damping coefficients).
+    dY/dt = (Aa - I) X - Y,  dX/dt = Y  (unit damping coefficients), on the
+    state ``(2, n, o)`` that stacks position X over velocity Y.
     """
-    if state.y is None:
+    state = np.asarray(state, dtype=np.float64)
+    if state.ndim != 3 or state.shape[0] != 2:
         raise ValueError("second-order kernel needs a velocity component")
-    x, y = state.x, state.y
-    return KernelState(x=y.copy(), y=(aa @ x - x) - y)
+    x, y = state
+    return np.stack([y, (aa @ x - x) - y])
 
 
 def rhs_gread(
@@ -281,8 +275,8 @@ class KernelSetup:
     """A ready-to-integrate kernel: rhs closure, initial state, damping if any."""
 
     tag: str
-    rhs: Callable[[KernelState], KernelState]
-    state0: KernelState
+    rhs: Callable[[np.ndarray], np.ndarray]
+    state0: np.ndarray
     damping: float | None = None
 
 
@@ -323,11 +317,11 @@ def kernel_setup(
             raise ValueError("reduced kernel expects a 1x1 state")
         b_scalar = 0.0 if b is None else float(np.asarray(b).reshape(-1)[0])
 
-        def rhs_r(s: KernelState) -> KernelState:
-            val = rhs_reduced_1d(float(s.x[0, 0]), u if u is not None else d / (alpha + 3.0), d, alpha, b_scalar)
-            return KernelState(x=np.array([[val]]))
+        def rhs_r(s: np.ndarray) -> np.ndarray:
+            val = rhs_reduced_1d(float(s[0, 0]), u if u is not None else d / (alpha + 3.0), d, alpha, b_scalar)
+            return np.array([[val]])
 
-        return KernelSetup(tag, rhs_r, KernelState(x=x0.reshape(1, 1)), damping=d)
+        return KernelSetup(tag, rhs_r, x0.reshape(1, 1), damping=d)
 
     if x0.ndim != 2 or x0.shape[0] != g.n:
         raise ValueError(f"initial state must have {g.n} rows, got {x0.shape}")
@@ -342,51 +336,32 @@ def kernel_setup(
             u=u,
             saturation=saturation,
         )
-        return KernelSetup(
-            tag,
-            lambda s: KernelState(x=rhs_bimp(s.x, aa, ao, params)),
-            KernelState(x=x0),
-            damping=d,
-        )
+        return KernelSetup(tag, lambda s: rhs_bimp(s, aa, ao, params), x0, damping=d)
     if tag == "linear-od":
         a = g.dense_adjacency()
         d_vec = degrees(g)
-        return KernelSetup(
-            tag,
-            lambda s: KernelState(x=rhs_linear_opinion(s.x, a, d_vec)),
-            KernelState(x=x0),
-        )
+        return KernelSetup(tag, lambda s: rhs_linear_opinion(s, a, d_vec), x0)
     if tag == "laplacian":
         l = laplacian(g)
-        return KernelSetup(
-            tag, lambda s: KernelState(x=rhs_laplacian(s.x, l)), KernelState(x=x0)
-        )
+        return KernelSetup(tag, lambda s: rhs_laplacian(s, l), x0)
     if tag == "laplacian-source":
         l = laplacian(g)
         src = np.zeros_like(x0) if b is None else np.asarray(b, dtype=np.float64)
-        return KernelSetup(
-            tag,
-            lambda s: KernelState(x=rhs_laplacian_source(s.x, l, src)),
-            KernelState(x=x0),
-        )
+        return KernelSetup(tag, lambda s: rhs_laplacian_source(s, l, src), x0)
     if tag == "graphcon-tran":
         aa = row_normalize(g.dense_adjacency())
         return KernelSetup(
             tag,
             lambda s: rhs_graphcon_tran(s, aa),
-            KernelState(x=x0, y=np.zeros_like(x0)),
+            np.stack([x0, np.zeros_like(x0)]),
             damping=1.0,
         )
     if tag == "gread-f":
         l = laplacian(g)
-        return KernelSetup(
-            tag, lambda s: KernelState(x=rhs_gread(s.x, l, "F")), KernelState(x=x0)
-        )
+        return KernelSetup(tag, lambda s: rhs_gread(s, l, "F"), x0)
     if tag == "gread-fb":
         l = laplacian(g)
         return KernelSetup(
-            tag,
-            lambda s: KernelState(x=rhs_gread(s.x, l, "FBstar", alpha=alpha, beta=beta)),
-            KernelState(x=x0),
+            tag, lambda s: rhs_gread(s, l, "FBstar", alpha=alpha, beta=beta), x0
         )
     raise ValueError(f"unknown kernel tag {tag!r}; choose from {KERNEL_TAGS}")

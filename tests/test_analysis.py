@@ -24,7 +24,7 @@ from odyn.fixtures import (
 )
 from odyn.graphs import from_edge_list, laplacian
 from odyn.integrate import euler_integrate
-from odyn.kernels import KernelState, kernel_setup
+from odyn.kernels import kernel_setup
 
 
 def fully_connected(n):

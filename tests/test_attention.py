@@ -8,8 +8,6 @@ from odyn.attention import (
     build_communication_attention,
     build_option_attention,
     init_attention_weights,
-    load_attention_weights,
-    save_attention_weights,
 )
 from odyn.fixtures import toy_graph, toy_initial_state
 from odyn.graphs import from_edge_list
@@ -142,11 +140,3 @@ class TestWeights:
     def test_invalid_temperature(self):
         with pytest.raises(ValueError, match="d_k"):
             AttentionWeights(w_k=(np.eye(2),), w_q=(np.eye(2),), d_k=0.0)
-
-    def test_serialization_roundtrip(self, tmp_path):
-        w = init_attention_weights(2, 3, 5, seed=7)
-        save_attention_weights(w, tmp_path / "wts")
-        w2 = load_attention_weights(tmp_path / "wts")
-        assert w2.heads == w.heads and w2.d_k == w.d_k
-        for a, b in zip((*w.w_k, *w.w_q), (*w2.w_k, *w2.w_q)):
-            np.testing.assert_array_equal(a, b)

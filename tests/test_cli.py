@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import odyn
 from odyn.cli import main
 from odyn.fixtures import toy_graph, toy_initial_state
 from odyn.graphs import save_graph_json, save_matrix_csv
@@ -27,6 +32,48 @@ class TestValidation:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"frobnicate": 1}))
         assert main(["toy", "--config", str(cfg), "--out", str(tmp_path)]) == 1
+
+
+BAD_INPUTS = [
+    ("graph-without-edges", ["simulate", "--graph", "noedges.json"], 1, "error:"),
+    ("graph-with-text-node-count", ["simulate", "--graph", "textn.json"], 1, "error:"),
+    ("missing-graph-file", ["simulate", "--graph", "missing.json"], 1, "error:"),
+    ("missing-init-file", ["simulate", "--init", "missing.csv"], 1, "error:"),
+    (
+        "rk4-diverging-stage",
+        ["simulate", "--method", "rk4", "--d", "0", "--u", "0.25", "--b-mode", "file",
+         "--b-file", "huge.csv", "--dt", "0.5", "--steps", "4000", "--out", "out"],
+        2,
+        "numerical failure:",
+    ),
+    (
+        "euler-diverging-state",
+        ["simulate", "--d", "0", "--u", "0.25", "--b-mode", "file",
+         "--b-file", "huge.csv", "--dt", "0.5", "--steps", "4000", "--out", "out"],
+        2,
+        "numerical failure:",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
+)
+def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefix):
+    (tmp_path / "noedges.json").write_text(json.dumps({"n": 3}))
+    (tmp_path / "textn.json").write_text(json.dumps({"n": "3", "edges": []}))
+    save_matrix_csv(np.full((3, 3), 1e307), tmp_path / "huge.csv")
+    env = dict(os.environ)
+    src = str(Path(odyn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "odyn.cli", *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
 
 
 class TestToy:

@@ -6,17 +6,18 @@ import pytest
 from odyn.analysis import dirichlet_energy, opinion_diameter
 from odyn.errors import NumericalError
 from odyn.fixtures import toy_graph, toy_initial_state
+from odyn.graphs import row_normalize
 from odyn.integrate import (
     euler_integrate,
     rk4_integrate,
     save_metrics_csv,
     save_trajectory_csv,
 )
-from odyn.kernels import KernelState, kernel_setup
+from odyn.kernels import kernel_setup
 
 
 def scalar_decay(s):
-    return KernelState(x=-s.x)
+    return -s
 
 
 class TestEuler:
@@ -24,13 +25,13 @@ class TestEuler:
         setup = kernel_setup("bimp", toy_graph(), toy_initial_state(), b=toy_initial_state())
         x0 = toy_initial_state()
         dt = 1e-3
-        traj = euler_integrate(KernelState(x=x0), setup.rhs, dt, 1)
-        expected = x0 + dt * setup.rhs(KernelState(x=x0)).x
+        traj = euler_integrate(x0, setup.rhs, dt, 1)
+        expected = x0 + dt * setup.rhs(x0)
         np.testing.assert_array_equal(traj.states[-1], expected)
 
     def test_trajectory_contract(self):
         traj = euler_integrate(
-            KernelState(x=np.ones((2, 1))), scalar_decay, 0.1, 10, record_every=2,
+            np.ones((2, 1)), scalar_decay, 0.1, 10, record_every=2,
             kernel_tag="decay",
         )
         assert traj.times[0] == 0.0
@@ -48,10 +49,10 @@ class TestEuler:
     def test_nonfinite_abort_reports_step(self):
         def blow_up(s):
             with np.errstate(over="ignore"):
-                return KernelState(x=s.x**2)
+                return s**2
 
         with pytest.raises(NumericalError, match="step"):
-            euler_integrate(KernelState(x=np.array([[4.0]])), blow_up, 1.0, 400)
+            euler_integrate(np.array([[4.0]]), blow_up, 1.0, 400)
 
     def test_subsampled_recording_is_bit_exact(self):
         setup = kernel_setup("bimp", toy_graph(), toy_initial_state(), b=toy_initial_state())
@@ -91,7 +92,7 @@ class TestEuler:
 
 class TestRk4:
     def test_scalar_exponential(self):
-        traj = rk4_integrate(KernelState(x=np.array([[1.0]])), scalar_decay, 0.1, 10)
+        traj = rk4_integrate(np.array([[1.0]]), scalar_decay, 0.1, 10)
         assert traj.states[-1][0, 0] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_euler_error_scales_linearly_in_dt(self):
@@ -108,28 +109,92 @@ class TestRk4:
 
     def test_matches_euler_recording_contract(self):
         traj = rk4_integrate(
-            KernelState(x=np.ones((2, 2))), scalar_decay, 0.1, 9, record_every=3
+            np.ones((2, 2)), scalar_decay, 0.1, 9, record_every=3
         )
         np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9], atol=1e-12)
+
+    def test_nonfinite_stage_is_caught_before_rhs(self):
+        seen_finite = []
+
+        def huge(s):
+            seen_finite.append(bool(np.isfinite(s).all()))
+            return np.full_like(s, 1e308)
+
+        with pytest.raises(NumericalError, match="step 1"):
+            rk4_integrate(np.array([[1e308]]), huge, 2.0, 3)
+        assert seen_finite == [True]
+
+
+def euler_oracle(parts, f, dt, steps):
+    for _ in range(steps):
+        parts = tuple(p + dt * k for p, k in zip(parts, f(parts)))
+    return parts
+
+
+def rk4_oracle(parts, f, dt, steps):
+    for _ in range(steps):
+        k1 = f(parts)
+        k2 = f(tuple(p + dt / 2 * k for p, k in zip(parts, k1)))
+        k3 = f(tuple(p + dt / 2 * k for p, k in zip(parts, k2)))
+        k4 = f(tuple(p + dt * k for p, k in zip(parts, k3)))
+        parts = tuple(
+            p + dt / 6 * (a + 2 * b + 2 * c + d)
+            for p, a, b, c, d in zip(parts, k1, k2, k3, k4)
+        )
+    return parts
+
+
+SCHEMES = pytest.mark.parametrize(
+    "integrate, oracle", [(euler_integrate, euler_oracle), (rk4_integrate, rk4_oracle)]
+)
+
+
+class TestBitExactOracle:
+    """Both integrators against textbook loops on separate state components."""
+
+    # dt / 6 and dt * (1 / 6) differ in the last bit at this step size, so
+    # the comparison also pins how the update divides.
+    DT = 0.04
+
+    @SCHEMES
+    def test_first_order_bimp(self, integrate, oracle):
+        x0 = toy_initial_state()
+        setup = kernel_setup("bimp", toy_graph(), x0, b=x0)
+        traj = integrate(setup.state0, setup.rhs, self.DT, 300, record_every=300)
+        (expected,) = oracle((x0,), lambda s: (setup.rhs(s[0]),), self.DT, 300)
+        np.testing.assert_array_equal(traj.states[-1], expected)
+
+    @SCHEMES
+    def test_second_order_graphcon_tran(self, integrate, oracle):
+        x0 = toy_initial_state()
+        aa = row_normalize(toy_graph().dense_adjacency())
+        setup = kernel_setup("graphcon-tran", toy_graph(), x0)
+        traj = integrate(setup.state0, setup.rhs, self.DT, 300, record_every=300)
+
+        def oscillator(s):
+            x, y = s
+            return y, (aa @ x - x) - y
+
+        expected, _ = oracle((x0, np.zeros_like(x0)), oscillator, self.DT, 300)
+        np.testing.assert_array_equal(traj.states[-1], expected)
 
 
 class TestSecondOrderState:
     def test_velocity_integrates(self):
         # dY/dt = -X, dX/dt = Y: circular motion conserves the radius to
-        # first order; just confirm both components update.
+        # first order; just confirm both components update.  The state
+        # stacks position over velocity.
         def rot(s):
-            return KernelState(x=s.y, y=-s.x)
+            return np.stack([s[1], -s[0]])
 
-        traj = euler_integrate(
-            KernelState(x=np.array([[1.0]]), y=np.array([[0.0]])), rot, 0.01, 100
-        )
+        traj = euler_integrate(np.array([[[1.0]], [[0.0]]]), rot, 0.01, 100)
         assert traj.states[-1][0, 0] == pytest.approx(math.cos(1.0), abs=1e-2)
 
 
 class TestCsvExports:
     def test_trajectory_csv(self, tmp_path):
         traj = euler_integrate(
-            KernelState(x=np.array([[1.0, 2.0]])), scalar_decay, 0.5, 2
+            np.array([[1.0, 2.0]]), scalar_decay, 0.5, 2
         )
         path = tmp_path / "traj.csv"
         save_trajectory_csv(traj, path)
@@ -140,7 +205,7 @@ class TestCsvExports:
 
     def test_metrics_csv(self, tmp_path):
         traj = euler_integrate(
-            KernelState(x=np.array([[1.0], [3.0]])),
+            np.array([[1.0], [3.0]]),
             scalar_decay,
             0.5,
             1,

@@ -23,7 +23,6 @@ from odyn.kernels import (
     SOFTSIGN,
     TANH,
     BimpParams,
-    KernelState,
     gread_threshold,
     kernel_setup,
     nod_validity,
@@ -229,20 +228,20 @@ class TestGraphconTran:
     def test_equilibrium(self):
         aa = toy_adjacency()
         x = np.ones((3, 2)) * 0.3
-        d = rhs_graphcon_tran(KernelState(x=x, y=np.zeros_like(x)), aa)
-        np.testing.assert_allclose(d.x, 0.0, atol=1e-14)
-        np.testing.assert_allclose(d.y, 0.0, atol=1e-14)
+        d = rhs_graphcon_tran(np.stack([x, np.zeros_like(x)]), aa)
+        np.testing.assert_allclose(d[0], 0.0, atol=1e-14)
+        np.testing.assert_allclose(d[1], 0.0, atol=1e-14)
 
     def test_initial_derivatives(self):
         aa = toy_adjacency()
         x0 = toy_initial_state()
-        d = rhs_graphcon_tran(KernelState(x=x0, y=np.zeros_like(x0)), aa)
-        np.testing.assert_array_equal(d.x, np.zeros_like(x0))
-        np.testing.assert_allclose(d.y, (aa - np.eye(3)) @ x0, atol=1e-14)
+        d = rhs_graphcon_tran(np.stack([x0, np.zeros_like(x0)]), aa)
+        np.testing.assert_array_equal(d[0], np.zeros_like(x0))
+        np.testing.assert_allclose(d[1], (aa - np.eye(3)) @ x0, atol=1e-14)
 
     def test_missing_velocity_rejected(self):
         with pytest.raises(ValueError, match="velocity"):
-            rhs_graphcon_tran(KernelState(x=np.zeros((3, 1))), toy_adjacency())
+            rhs_graphcon_tran(np.zeros((3, 1)), toy_adjacency())
 
     def test_long_run_reaches_consensus(self):
         setup = kernel_setup("graphcon-tran", toy_graph(), toy_initial_state())

@@ -4,7 +4,7 @@ import pytest
 from odyn.errors import NumericalError
 from odyn.fixtures import random_row_stochastic
 from odyn.integrate import euler_integrate
-from odyn.kernels import BimpParams, KernelState, rhs_bimp
+from odyn.kernels import BimpParams, rhs_bimp
 from odyn.train import (
     TrainConfig,
     backward_grad,
@@ -68,8 +68,8 @@ class TestForwardUnroll:
         x0 = x_in @ w
         params = BimpParams(d=cfg.d, alpha=cfg.alpha, b=x0, u=cfg.u)
         traj = euler_integrate(
-            KernelState(x=x0),
-            lambda s: KernelState(x=rhs_bimp(s.x, aa, ao, params)),
+            x0,
+            lambda s: rhs_bimp(s, aa, ao, params),
             cfg.dt,
             cfg.steps,
             record_every=cfg.steps,
