@@ -1,9 +1,9 @@
 """Executable acceptance suite: every release gate as a checkable function.
 
 Each criterion returns a :class:`CriterionResult` with a pass flag and a
-human-readable detail line, plus the measured value and its threshold
-where the gate is a single number; :func:`run_all` executes the full
-battery.
+human-readable detail line, its runtime budget in seconds, plus the
+measured value and its threshold where the gate is a single number;
+:func:`run_all` executes the full battery.
 The pytest wrapper asserts each result (for critical-consensus, which
 fails by design, its verdict and measurement) and the command-line
 ``verify`` subcommand serializes them to JSON.
@@ -59,6 +59,7 @@ class CriterionResult:
     elapsed: float
     measured: float | None = None
     threshold: float | None = None
+    budget: float | None = None
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -73,7 +74,7 @@ def _timed(fn):
         if budget is not None and elapsed >= budget:
             passed = False
             detail += f"; exceeded runtime budget {budget}s"
-        return CriterionResult(name, passed, detail, elapsed, *measurement)
+        return CriterionResult(name, passed, detail, elapsed, *measurement, budget=budget)
 
     wrapper.__name__ = fn.__name__
     return wrapper

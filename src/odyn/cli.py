@@ -16,17 +16,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import acceptance
-from .analysis import (
-    bifurcation_csv,
-    bifurcation_sweep,
-    dirichlet_energy,
-    opinion_diameter,
-    save_bifurcation_csv,
-)
+from .analysis import bifurcation_csv, bifurcation_sweep, dirichlet_energy, opinion_diameter
 from .errors import NumericalError
 from .fixtures import random_row_stochastic, toy_graph, toy_initial_state
 from .graphs import load_graph_json, load_matrix_csv, save_matrix_csv
@@ -47,70 +42,91 @@ class Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-DEFAULTS = {
-    "kernel": "bimp",
-    "dt": 0.05,
-    "steps": 400,
-    "record_every": 1,
-    "d": 1.0,
-    "alpha": 1.0,
-    "u": None,
-    "beta": 0.5,
-    "saturation": "tanh",
-    "b_mode": "zero",
-    "b_file": None,
-    "seed": 0,
-    "out": ".",
-    "u_min": 0.05,
-    "u_max": 0.6,
-    "points": 112,
-    "b": 0.0,
-    "epochs": 200,
-    "lr": 0.1,
-    "train_steps": 8,
-    "train_dt": 0.1,
-    "n_per_block": 10,
-    "p_in": 0.8,
-    "p_out": 0.05,
-    "noise": 0.1,
-    "n_agents": 8,
-    "n_options": 3,
-    "features": 3,
-    "h": 1e-5,
-    "title": "",
-    "method": "euler",
-}
+KERNEL_VERBS = ("simulate", "toy", "energy")
+MODEL_VERBS = (*KERNEL_VERBS, "bifurcation", "gradcheck", "train")
+TRAIN_VERBS = ("gradcheck", "train")
+ALL_VERBS = (*MODEL_VERBS, "verify", "plot")
 
 
-def _merge(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags."""
-    merged = dict(DEFAULTS)
-    cfg_path = getattr(args, "config", None)
-    if cfg_path:
-        try:
-            payload = json.loads(Path(cfg_path).read_text())
-        except FileNotFoundError:
-            raise CliError(f"config file not found: {cfg_path}")
-        except json.JSONDecodeError as e:
-            raise CliError(f"config file is not valid JSON: {e}")
-        if not isinstance(payload, dict):
-            raise CliError("config file must hold a flat JSON object")
-        for key, value in payload.items():
-            norm = key.replace("-", "_")
-            if norm not in merged:
-                raise CliError(f"unknown config key {key!r}")
-            merged[norm] = value
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            merged[key] = value
-    return merged
+class Option(NamedTuple):
+    """One command-line flag: the single source of its parsing and its default."""
+
+    flag: str
+    dest: str
+    type: type | None
+    default: object
+    verbs: tuple[str, ...]
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
+
+
+# In ``--help`` order; a config file key is a flag name of its verb.
+OPTIONS = (
+    Option("config", "config", None, None, ALL_VERBS,
+           help="JSON object keyed by flag name; explicit flags win"),
+    Option("in", "infile", None, None, ("plot",)),
+    Option("out", "out", None, ".", (*MODEL_VERBS, "verify"), help="output directory or file"),
+    Option("out", "svg_out", None, None, ("plot",)),
+    Option("seed", "seed", int, 0, ALL_VERBS),
+    Option("kernel", "kernel", None, "bimp", KERNEL_VERBS, KERNEL_TAGS),
+    Option("graph", "graph", None, None, KERNEL_VERBS, help="graph JSON file"),
+    Option("init", "init", None, None, KERNEL_VERBS, help="initial-state CSV file"),
+    Option("dt", "dt", float, 0.05, KERNEL_VERBS),
+    Option("steps", "steps", int, 400, KERNEL_VERBS),
+    Option("record-every", "record_every", int, 1, KERNEL_VERBS),
+    Option("d", "d", float, 1.0, MODEL_VERBS),
+    Option("alpha", "alpha", float, 1.0, MODEL_VERBS),
+    Option("u", "u", float, None, KERNEL_VERBS),
+    Option("beta", "beta", float, 0.5, KERNEL_VERBS),
+    Option("saturation", "saturation", None, "tanh", KERNEL_VERBS, tuple(sorted(SATURATIONS))),
+    Option("b-mode", "b_mode", None, "zero", KERNEL_VERBS, ("zero", "init", "file")),
+    Option("b-file", "b_file", None, None, KERNEL_VERBS),
+    Option("method", "method", None, "euler", KERNEL_VERBS, ("euler", "rk4")),
+    Option("b", "b", float, 0.0, ("bifurcation",)),
+    Option("u-min", "u_min", float, 0.05, ("bifurcation",)),
+    Option("u-max", "u_max", float, 0.6, ("bifurcation",)),
+    Option("points", "points", int, 112, ("bifurcation",)),
+    Option("epochs", "epochs", int, 200, ("train",)),
+    Option("lr", "lr", float, 0.1, ("train",)),
+    Option("steps", "train_steps", int, 8, TRAIN_VERBS),
+    Option("dt", "train_dt", float, 0.1, TRAIN_VERBS),
+    Option("n-agents", "n_agents", int, 8, ("gradcheck",)),
+    Option("n-options", "n_options", int, 3, ("gradcheck",)),
+    Option("features", "features", int, 3, ("gradcheck",)),
+    Option("h", "h", float, 1e-5, ("gradcheck",)),
+    Option("n-per-block", "n_per_block", int, 10, ("train",)),
+    Option("p-in", "p_in", float, 0.8, ("train",)),
+    Option("p-out", "p_out", float, 0.05, ("train",)),
+    Option("noise", "noise", float, 0.1, ("train",)),
+    Option("title", "title", None, "", ("plot",)),
+)
+
+DEFAULTS = {o.dest: o.default for o in OPTIONS}
+
+
+def _config_tokens(verb: str, path: str) -> list[str]:
+    """A config file as ``--flag=value`` tokens, each value the JSON text after its flag."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise CliError(f"config file not found: {path}")
+    except json.JSONDecodeError as e:
+        raise CliError(f"config file is not valid JSON: {e}")
+    if not isinstance(payload, dict):
+        raise CliError("config file must hold a flat JSON object")
+    flags = {o.flag for o in OPTIONS if verb in o.verbs} - {"config"}
+    tokens = []
+    for key, value in payload.items():
+        flag = key.replace("_", "-")
+        if flag not in flags:
+            raise CliError(f"unknown config key {key!r} for {verb}")
+        tokens.append(f"--{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return tokens
 
 
 def _load_graph_and_state(opts):
-    g = load_graph_json(opts["graph"]) if opts.get("graph") else toy_graph()
-    x0 = load_matrix_csv(opts["init"]) if opts.get("init") else toy_initial_state()
+    g = load_graph_json(opts["graph"]) if opts["graph"] else toy_graph()
+    x0 = load_matrix_csv(opts["init"]) if opts["init"] else toy_initial_state()
     if x0.shape[0] != g.n:
         raise CliError(
             f"initial state has {x0.shape[0]} rows but the graph has {g.n} nodes"
@@ -124,28 +140,24 @@ def _resolve_b(opts, x0):
         return None
     if mode == "init":
         return x0.copy()
-    if mode == "file":
-        if not opts.get("b_file"):
-            raise CliError("--b-mode file requires --b-file")
-        return load_matrix_csv(opts["b_file"])
-    raise CliError(f"unknown b-mode {mode!r}")
+    if not opts["b_file"]:
+        raise CliError("--b-mode file requires --b-file")
+    return load_matrix_csv(opts["b_file"])
 
 
 def _integrate(opts, g, x0, tag=None):
     tag = tag or opts["kernel"]
-    if tag not in KERNEL_TAGS:
-        raise CliError(f"unknown kernel {tag!r}; choose from {', '.join(KERNEL_TAGS)}")
     setup = kernel_setup(
         tag,
         g,
         x0,
-        d=float(opts["d"]),
-        alpha=float(opts["alpha"]),
-        u=None if opts["u"] is None else float(opts["u"]),
+        d=opts["d"],
+        alpha=opts["alpha"],
+        u=opts["u"],
         b=_resolve_b(opts, x0),
-        beta=float(opts["beta"]),
+        beta=opts["beta"],
         saturation=saturation_kind(opts["saturation"]),
-        seed=int(opts["seed"]),
+        seed=opts["seed"],
     )
     integrator = rk4_integrate if opts["method"] == "rk4" else euler_integrate
     # the scalar reduced kernel has no graph-indexed state to take an
@@ -154,13 +166,35 @@ def _integrate(opts, g, x0, tag=None):
     return integrator(
         setup.state0,
         setup.rhs,
-        float(opts["dt"]),
-        int(opts["steps"]),
-        record_every=int(opts["record_every"]),
+        opts["dt"],
+        opts["steps"],
+        record_every=opts["record_every"],
         kernel_tag=tag,
         damping=setup.damping,
         energy_fn=energy_fn,
         diameter_fn=opinion_diameter,
+    )
+
+
+def _emit(out: str, text: str) -> None:
+    """Write ``text`` to stdout when ``out`` is ``.`` or ``-``, else to the file ``out``."""
+    if out in (".", "-"):
+        sys.stdout.write(text)
+    else:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
+        Path(out).write_text(text)
+        print(f"wrote {out}", file=sys.stderr)
+
+
+def _train_config(opts) -> TrainConfig:
+    return TrainConfig(
+        lr=opts.get("lr", 0.0),
+        epochs=opts.get("epochs", 0),
+        steps=opts["train_steps"],
+        dt=opts["train_dt"],
+        d=opts["d"],
+        alpha=opts["alpha"],
+        seed=opts["seed"],
     )
 
 
@@ -186,9 +220,7 @@ def cmd_toy(opts) -> int:
         ("bimp", "bimp", "init"),
     )
     for tag, name, b_mode in runs:
-        local = dict(opts)
-        local["b_mode"] = b_mode
-        traj = _integrate(local, g, x0, tag=tag)
+        traj = _integrate({**opts, "b_mode": b_mode}, g, x0, tag=tag)
         save_trajectory_csv(traj, out / f"{name}.csv")
         save_metrics_csv(traj, out / f"{name}-metrics.csv")
         print(
@@ -199,18 +231,9 @@ def cmd_toy(opts) -> int:
 
 def cmd_bifurcation(opts) -> int:
     sweep = bifurcation_sweep(
-        (float(opts["u_min"]), float(opts["u_max"]), int(opts["points"])),
-        float(opts["d"]),
-        float(opts["alpha"]),
-        float(opts["b"]),
+        (opts["u_min"], opts["u_max"], opts["points"]), opts["d"], opts["alpha"], opts["b"]
     )
-    out = opts["out"]
-    if out in (".", "-"):
-        sys.stdout.write(bifurcation_csv(sweep))
-    else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        save_bifurcation_csv(sweep, out)
-        print(f"wrote {out}", file=sys.stderr)
+    _emit(opts["out"], bifurcation_csv(sweep))
     return 0
 
 
@@ -226,31 +249,15 @@ def cmd_energy(opts) -> int:
 
 
 def cmd_gradcheck(opts) -> int:
-    rng = np.random.default_rng(int(opts["seed"]))
-    na, no, f = int(opts["n_agents"]), int(opts["n_options"]), int(opts["features"])
-    cfg = TrainConfig(
-        lr=0.0,
-        epochs=0,
-        steps=int(opts["train_steps"]),
-        dt=float(opts["train_dt"]),
-        d=float(opts["d"]),
-        alpha=float(opts["alpha"]),
-        seed=int(opts["seed"]),
-    )
+    rng = np.random.default_rng(opts["seed"])
+    na, no, f = opts["n_agents"], opts["n_options"], opts["features"]
     aa = random_row_stochastic(na, rng, zero_diagonal=False)
     ao = random_row_stochastic(no, rng, zero_diagonal=False)
     x_in = rng.uniform(-1, 1, (na, f))
     w = rng.uniform(-1, 1, (f, no)) / np.sqrt(f)
     target = rng.uniform(-1, 1, (na, no))
-    report = gradient_check(x_in, w, aa, ao, target, cfg, h=float(opts["h"]))
-    payload = report.to_json()
-    out = opts["out"]
-    if out in (".", "-"):
-        print(payload)
-    else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(payload + "\n")
-        print(f"wrote {out}", file=sys.stderr)
+    report = gradient_check(x_in, w, aa, ao, target, _train_config(opts), h=opts["h"])
+    _emit(opts["out"], report.to_json() + "\n")
     if report.rel_error >= 1e-5:
         raise NumericalError(
             f"analytic and finite-difference gradients disagree: {report.rel_error:.2e}"
@@ -260,22 +267,9 @@ def cmd_gradcheck(opts) -> int:
 
 def cmd_train(opts) -> int:
     task = make_sbm_task(
-        int(opts["n_per_block"]),
-        float(opts["p_in"]),
-        float(opts["p_out"]),
-        noise=float(opts["noise"]),
-        seed=int(opts["seed"]),
+        opts["n_per_block"], opts["p_in"], opts["p_out"], noise=opts["noise"], seed=opts["seed"]
     )
-    cfg = TrainConfig(
-        lr=float(opts["lr"]),
-        epochs=int(opts["epochs"]),
-        steps=int(opts["train_steps"]),
-        dt=float(opts["train_dt"]),
-        d=float(opts["d"]),
-        alpha=float(opts["alpha"]),
-        seed=int(opts["seed"]),
-    )
-    w, history = train_sgd(task, cfg)
+    w, history = train_sgd(task, _train_config(opts))
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
     save_history_csv(history, out / "history.csv")
@@ -298,21 +292,16 @@ def cmd_verify(opts) -> int:
                 "passed": r.passed,
                 "detail": r.detail,
                 "elapsed_seconds": round(r.elapsed, 3),
+                "measured": r.measured,
+                "threshold": r.threshold,
+                "budget_seconds": r.budget,
             }
             for r in results
         ],
         indent=2,
     )
-    out = opts["out"]
-    if out in (".", "-"):
-        print(payload)
-    else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(payload + "\n")
-        print(f"wrote {out}", file=sys.stderr)
+    _emit(opts["out"], payload + "\n")
     return 0 if all(r.passed for r in results) else 3
-
-
 def _read_csv(path):
     lines = Path(path).read_text().splitlines()
     if not lines:
@@ -323,10 +312,10 @@ def _read_csv(path):
 
 
 def cmd_plot(opts) -> int:
-    src = opts.get("infile")
+    src = opts["infile"]
     if not src:
         raise CliError("plot requires --in")
-    dst = opts.get("svg_out") or (str(Path(src).with_suffix(".svg")))
+    dst = opts["svg_out"] or str(Path(src).with_suffix(".svg"))
     header, rows = _read_csv(src)
     title = opts["title"] or Path(src).stem
     if header == ["t", "node", "option", "value"]:
@@ -367,107 +356,40 @@ def cmd_plot(opts) -> int:
     return 0
 
 
+COMMANDS = {
+    "simulate": (cmd_simulate, "integrate one kernel"),
+    "toy": (cmd_toy, "run the four-kernel demo comparison"),
+    "bifurcation": (cmd_bifurcation, "equilibrium sweep over attention"),
+    "energy": (cmd_energy, "integrate and write metrics only"),
+    "gradcheck": (cmd_gradcheck, "analytic vs finite-difference gradients"),
+    "train": (cmd_train, "gradient descent on the synthetic task"),
+    "verify": (cmd_verify, "run the acceptance battery"),
+    "plot": (cmd_plot, "render a CSV to a standalone SVG"),
+}
+
+
 def build_parser() -> Parser:
     parser = Parser(prog="odyn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
-
-    def common(p, *, kernel=True):
-        p.add_argument("--config", help="flat JSON file mirroring flag names")
-        p.add_argument("--out", help="output directory or file")
-        p.add_argument("--seed", type=int)
-        if kernel:
-            p.add_argument("--kernel", choices=KERNEL_TAGS)
-            p.add_argument("--graph", help="graph JSON file")
-            p.add_argument("--init", help="initial-state CSV file")
-            p.add_argument("--dt", type=float)
-            p.add_argument("--steps", type=int)
-            p.add_argument("--record-every", dest="record_every", type=int)
-            p.add_argument("--d", type=float)
-            p.add_argument("--alpha", type=float)
-            p.add_argument("--u", type=float)
-            p.add_argument("--beta", type=float)
-            p.add_argument("--saturation", choices=sorted(SATURATIONS))
-            p.add_argument("--b-mode", dest="b_mode", choices=["zero", "init", "file"])
-            p.add_argument("--b-file", dest="b_file")
-            p.add_argument("--method", choices=["euler", "rk4"])
-
-    common(sub.add_parser("simulate", help="integrate one kernel"))
-    common(sub.add_parser("toy", help="run the four-kernel demo comparison"))
-
-    p_bif = sub.add_parser("bifurcation", help="equilibrium sweep over attention")
-    p_bif.add_argument("--config")
-    p_bif.add_argument("--out")
-    p_bif.add_argument("--seed", type=int)
-    p_bif.add_argument("--d", type=float)
-    p_bif.add_argument("--alpha", type=float)
-    p_bif.add_argument("--b", type=float)
-    p_bif.add_argument("--u-min", dest="u_min", type=float)
-    p_bif.add_argument("--u-max", dest="u_max", type=float)
-    p_bif.add_argument("--points", type=int)
-
-    common(sub.add_parser("energy", help="integrate and write metrics only"))
-
-    p_grad = sub.add_parser("gradcheck", help="analytic vs finite-difference gradients")
-    p_grad.add_argument("--config")
-    p_grad.add_argument("--out")
-    p_grad.add_argument("--seed", type=int)
-    p_grad.add_argument("--d", type=float)
-    p_grad.add_argument("--alpha", type=float)
-    p_grad.add_argument("--steps", dest="train_steps", type=int)
-    p_grad.add_argument("--dt", dest="train_dt", type=float)
-    p_grad.add_argument("--n-agents", dest="n_agents", type=int)
-    p_grad.add_argument("--n-options", dest="n_options", type=int)
-    p_grad.add_argument("--features", type=int)
-    p_grad.add_argument("--h", type=float)
-
-    p_train = sub.add_parser("train", help="gradient descent on the synthetic task")
-    p_train.add_argument("--config")
-    p_train.add_argument("--out")
-    p_train.add_argument("--seed", type=int)
-    p_train.add_argument("--d", type=float)
-    p_train.add_argument("--alpha", type=float)
-    p_train.add_argument("--epochs", type=int)
-    p_train.add_argument("--lr", type=float)
-    p_train.add_argument("--steps", dest="train_steps", type=int)
-    p_train.add_argument("--dt", dest="train_dt", type=float)
-    p_train.add_argument("--n-per-block", dest="n_per_block", type=int)
-    p_train.add_argument("--p-in", dest="p_in", type=float)
-    p_train.add_argument("--p-out", dest="p_out", type=float)
-    p_train.add_argument("--noise", type=float)
-
-    p_verify = sub.add_parser("verify", help="run the acceptance battery")
-    p_verify.add_argument("--config")
-    p_verify.add_argument("--out")
-    p_verify.add_argument("--seed", type=int)
-
-    p_plot = sub.add_parser("plot", help="render a CSV to a standalone SVG")
-    p_plot.add_argument("--config")
-    p_plot.add_argument("--in", dest="infile")
-    p_plot.add_argument("--out", dest="svg_out")
-    p_plot.add_argument("--seed", type=int)
-    p_plot.add_argument("--title")
-
+    for verb, (_, help_text) in COMMANDS.items():
+        p = sub.add_parser(verb, help=help_text)
+        for o in OPTIONS:
+            if verb in o.verbs:
+                p.add_argument(f"--{o.flag}", dest=o.dest, type=o.type, default=o.default,
+                               choices=o.choices, help=o.help)
     return parser
-
-
-COMMANDS = {
-    "simulate": cmd_simulate,
-    "toy": cmd_toy,
-    "bifurcation": cmd_bifurcation,
-    "energy": cmd_energy,
-    "gradcheck": cmd_gradcheck,
-    "train": cmd_train,
-    "verify": cmd_verify,
-    "plot": cmd_plot,
-}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parser.parse_args(argv)
-        opts = _merge(args)
-        return COMMANDS[args.command](opts)
+        if args.config:
+            # defaults < config file < explicit flags
+            tokens = _config_tokens(args.command, args.config)
+            args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+        return COMMANDS[args.command][0](vars(args))
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -14,7 +14,12 @@ before the right-hand side sees it, must be finite.
 
 For damped kernels the step size must satisfy dt < 1/d: at dt >= 1/d the
 damping term flips the sign of the state at every update and the scheme
-is rejected up front.
+is rejected up front.  The Laplacian flows (``laplacian``,
+``laplacian-source``, ``linear-od``) report their largest out-degree as
+d, the diagonal damping of -D X + A X.  By Gershgorin every eigenvalue of
+-dt (D - A) then lies in the disc of radius dt*d about -dt*d, inside the
+Euler stability disc |1 + z| <= 1, which in turn lies inside RK4's
+stability region; so dt < 1/d guards both methods.
 """
 from __future__ import annotations
 

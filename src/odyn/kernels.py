@@ -292,6 +292,10 @@ KERNEL_TAGS = (
 )
 
 
+def _max_degree(g: Graph) -> float:
+    return float(degrees(g).max(initial=0.0))
+
+
 def kernel_setup(
     tag: str,
     g: Graph,
@@ -337,17 +341,24 @@ def kernel_setup(
             saturation=saturation,
         )
         return KernelSetup(tag, lambda s: rhs_bimp(s, aa, ao, params), x0, damping=d)
+    # The Laplacian flows report the largest out-degree, the diagonal damping
+    # of -D X + A X, so the integrator's dt * damping < 1 guard bounds their
+    # spectrum (Gershgorin; see the integrate module docstring).
     if tag == "linear-od":
         a = g.dense_adjacency()
         d_vec = degrees(g)
-        return KernelSetup(tag, lambda s: rhs_linear_opinion(s, a, d_vec), x0)
+        return KernelSetup(
+            tag, lambda s: rhs_linear_opinion(s, a, d_vec), x0, damping=_max_degree(g)
+        )
     if tag == "laplacian":
         l = laplacian(g)
-        return KernelSetup(tag, lambda s: rhs_laplacian(s, l), x0)
+        return KernelSetup(tag, lambda s: rhs_laplacian(s, l), x0, damping=_max_degree(g))
     if tag == "laplacian-source":
         l = laplacian(g)
         src = np.zeros_like(x0) if b is None else np.asarray(b, dtype=np.float64)
-        return KernelSetup(tag, lambda s: rhs_laplacian_source(s, l, src), x0)
+        return KernelSetup(
+            tag, lambda s: rhs_laplacian_source(s, l, src), x0, damping=_max_degree(g)
+        )
     if tag == "graphcon-tran":
         aa = row_normalize(g.dense_adjacency())
         return KernelSetup(

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 import odyn
-from odyn.cli import main
+from odyn.cli import DEFAULTS, main
 from odyn.fixtures import toy_graph, toy_initial_state
-from odyn.graphs import save_graph_json, save_matrix_csv
+from odyn.graphs import from_edge_list, save_graph_json, save_matrix_csv
 
 
 class TestValidation:
@@ -47,6 +47,20 @@ BAD_INPUTS = [
         "numerical failure:",
     ),
     (
+        "laplacian-step-beyond-degree-bound",
+        ["simulate", "--kernel", "laplacian", "--graph", "two-pairs.json",
+         "--init", "four.csv", "--dt", "1.5", "--out", "out"],
+        1,
+        "error:",
+    ),
+    (
+        "linear-od-step-beyond-degree-bound",
+        ["simulate", "--kernel", "linear-od", "--graph", "two-pairs.json",
+         "--init", "four.csv", "--dt", "1.5", "--out", "out"],
+        1,
+        "error:",
+    ),
+    (
         "euler-diverging-state",
         ["simulate", "--d", "0", "--u", "0.25", "--b-mode", "file",
          "--b-file", "huge.csv", "--dt", "0.5", "--steps", "4000", "--out", "out"],
@@ -63,6 +77,11 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
     (tmp_path / "noedges.json").write_text(json.dumps({"n": 3}))
     (tmp_path / "textn.json").write_text(json.dumps({"n": "3", "edges": []}))
     save_matrix_csv(np.full((3, 3), 1e307), tmp_path / "huge.csv")
+    # two 2-node components: max out-degree 1, lambda_max(L) = 2
+    two_pairs = {"n": 4, "edges": [[0, 1, 1.0], [1, 0, 1.0], [2, 3, 1.0], [3, 2, 1.0]]}
+    (tmp_path / "two-pairs.json").write_text(json.dumps(two_pairs))
+    save_matrix_csv(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [-1.0, 2.0]]),
+                    tmp_path / "four.csv")
     env = dict(os.environ)
     src = str(Path(odyn.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -74,6 +93,55 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
+def _differs_from_default_train(tmp_path):
+    assert main(["train", "--epochs", "2", "--out", "default"]) == 0
+    return (tmp_path / "cfg/history.csv").read_text() != (
+        tmp_path / "default/history.csv"
+    ).read_text()
+
+
+CONFIG_CASES = [
+    # (id, argv, config object, exit code, check on the working directory)
+    ("train-honours-steps", ["train", "--epochs", "2", "--out", "cfg"], {"steps": 2}, 0,
+     _differs_from_default_train),
+    ("unknown-method-rejected", ["simulate", "--steps", "5", "--out", "cfg"], {"method": "rk5"},
+     1, None),
+    ("graph-accepted", ["simulate", "--steps", "5", "--out", "cfg"],
+     {"graph": "four-nodes.json", "init": "four.csv"}, 0,
+     lambda tmp: {row.split(",")[1] for row in (tmp / "cfg/bimp.csv").read_text().split()[1:]}
+     == {"0", "1", "2", "3"}),
+    ("fractional-steps-rejected", ["simulate", "--out", "cfg"], {"steps": 10.7}, 1, None),
+    ("bifurcation-rejects-steps", ["bifurcation", "--points", "3", "--out", "bif.csv"],
+     {"steps": 99}, 1, None),
+    ("plot-honours-in-and-out", ["plot"], {"in": "traj.csv", "out": "traj.svg"}, 0,
+     lambda tmp: (tmp / "traj.svg").read_text().startswith("<svg")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, config, code, check",
+    [case[1:] for case in CONFIG_CASES],
+    ids=[case[0] for case in CONFIG_CASES],
+)
+def test_config_keys_are_parsed_as_the_verbs_flags(tmp_path, monkeypatch, argv, config, code,
+                                                   check):
+    monkeypatch.chdir(tmp_path)
+    save_graph_json(from_edge_list([(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)], 4),
+                    "four-nodes.json")
+    save_matrix_csv(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [-1.0, 2.0]]), "four.csv")
+    Path("traj.csv").write_text("t,node,option,value\n0.0,0,0,1.0\n0.1,0,0,0.5\n")
+    Path("cfg.json").write_text(json.dumps(config))
+    assert main([*argv, "--config", "cfg.json"]) == code
+    assert check is None or check(tmp_path)
+
+
+def test_defaults_read_by_the_setup_probe_keep_their_values():
+    # perfbench/probe.py builds the train-sbm-1k set-up from these keys
+    expected = {"noise": 0.1, "lr": 0.1, "train_steps": 8, "train_dt": 0.1, "d": 1.0,
+                "alpha": 1.0}
+    assert {key: DEFAULTS[key] for key in expected} == expected
 
 
 class TestToy:
@@ -215,3 +283,9 @@ class TestVerify:
         }
         all_passed = all(r["passed"] for r in report)
         assert code == (0 if all_passed else 3)
+        for r in report:
+            for key in ("measured", "threshold", "budget_seconds"):
+                assert r[key] is None or type(r[key]) in (int, float), (r["name"], key)
+        critical = next(r for r in report if r["name"] == "critical-consensus")
+        assert critical["threshold"] == 1e-3
+        assert critical["passed"] == (critical["measured"] < critical["threshold"])
