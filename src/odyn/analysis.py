@@ -13,15 +13,12 @@ nonzero input.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .graphs import Graph
-from .integrate import Trajectory
 from .kernels import rhs_reduced_1d
 from .spectral import symmetric_eigendecomposition
 
@@ -50,14 +47,6 @@ def opinion_diameter(x: np.ndarray) -> float:
     if x.ndim == 1:
         x = x[:, None]
     return float(np.max(x.max(axis=0) - x.min(axis=0)))
-
-
-def consensus_time(traj: Trajectory, tol: float) -> float | None:
-    """First recorded time with diameter below ``tol``, or None."""
-    for t, d in zip(traj.times, traj.diameter):
-        if d < tol:
-            return t
-    return None
 
 
 @dataclass(frozen=True)
@@ -145,11 +134,6 @@ def bifurcation_csv(points: list[BifurcationPoint]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_bifurcation_csv(points: list[BifurcationPoint], path) -> None:
-    """Write :func:`bifurcation_csv` to ``path``."""
-    Path(path).write_text(bifurcation_csv(points))
-
-
 @dataclass(frozen=True)
 class ClosedFormSolution:
     """Modal solution of dX/dt = -L X + B for symmetric L with a simple kernel.
@@ -222,16 +206,6 @@ class ScramblingReport:
     delta: float
     scrambling: bool
     diameters: tuple[float, ...]
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "window": self.window,
-                "delta": self.delta,
-                "scrambling": self.scrambling,
-                "diameters": list(self.diameters),
-            }
-        )
 
 
 def _pair_common_mass(phi: np.ndarray) -> float:

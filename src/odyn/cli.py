@@ -317,6 +317,7 @@ def cmd_plot(opts) -> int:
         raise CliError("plot requires --in")
     dst = opts["svg_out"] or str(Path(src).with_suffix(".svg"))
     header, rows = _read_csv(src)
+    Path(dst).parent.mkdir(parents=True, exist_ok=True)
     title = opts["title"] or Path(src).stem
     if header == ["t", "node", "option", "value"]:
         groups: dict[tuple[str, str], Series] = {}

@@ -41,11 +41,6 @@ class Graph:
     def edge_count(self) -> int:
         return int(self.targets.shape[0])
 
-    def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Targets and weights of the out-edges of node ``i``."""
-        lo, hi = self.offsets[i], self.offsets[i + 1]
-        return self.targets[lo:hi], self.weights[lo:hi]
-
     def to_edge_list(self) -> list[tuple[int, int, float]]:
         """Expand back to a sorted ``(src, dst, weight)`` list."""
         rows = np.repeat(np.arange(self.n), np.diff(self.offsets))

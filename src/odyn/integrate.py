@@ -4,7 +4,8 @@ One explicit Runge-Kutta loop advances every kernel; forward Euler is the
 reference scheme and classical RK4 a higher-accuracy cross-check, each a
 tableau of that loop.  Snapshots are taken at step 0 and at every
 ``record_every``-th step, so recording densely and subsampling gives
-bit-identical snapshots to recording sparsely.
+bit-identical snapshots to recording sparsely; a zero-step run is its
+initial snapshot.
 
 The state is a plain float64 array: ``(n, o)`` for first-order kernels,
 and ``(2, n, o)`` for the second-order kernel, which stacks position over
@@ -70,8 +71,8 @@ def _check_finite(state: np.ndarray, step: int, what: str = "state") -> None:
 def _guard_step(dt: float, steps: int, damping: float | None) -> None:
     if dt <= 0:
         raise ValueError("step size must be positive")
-    if steps < 1:
-        raise ValueError("need at least one step")
+    if steps < 0:
+        raise ValueError("step count must be nonnegative")
     if damping is not None and dt * damping >= 1.0:
         raise ValueError(
             f"step size {dt} is not below 1/d = {1.0 / damping}; every update "

@@ -117,12 +117,28 @@ def nod_validity(s: SaturationKind) -> NodValidity:
     return NodValidity(True)
 
 
+def critical_attention(d: float, alpha: float) -> float:
+    """The attention d / (alpha + 3) at which the neutral equilibrium loses stability."""
+    return d / (alpha + 3.0)
+
+
+def coupling(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, alpha: float) -> np.ndarray:
+    """Joint coupling alpha X + Aa X + X Ao^T + Aa X Ao^T."""
+    mixed = aa @ x
+    return alpha * x + mixed + x @ ao.T + mixed @ ao.T
+
+
+def coupling_adjoint(h: np.ndarray, aa: np.ndarray, ao: np.ndarray, alpha: float) -> np.ndarray:
+    """Adjoint of :func:`coupling`: alpha H + Aa^T H + H Ao + Aa^T H Ao."""
+    aat_h = aa.T @ h
+    return alpha * h + aat_h + h @ ao + aat_h @ ao
+
+
 @dataclass(frozen=True)
 class BimpParams:
     """Intrinsic and extrinsic parameters of the saturated kernel.
 
-    ``u`` defaults to the critical attention d / (alpha + 3), the value at
-    which the neutral equilibrium of the joint dynamics loses stability.
+    ``u`` defaults to :func:`critical_attention`.
     """
 
     d: float
@@ -137,7 +153,7 @@ class BimpParams:
         if self.alpha < 0:
             raise ValueError("self-reinforcement alpha must be nonnegative")
         if self.u is None:
-            object.__setattr__(self, "u", self.d / (self.alpha + 3.0))
+            object.__setattr__(self, "u", critical_attention(self.d, self.alpha))
         if not self.u > 0:
             raise ValueError("attention u must be positive")
         b = np.asarray(self.b, dtype=np.float64)
@@ -165,9 +181,7 @@ def rhs_bimp(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, p: BimpParams) -> np
     _check_bimp_shapes(x, aa, ao, p.b)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite state")
-    mixed = aa @ x
-    coupling = p.alpha * x + mixed + x @ ao.T + mixed @ ao.T
-    return -p.d * x + p.saturation.fn(p.u * coupling) + p.b
+    return -p.d * x + p.saturation.fn(p.u * coupling(x, aa, ao, p.alpha)) + p.b
 
 
 def rhs_bimp_vectorized(xvec: np.ndarray, op: KroneckerOperator, p: BimpParams) -> np.ndarray:
@@ -179,8 +193,8 @@ def rhs_bimp_vectorized(xvec: np.ndarray, op: KroneckerOperator, p: BimpParams) 
     xvec = np.asarray(xvec, dtype=np.float64)
     if xvec.shape != (op.dim,):
         raise ValueError(f"expected vector of length {op.dim}, got {xvec.shape}")
-    coupling = (p.alpha - 1.0) * xvec + op.matvec(xvec)
-    return -p.d * xvec + p.saturation.fn(p.u * coupling) + vec(p.b)
+    joint = (p.alpha - 1.0) * xvec + op.matvec(xvec)
+    return -p.d * xvec + p.saturation.fn(p.u * joint) + vec(p.b)
 
 
 def rhs_bimp_filter_form(xvec: np.ndarray, op: KroneckerOperator, p: BimpParams) -> np.ndarray:
@@ -194,8 +208,8 @@ def rhs_bimp_filter_form(xvec: np.ndarray, op: KroneckerOperator, p: BimpParams)
     if xvec.shape != (op.dim,):
         raise ValueError(f"expected vector of length {op.dim}, got {xvec.shape}")
     kx = op.matvec(xvec)
-    coupling = (p.alpha - 1.0) * (xvec - kx) + p.alpha * kx
-    return -p.d * xvec + p.saturation.fn(p.u * coupling) + vec(p.b)
+    joint = (p.alpha - 1.0) * (xvec - kx) + p.alpha * kx
+    return -p.d * xvec + p.saturation.fn(p.u * joint) + vec(p.b)
 
 
 def rhs_linear_opinion(x: np.ndarray, a: np.ndarray, d_vec: np.ndarray) -> np.ndarray:
@@ -257,11 +271,6 @@ def rhs_gread(
     raise ValueError(f"unknown variant {variant!r}; expected 'F' or 'FBstar'")
 
 
-def gread_threshold(l: np.ndarray) -> float:
-    """Constant C with |[L X]_i| <= C |X|_max: the max absolute row sum of L."""
-    return float(np.max(np.sum(np.abs(l), axis=1)))
-
-
 def rhs_reduced_1d(y: float, u: float, d: float, alpha: float, b: float = 0.0) -> float:
     """Scalar dynamics along the leading joint-coupling direction.
 
@@ -320,10 +329,10 @@ def kernel_setup(
         if x0.size != 1:
             raise ValueError("reduced kernel expects a 1x1 state")
         b_scalar = 0.0 if b is None else float(np.asarray(b).reshape(-1)[0])
+        u_r = critical_attention(d, alpha) if u is None else u
 
         def rhs_r(s: np.ndarray) -> np.ndarray:
-            val = rhs_reduced_1d(float(s[0, 0]), u if u is not None else d / (alpha + 3.0), d, alpha, b_scalar)
-            return np.array([[val]])
+            return np.array([[rhs_reduced_1d(float(s[0, 0]), u_r, d, alpha, b_scalar)]])
 
         return KernelSetup(tag, rhs_r, x0.reshape(1, 1), damping=d)
 

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import NumericalError
 
 # Largest joint dimension for which materializing the full operator is
-# permitted (test/debug paths only).
+# permitted (dense step Jacobians and checks only).
 MATERIALIZE_LIMIT = 4096
 
 
@@ -63,7 +63,15 @@ class KroneckerOperator:
         return self.n_agents * self.n_options
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        return kron_matvec(self, x)
+        """Apply the operator to a column-stacked state.
+
+        Equals ``(Aa + I) @ unvec(x) @ (Ao + I)^T`` re-vectorized; the joint
+        square matrix is never formed.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.dim,):
+            raise ValueError(f"expected vector of length {self.dim}, got {x.shape}")
+        return vec(self.aa_plus_i @ unvec(x, self.n_agents, self.n_options) @ self.ao_plus_i.T)
 
     def materialize(self) -> np.ndarray:
         """Dense form of the operator; refuses beyond the size limit."""
@@ -73,19 +81,6 @@ class KroneckerOperator:
                 f"limit {MATERIALIZE_LIMIT}; use matvec"
             )
         return np.kron(self.ao_plus_i, self.aa_plus_i)
-
-
-def kron_matvec(op: KroneckerOperator, x: np.ndarray) -> np.ndarray:
-    """Apply the factored operator to a column-stacked state.
-
-    Equals ``(Aa + I) @ unvec(x) @ (Ao + I)^T`` re-vectorized; the joint
-    square matrix is never formed.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (op.dim,):
-        raise ValueError(f"expected vector of length {op.dim}, got {x.shape}")
-    m = unvec(x, op.n_agents, op.n_options)
-    return vec(op.aa_plus_i @ m @ op.ao_plus_i.T)
 
 
 @dataclass(frozen=True)

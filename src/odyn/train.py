@@ -1,8 +1,8 @@
 """Desk-scale learning on synthetic graphs through the unrolled dynamics.
 
-A linear encoder X0 = X_in W feeds the saturated kernel, which is
-unrolled with forward Euler for M steps with the source held at X0.  The
-loss gradient with respect to W is accumulated in reverse through the
+A linear encoder X0 = X_in W feeds the saturated kernel ``rhs_bimp``,
+which ``euler_integrate`` unrolls for M steps with the source held at X0.
+The loss gradient with respect to W is accumulated in reverse through the
 unrolled map; the coupling matrices are treated as constants.  A central
 finite-difference oracle and an analytic norm bound on the gradient give
 two independent checks.
@@ -21,15 +21,17 @@ from .attention import (
 )
 from .errors import NumericalError
 from .graphs import Graph, from_edge_list
-from .kernels import BimpParams, rhs_bimp
+from .integrate import euler_integrate
+from .kernels import BimpParams, coupling, coupling_adjoint, critical_attention, rhs_bimp
+from .spectral import KroneckerOperator
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one unrolled run.
 
-    ``steps`` is the unroll depth M; the attention value is pinned to the
-    critical d / (alpha + 3).  Euler stability requires dt * d < 1.
+    ``steps`` is the unroll depth M; the attention value is pinned to
+    :func:`critical_attention`.  Euler stability requires dt * d < 1.
     """
 
     lr: float
@@ -56,7 +58,7 @@ class TrainConfig:
 
     @property
     def u(self) -> float:
-        return self.d / (self.alpha + 3.0)
+        return critical_attention(self.d, self.alpha)
 
 
 @dataclass
@@ -77,7 +79,7 @@ def forward_unroll(
     ao: np.ndarray,
     cfg: TrainConfig,
 ) -> tuple[np.ndarray, Tape]:
-    """Encode and run M Euler steps of the saturated kernel with source X0."""
+    """Encode and integrate M Euler steps of the saturated kernel with source X0."""
     x_in = np.asarray(x_in, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     if x_in.shape[1] != w.shape[0]:
@@ -86,12 +88,8 @@ def forward_unroll(
         )
     x0 = x_in @ w
     params = BimpParams(d=cfg.d, alpha=cfg.alpha, b=x0, u=cfg.u)
-    states = [x0]
-    x = x0
-    for _ in range(cfg.steps):
-        x = x + cfg.dt * rhs_bimp(x, aa, ao, params)
-        states.append(x)
-    return x, Tape(x_in=x_in, w=w, states=states, aa=aa, ao=ao)
+    traj = euler_integrate(x0, lambda x: rhs_bimp(x, aa, ao, params), cfg.dt, cfg.steps)
+    return traj.states[-1], Tape(x_in=x_in, w=w, states=traj.states, aa=aa, ao=ao)
 
 
 def mse_loss(x_final: np.ndarray, target: np.ndarray) -> float:
@@ -102,12 +100,6 @@ def mse_loss(x_final: np.ndarray, target: np.ndarray) -> float:
         raise ValueError("prediction and target shapes differ")
     r = x_final - target
     return float(np.sum(r * r) / (2.0 * x_final.size))
-
-
-def _coupling_transpose(h: np.ndarray, aa: np.ndarray, ao: np.ndarray, alpha: float) -> np.ndarray:
-    """Adjoint of H -> alpha H + Aa H + H Ao^T + Aa H Ao^T."""
-    aat_h = aa.T @ h
-    return alpha * h + aat_h + h @ ao + aat_h @ ao
 
 
 def encoding_grad(tape: Tape, target: np.ndarray, cfg: TrainConfig) -> np.ndarray:
@@ -129,11 +121,9 @@ def encoding_grad(tape: Tape, target: np.ndarray, cfg: TrainConfig) -> np.ndarra
     u, alpha = cfg.u, cfg.alpha
     for t in range(cfg.steps, 0, -1):
         grad_x0 += cfg.dt * grad_state
-        x_prev = tape.states[t - 1]
-        mixed = tape.aa @ x_prev
-        z = u * (alpha * x_prev + mixed + x_prev @ tape.ao.T + mixed @ tape.ao.T)
+        z = u * coupling(tape.states[t - 1], tape.aa, tape.ao, alpha)
         h = cfg.dt * grad_state * (1.0 / np.cosh(z)) ** 2
-        grad_state = (1.0 - cfg.d * cfg.dt) * grad_state + u * _coupling_transpose(
+        grad_state = (1.0 - cfg.d * cfg.dt) * grad_state + u * coupling_adjoint(
             h, tape.aa, tape.ao, alpha
         )
     return grad_x0 + grad_state
@@ -267,13 +257,12 @@ def step_jacobian(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, cfg: TrainConfi
     (1 - d dt) I + dt diag(sech^2(z)) u ((alpha - 1) I + K) on the
     column-stacked state, with K the materialized joint coupling.
     """
-    n_a, n_o = x.shape
-    kron = np.kron(ao + np.eye(n_o), aa + np.eye(n_a))
-    op = cfg.u * ((cfg.alpha - 1.0) * np.eye(n_a * n_o) + kron)
-    xvec = x.ravel(order="F")
-    z = op @ xvec
+    n = x.size
+    kron = KroneckerOperator.from_adjacency(aa, ao).materialize()
+    op = cfg.u * ((cfg.alpha - 1.0) * np.eye(n) + kron)
+    z = op @ x.ravel(order="F")
     sech2 = (1.0 / np.cosh(z)) ** 2
-    return (1.0 - cfg.d * cfg.dt) * np.eye(n_a * n_o) + cfg.dt * (sech2[:, None] * op)
+    return (1.0 - cfg.d * cfg.dt) * np.eye(n) + cfg.dt * (sech2[:, None] * op)
 
 
 def jacobian_chain_norm(tape: Tape, cfg: TrainConfig) -> float:
@@ -355,18 +344,21 @@ def train_sgd(
     aa = build_communication_attention(x0, w_agent, task.graph)
     ao = build_option_attention(x0, w_option)
     history: list[tuple[float, float]] = []
-    for epoch in range(cfg.epochs):
-        x_final, tape = forward_unroll(task.x_in, w, aa, ao, cfg)
-        loss = mse_loss(x_final, task.target)
-        if not np.isfinite(loss):
-            raise NumericalError(f"training diverged at epoch {epoch}")
-        history.append((loss, accuracy(x_final, task.target)))
-        w = w - cfg.lr * backward_grad(tape, task.target, cfg)
-    x_final, _ = forward_unroll(task.x_in, w, aa, ao, cfg)
-    terminal_loss = mse_loss(x_final, task.target)
-    if not np.isfinite(terminal_loss):
-        raise NumericalError(f"training diverged at epoch {cfg.epochs}")
-    history.append((terminal_loss, accuracy(x_final, task.target)))
+    # overflow is reported as divergence by the finiteness checks, not as
+    # numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs + 1):
+            diverged = f"training diverged at epoch {epoch}"
+            try:
+                x_final, tape = forward_unroll(task.x_in, w, aa, ao, cfg)
+            except NumericalError as e:
+                raise NumericalError(diverged) from e
+            loss = mse_loss(x_final, task.target)
+            if not np.isfinite(loss):
+                raise NumericalError(diverged)
+            history.append((loss, accuracy(x_final, task.target)))
+            if epoch < cfg.epochs:
+                w = w - cfg.lr * backward_grad(tape, task.target, cfg)
     return w, history
 
 

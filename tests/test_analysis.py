@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odyn.analysis import (
+    bifurcation_csv,
     bifurcation_sweep,
-    consensus_time,
     dirichlet_energy,
     grandpp_closed_form,
     opinion_diameter,
     reduced_equilibria,
-    save_bifurcation_csv,
     scrambling_check,
 )
 from odyn.fixtures import (
@@ -101,32 +99,6 @@ class TestOpinionDiameter:
         assert opinion_diameter(np.array([1.0, 5.0, 2.0])) == 4.0
 
 
-class TestConsensusTime:
-    def test_laplacian_kernel_reaches_consensus(self):
-        setup = kernel_setup("laplacian", toy_graph(), toy_initial_state())
-        traj = euler_integrate(
-            setup.state0, setup.rhs, 0.05, 400, diameter_fn=opinion_diameter
-        )
-        t = consensus_time(traj, 1e-3)
-        assert t is not None and 0.0 < t <= 20.0
-
-    def test_saturated_kernel_with_input_never_consents(self):
-        x0 = toy_initial_state()
-        setup = kernel_setup("bimp", toy_graph(), x0, b=x0)
-        traj = euler_integrate(
-            setup.state0, setup.rhs, 0.05, 400, damping=1.0,
-            diameter_fn=opinion_diameter,
-        )
-        assert consensus_time(traj, 1e-3) is None
-
-    def test_consensus_start_returns_zero(self):
-        setup = kernel_setup("laplacian", toy_graph(), np.ones((3, 2)))
-        traj = euler_integrate(
-            setup.state0, setup.rhs, 0.1, 5, diameter_fn=opinion_diameter
-        )
-        assert consensus_time(traj, 1e-3) == 0.0
-
-
 class TestBifurcation:
     def test_supercritical_structure_with_fitted_damping(self):
         # d = 0.8952, alpha = 1: the critical attention is d / 4 = 0.2238.
@@ -178,10 +150,8 @@ class TestBifurcation:
         with pytest.raises(ValueError, match="damping"):
             bifurcation_sweep((0.1, 0.5, 10), 0.0, 1.0)
 
-    def test_csv_export(self, tmp_path):
-        path = tmp_path / "bif.csv"
-        save_bifurcation_csv(bifurcation_sweep((0.1, 0.3, 3), 1.0, 1.0), path)
-        lines = path.read_text().splitlines()
+    def test_csv_export(self):
+        lines = bifurcation_csv(bifurcation_sweep((0.1, 0.3, 3), 1.0, 1.0)).splitlines()
         assert lines[0] == "u,y,stable"
         assert all(len(line.split(",")) == 3 for line in lines[1:])
 
@@ -313,11 +283,3 @@ class TestScrambling:
         m = np.array([[0.99, 0.01], [0.5, 0.5]])
         with pytest.raises(ValueError, match="positivity floor"):
             scrambling_check([m], zeta=0.1, x0=np.zeros((2, 1)))
-
-    def test_report_json(self):
-        a = toy_adjacency()
-        report = scrambling_check([a, a], zeta=0.3, x0=toy_initial_state()[:, :1])
-        payload = json.loads(report.to_json())
-        assert payload["scrambling"] is True
-        assert payload["window"] == 2
-        assert len(payload["diameters"]) == 3

@@ -1,0 +1,45 @@
+"""The benchmark's tracer hangs its counters on module-level names of the package.
+
+``perfbench/tracing.py`` replaces each ``(module, attr)`` of its PATCHES
+table in the package for the traced operation; a renamed or deleted name,
+or a caller that stops calling through it, silently loses a counter.
+"""
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from odyn.cli import main
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_patched_name_resolves_on_the_package(tracing):
+    for module, attr, _, _ in tracing.PATCHES:
+        owner = importlib.import_module(f"odyn.{module}")
+        assert callable(getattr(owner, attr, None)), f"odyn.{module}.{attr}"
+
+
+def test_training_calls_through_the_patched_names(tracing, tmp_path):
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        assert main(["train", "--epochs", "2", "--n-per-block", "3",
+                     "--out", str(tmp_path)]) == 0
+    calls = {}
+    for name, *_ in tracer.spans:
+        calls[name] = calls.get(name, 0) + 1
+    # two descent epochs plus the terminal evaluation, eight steps each
+    assert calls["train.train_sgd"] == 1
+    assert calls["train.forward_unroll"] == 3
+    assert calls["train.encoding_grad"] == 2
+    assert calls["kernels.rhs"] == 3 * 8
+    assert tracer.counts["updates"] == (3 * 8 + 2 * 8) * 6 * 2

@@ -67,6 +67,12 @@ BAD_INPUTS = [
         2,
         "numerical failure:",
     ),
+    (
+        "train-diverging-learning-rate",
+        ["train", "--lr", "1e100", "--epochs", "20", "--out", "out"],
+        2,
+        "numerical failure:",
+    ),
 ]
 
 
@@ -260,6 +266,13 @@ class TestPlot:
         main(["bifurcation", "--points", "20", "--out", str(bif)])
         assert main(["plot", "--in", str(bif), "--out", str(tmp_path / "b.svg")]) == 0
         assert "circle" in (tmp_path / "b.svg").read_text()
+
+    def test_out_into_a_missing_directory(self, tmp_path):
+        out = tmp_path / "toy"
+        main(["toy", "--out", str(out), "--seed", "0", "--steps", "20"])
+        svg = tmp_path / "plot" / "bimp.svg"
+        assert main(["plot", "--in", str(out / "bimp.csv"), "--out", str(svg)]) == 0
+        assert svg.read_text().startswith("<svg")
 
     def test_unknown_schema_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -56,12 +56,6 @@ class TestFromEdgeList:
         with pytest.raises(ValueError, match="duplicate"):
             from_edge_list([(0, 1, 0.5), (0, 1, 0.5)], 2)
 
-    def test_neighbors(self):
-        g = from_edge_list(TOY_EDGES, 3)
-        targets, weights = g.neighbors(1)
-        assert list(targets) == [0, 2]
-        np.testing.assert_allclose(weights, [0.64, 0.36])
-
     @given(
         st.lists(
             st.tuples(

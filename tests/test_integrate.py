@@ -46,6 +46,22 @@ class TestEuler:
         # strictly below the threshold is accepted
         euler_integrate(setup.state0, setup.rhs, 0.499, 10, damping=2.0)
 
+    def test_zero_steps_is_the_initial_snapshot(self):
+        x0 = toy_initial_state()
+
+        def never_called(s):
+            raise AssertionError("a zero-step run evaluated the right-hand side")
+
+        for integrate in (euler_integrate, rk4_integrate):
+            traj = integrate(x0, never_called, 0.05, 0, damping=1.0,
+                             diameter_fn=opinion_diameter)
+            assert traj.times == [0.0]
+            assert len(traj.states) == len(traj.diameter) == 1
+            np.testing.assert_array_equal(traj.states[0], x0)
+            assert traj.diameter[0] == opinion_diameter(x0)
+            with pytest.raises(ValueError, match="nonnegative"):
+                integrate(x0, never_called, 0.05, -1)
+
     def test_nonfinite_abort_reports_step(self):
         def blow_up(s):
             with np.errstate(over="ignore"):

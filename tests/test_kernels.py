@@ -23,7 +23,6 @@ from odyn.kernels import (
     SOFTSIGN,
     TANH,
     BimpParams,
-    gread_threshold,
     kernel_setup,
     nod_validity,
     rhs_bimp,
@@ -264,7 +263,8 @@ class TestGread:
 
     def test_deep_negative_states_decrease_monotonically(self):
         lap = laplacian(toy_graph())
-        c = gread_threshold(lap)
+        # |[L X]_i| <= c |X|_max with c the largest absolute row sum of L
+        c = float(np.max(np.sum(np.abs(lap), axis=1)))
         x = np.full((3, 2), -(c + 1.0))
         assert np.all(rhs_gread(x, lap, "F") < 0.0)
 

@@ -8,7 +8,6 @@ from odyn.fixtures import random_row_stochastic, toy_adjacency, toy_initial_stat
 from odyn.graphs import from_edge_list, laplacian
 from odyn.spectral import (
     KroneckerOperator,
-    kron_matvec,
     power_iteration,
     symmetric_eigendecomposition,
     unvec,
@@ -22,7 +21,7 @@ class TestKronMatvec:
         aa = toy_adjacency()
         op = KroneckerOperator.from_adjacency(aa, np.zeros((2, 2)))
         x0 = np.hstack([toy_initial_state()[:, :2]])
-        out = kron_matvec(op, vec(x0))
+        out = op.matvec(vec(x0))
         expected = vec((aa + np.eye(3)) @ x0)
         np.testing.assert_allclose(out, expected, atol=1e-14)
 
@@ -35,7 +34,7 @@ class TestKronMatvec:
         # Row sums of both factors are 2, so the product operator maps
         # the constant vector to 4 times itself; confirm by summation.
         assert abs((aa + np.eye(4)).sum(axis=1).max() - 2.0) < 1e-12
-        np.testing.assert_allclose(kron_matvec(op, ones), 4.0 * ones, atol=1e-12)
+        np.testing.assert_allclose(op.matvec(ones), 4.0 * ones, atol=1e-12)
 
     def test_matches_materialized_product(self):
         rng = np.random.default_rng(2)
@@ -44,7 +43,7 @@ class TestKronMatvec:
         op = KroneckerOperator.from_adjacency(aa, ao)
         x = rng.standard_normal(6)
         dense = np.kron(ao + np.eye(2), aa + np.eye(3))
-        np.testing.assert_allclose(kron_matvec(op, x), dense @ x, atol=1e-12)
+        np.testing.assert_allclose(op.matvec(x), dense @ x, atol=1e-12)
 
     @settings(max_examples=40)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2**32 - 1))
@@ -55,13 +54,13 @@ class TestKronMatvec:
         op = KroneckerOperator.from_adjacency(aa, ao)
         x = rng.standard_normal(na * no)
         np.testing.assert_allclose(
-            kron_matvec(op, x), op.materialize() @ x, atol=1e-12
+            op.matvec(x), op.materialize() @ x, atol=1e-12
         )
 
     def test_dimension_mismatch(self):
         op = KroneckerOperator.from_adjacency(np.eye(2), np.eye(2))
         with pytest.raises(ValueError, match="length 4"):
-            kron_matvec(op, np.ones(5))
+            op.matvec(np.ones(5))
 
     def test_vec_unvec_roundtrip(self):
         m = toy_initial_state()

@@ -1,10 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from odyn.errors import NumericalError
 from odyn.fixtures import random_row_stochastic
-from odyn.integrate import euler_integrate
-from odyn.kernels import BimpParams, rhs_bimp
 from odyn.train import (
     TrainConfig,
     backward_grad,
@@ -63,18 +63,21 @@ class TestForwardUnroll:
             np.testing.assert_array_equal(s, np.zeros_like(s))
 
     def test_matches_generic_integrator(self):
+        # bit-exact against a plain-numpy Euler loop written out in full
         cfg, aa, ao, x_in, w, _ = small_fixture(2, na=16, steps=8)
-        x_final, _ = forward_unroll(x_in, w, aa, ao, cfg)
+        x_final, tape = forward_unroll(x_in, w, aa, ao, cfg)
         x0 = x_in @ w
-        params = BimpParams(d=cfg.d, alpha=cfg.alpha, b=x0, u=cfg.u)
-        traj = euler_integrate(
-            x0,
-            lambda s: rhs_bimp(s, aa, ao, params),
-            cfg.dt,
-            cfg.steps,
-            record_every=cfg.steps,
-        )
-        assert np.max(np.abs(traj.states[-1] - x_final)) <= 1e-14
+        x = x0
+        states = [x0]
+        for _ in range(cfg.steps):
+            mixed = aa @ x
+            z = cfg.u * (cfg.alpha * x + mixed + x @ ao.T + mixed @ ao.T)
+            x = x + cfg.dt * (-cfg.d * x + np.tanh(z) + x0)
+            states.append(x)
+        np.testing.assert_array_equal(x_final, x)
+        assert len(tape.states) == len(states)
+        for got, want in zip(tape.states, states):
+            np.testing.assert_array_equal(got, want)
 
     def test_determinism(self):
         cfg, aa, ao, x_in, w, _ = small_fixture(3)
@@ -245,6 +248,16 @@ class TestTrainSgd:
         with pytest.raises(NumericalError, match="epoch"):
             with np.errstate(over="ignore", invalid="ignore"):
                 train_sgd(task, cfg)
+
+    def test_divergence_inside_the_unroll_reports_the_epoch(self):
+        task = make_sbm_task(5, 0.8, 0.05, noise=0.1, seed=3)
+        huge = dataclasses.replace(task, x_in=task.x_in * 1e307)
+        cfg = TrainConfig(lr=0.1, epochs=5, steps=8, dt=0.1, d=1.0, alpha=1.0, seed=3)
+        # the attention build overflows on such features as well
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="diverged at epoch 0") as info:
+                train_sgd(huge, cfg)
+        assert "non-finite state" in str(info.value.__cause__)
 
     def test_history_csv(self, tmp_path):
         path = tmp_path / "hist.csv"
