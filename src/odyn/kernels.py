@@ -181,6 +181,10 @@ def rhs_bimp(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, p: BimpParams) -> np
     _check_bimp_shapes(x, aa, ao, p.b)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite state")
+    return _rhs_bimp(x, aa, ao, p)
+
+
+def _rhs_bimp(x, aa, ao, p):
     return -p.d * x + p.saturation.fn(p.u * coupling(x, aa, ao, p.alpha)) + p.b
 
 
@@ -322,7 +326,9 @@ def kernel_setup(
 
     The saturated kernel draws its agent coupling from the row-normalized
     adjacency and a seeded random row-stochastic option coupling; ``b``
-    defaults to zero.
+    defaults to zero.  Its shapes are validated here, once, and its closure
+    skips the per-call checks of :func:`rhs_bimp`: the integrator already
+    checks every state it hands on for finiteness.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if tag == "reduced":
@@ -349,7 +355,8 @@ def kernel_setup(
             u=u,
             saturation=saturation,
         )
-        return KernelSetup(tag, lambda s: rhs_bimp(s, aa, ao, params), x0, damping=d)
+        _check_bimp_shapes(x0, aa, ao, params.b)
+        return KernelSetup(tag, lambda s: _rhs_bimp(s, aa, ao, params), x0, damping=d)
     # The Laplacian flows report the largest out-degree, the diagonal damping
     # of -D X + A X, so the integrator's dt * damping < 1 guard bounds their
     # spectrum (Gershgorin; see the integrate module docstring).

@@ -341,12 +341,12 @@ def train_sgd(
     x0 = task.x_in @ w
     w_agent = init_attention_weights(heads, attention_dim, n_options, seed=cfg.seed)
     w_option = init_attention_weights(heads, attention_dim, task.graph.n, seed=cfg.seed + 1)
-    aa = build_communication_attention(x0, w_agent, task.graph)
-    ao = build_option_attention(x0, w_option)
     history: list[tuple[float, float]] = []
     # overflow is reported as divergence by the finiteness checks, not as
     # numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
+        aa = build_communication_attention(x0, w_agent, task.graph)
+        ao = build_option_attention(x0, w_option)
         for epoch in range(cfg.epochs + 1):
             diverged = f"training diverged at epoch {epoch}"
             try:

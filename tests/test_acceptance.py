@@ -13,7 +13,9 @@ import math
 import numpy as np
 
 from odyn import acceptance
-from odyn.fixtures import random_row_stochastic, toy_adjacency
+from odyn.fixtures import random_row_stochastic, toy_adjacency, toy_graph
+from odyn.integrate import euler_integrate
+from odyn.kernels import kernel_setup
 
 
 def _run(criterion):
@@ -65,6 +67,33 @@ def test_acceptance_04_critical_consensus():
     assert result.passed == (result.measured < result.threshold), result.line()
     oracle = max(_consensus_mode_oracle(x0) for x0 in acceptance.critical_consensus_starts())
     assert abs(result.measured - oracle) <= 0.01 * oracle, (result.measured, oracle)
+
+
+def test_critical_consensus_union_matches_the_starts_run_one_at_a_time(monkeypatch):
+    """The criterion integrates its 20 starts as one 60-node disjoint union.
+
+    The reference runs each start on its own demo graph.  The block-diagonal
+    product sums in another order, so the terminal states may differ in
+    their last bits, a few ulps at |X| ~ 0.08.
+    """
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(euler_integrate(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(acceptance, "euler_integrate", recording)
+    result = acceptance.criterion_critical_consensus()
+    (union,) = runs
+    singles = []
+    for x0 in acceptance.critical_consensus_starts():
+        setup = kernel_setup("bimp", toy_graph(), x0, d=1.0, alpha=1.0, seed=0)
+        traj = euler_integrate(setup.state0, setup.rhs, 0.05, 4000, record_every=4000,
+                               damping=1.0)
+        singles.append(traj.states[-1])
+    singles = np.array(singles)
+    assert np.max(np.abs(union.states[-1].reshape(20, 3, 3) - singles)) <= 1e-15
+    assert abs(result.measured - np.max(np.abs(singles))) <= 1e-15
 
 
 def test_acceptance_05_dissensus_input():

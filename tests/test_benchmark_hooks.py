@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from odyn import acceptance
 from odyn.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -43,3 +44,12 @@ def test_training_calls_through_the_patched_names(tracing, tmp_path):
     assert calls["train.encoding_grad"] == 2
     assert calls["kernels.rhs"] == 3 * 8
     assert tracer.counts["updates"] == (3 * 8 + 2 * 8) * 6 * 2
+
+
+def test_critical_consensus_counts_the_work_of_its_20_starts(tracing):
+    # one 2-d state of 20 x 3 agents, 4000 Euler steps of 9 entries per start
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        acceptance.criterion_critical_consensus()
+    assert sum(name == "kernels.rhs" for name, *_ in tracer.spans) == 4000
+    assert tracer.counts["updates"] == 20 * 4000 * 9

@@ -73,6 +73,18 @@ BAD_INPUTS = [
         2,
         "numerical failure:",
     ),
+    (
+        "train-overflowing-features",
+        ["train", "--noise", "1e306", "--epochs", "3", "--out", "out"],
+        2,
+        "numerical failure:",
+    ),
+    (
+        "b-file-shape-mismatch-zero-steps",
+        ["simulate", "--b-mode", "file", "--b-file", "four.csv", "--steps", "0", "--out", "out"],
+        1,
+        "error:",
+    ),
 ]
 
 

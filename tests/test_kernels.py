@@ -11,7 +11,7 @@ from odyn.fixtures import (
     toy_graph,
     toy_initial_state,
 )
-from odyn.graphs import from_edge_list, laplacian
+from odyn.graphs import from_edge_list, laplacian, row_normalize
 from odyn.integrate import euler_integrate
 from odyn.kernels import (
     ARCTAN,
@@ -358,3 +358,19 @@ class TestKernelSetup:
     def test_bimp_setup_reports_damping(self):
         setup = kernel_setup("bimp", toy_graph(), toy_initial_state(), d=0.7)
         assert setup.damping == 0.7
+
+    @pytest.mark.parametrize("tag", sorted(SATURATIONS))
+    def test_bimp_closure_equals_rhs_bimp_bit_for_bit(self, tag):
+        # the closure skips rhs_bimp's per-call checks, not any arithmetic
+        rng = np.random.default_rng(12)
+        n, o = 6, 4
+        g = from_edge_list([(i, j, float(rng.uniform(0.1, 1.0)))
+                            for i in range(n) for j in range(n) if i != j], n)
+        x0 = rng.uniform(-1.0, 1.0, (n, o))
+        b = rng.uniform(-0.5, 0.5, (n, o))
+        kw = dict(d=0.8, alpha=1.5, b=b, saturation=SATURATIONS[tag])
+        setup = kernel_setup("bimp", g, x0, seed=5, **kw)
+        aa = row_normalize(g.dense_adjacency())
+        ao = random_row_stochastic(o, np.random.default_rng(5))
+        for x in (x0, rng.uniform(-3.0, 3.0, (n, o)), rng.normal(0.0, 10.0, (n, o))):
+            np.testing.assert_array_equal(setup.rhs(x), rhs_bimp(x, aa, ao, BimpParams(**kw)))
