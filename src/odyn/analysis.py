@@ -214,13 +214,10 @@ def _pair_common_mass(phi: np.ndarray) -> float:
     Positive iff every pair of rows has a column where both are positive,
     i.e. iff the matrix is scrambling.
     """
-    n = phi.shape[0]
-    worst = np.inf
-    for i in range(n):
-        for k in range(i + 1, n):
-            mass = float(np.max(np.minimum(phi[i], phi[k])))
-            worst = min(worst, mass)
-    return worst if n > 1 else float(np.max(phi))
+    if phi.shape[0] < 2:
+        return float(np.max(phi))
+    i, k = np.triu_indices(phi.shape[0], 1)
+    return float(np.minimum(phi[i], phi[k]).max(axis=1).min())
 
 
 def scrambling_check(

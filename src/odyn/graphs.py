@@ -1,9 +1,9 @@
 """Sparse directed graphs in compressed row form, plus dense-matrix plumbing.
 
 A :class:`Graph` stores the communication structure: nonnegative edge
-weights, no duplicate edges, rows sorted by target column.  Dense state
-and coupling matrices are plain float64 numpy arrays throughout the
-package.
+weights, no duplicate edges, rows sorted by target column.  Every graph
+kernel couples its agents through ``g @ X``, an O(edges) segment sum over
+the rows; the dense n-by-n forms below are small-n oracles.
 
 File formats:
 
@@ -13,7 +13,7 @@ File formats:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +36,9 @@ class Graph:
     def __post_init__(self):
         for arr in (self.offsets, self.targets, self.weights):
             arr.flags.writeable = False
+        object.__setattr__(self, "shape", (self.n, self.n))
+        object.__setattr__(self, "_rows", np.repeat(np.arange(self.n), np.diff(self.offsets)))
+        object.__setattr__(self, "_plans", {})  # state width -> (term sources, weights, bins)
 
     @property
     def edge_count(self) -> int:
@@ -43,17 +46,39 @@ class Graph:
 
     def to_edge_list(self) -> list[tuple[int, int, float]]:
         """Expand back to a sorted ``(src, dst, weight)`` list."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.offsets))
-        return [
-            (int(s), int(d), float(w))
-            for s, d, w in zip(rows, self.targets, self.weights)
-        ]
+        return [(int(s), int(d), float(w))
+                for s, d, w in zip(self._rows, self.targets, self.weights)]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """A X for an ``(n,)`` or ``(n, o)`` state; a row without edges gives 0."""
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+            raise ValueError(f"graph on {self.n} nodes cannot act on shape {x.shape}")
+        width = x.size // self.n if self.n else 0
+        if width not in self._plans:
+            cols = np.arange(width)
+            self._plans[width] = ((self.targets[:, None] * width + cols).ravel(),
+                                  np.repeat(self.weights, width),
+                                  (self._rows[:, None] * width + cols).ravel())
+        sources, weights, bins = self._plans[width]
+        terms = x.reshape(-1).take(sources)
+        terms *= weights
+        # a bincount of no terms comes back as int64
+        return np.bincount(bins, terms, x.size).reshape(x.shape).astype(np.float64, copy=False)
+
+    def row_normalized(self) -> Graph:
+        """The same edges with each row's weights scaled to sum to one."""
+        if not np.all(np.isfinite(self.weights)):
+            raise ValueError("non-finite entries")
+        sums = self @ np.ones(self.n)
+        if np.any(sums <= 0):
+            raise ValueError(f"row {int(np.flatnonzero(sums <= 0)[0])} has no positive entry")
+        return replace(self, weights=self.weights / sums[self._rows])
 
     def dense_adjacency(self) -> np.ndarray:
         """Materialize the n-by-n weighted adjacency matrix."""
         a = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), np.diff(self.offsets))
-        a[rows, self.targets] = self.weights
+        a[self._rows, self.targets] = self.weights
         return a
 
 
@@ -65,24 +90,28 @@ def from_edge_list(edges, n: int) -> Graph:
     """
     if n < 0:
         raise ValueError("node count must be nonnegative")
-    triples = [(int(s), int(d), float(w)) for s, d, w in edges]
-    for s, d, w in triples:
-        if not (0 <= s < n and 0 <= d < n):
-            raise ValueError(f"edge ({s}, {d}) out of range for n={n}")
-        if w < 0:
-            raise ValueError(f"negative weight {w} on edge ({s}, {d})")
-    triples.sort(key=lambda e: (e[0], e[1]))
-    for prev, cur in zip(triples, triples[1:]):
-        if prev[0] == cur[0] and prev[1] == cur[1]:
-            raise ValueError(f"duplicate edge ({cur[0]}, {cur[1]})")
-    counts = np.zeros(n, dtype=np.int64)
-    for s, _, _ in triples:
-        counts[s] += 1
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    targets = np.array([d for _, d, _ in triples], dtype=np.int64)
-    weights = np.array([w for _, _, w in triples], dtype=np.float64)
-    return Graph(n=n, offsets=offsets, targets=targets, weights=weights)
+    e = np.asarray(edges, dtype=np.float64)
+    if e.shape == (0,):
+        e = e.reshape(0, 3)
+    if e.ndim != 2 or e.shape[1] != 3:
+        raise ValueError(f"edges must be (src, dst, weight) triples, got shape {e.shape}")
+    # indices truncate toward zero, as int() does
+    src, dst, w = np.trunc(e[:, 0]), np.trunc(e[:, 1]), e[:, 2]
+    in_range = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
+    bad = ~in_range | (w < 0)
+    if bad.any():
+        k = int(np.argmax(bad))
+        s, d = int(src[k]), int(dst[k])
+        raise ValueError(f"edge ({s}, {d}) out of range for n={n}" if not in_range[k]
+                         else f"negative weight {float(w[k])} on edge ({s}, {d})")
+    order = np.lexsort((dst, src))
+    src, dst = src[order].astype(np.int64), dst[order].astype(np.int64)
+    dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+    if dup.any():
+        k = int(np.argmax(dup)) + 1
+        raise ValueError(f"duplicate edge ({src[k]}, {dst[k]})")
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
+    return Graph(n=n, offsets=offsets, targets=dst, weights=w[order])
 
 
 def row_normalize(m: np.ndarray) -> np.ndarray:
@@ -106,16 +135,26 @@ def row_normalize(m: np.ndarray) -> np.ndarray:
 
 def degrees(g: Graph) -> np.ndarray:
     """Out-degree vector d_i = sum_j A_ij."""
-    d = np.zeros(g.n)
-    rows = np.repeat(np.arange(g.n), np.diff(g.offsets))
-    np.add.at(d, rows, g.weights)
-    return d
+    return g @ np.ones(g.n)
 
 
 def laplacian(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian L = D - A; every row sums to zero."""
     a = g.dense_adjacency()
     return np.diag(a.sum(axis=1)) - a
+
+
+def sparse_laplacian(g: Graph) -> Graph:
+    """L = D - A as a CSR matrix with signed weights; :func:`laplacian` is its oracle."""
+    loop = g._rows == g.targets
+    diag = degrees(g)
+    diag[g._rows[loop]] -= g.weights[loop]
+    rows = np.concatenate([g._rows[~loop], np.arange(g.n)])
+    cols = np.concatenate([g.targets[~loop], np.arange(g.n)])
+    order = np.lexsort((cols, rows))
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=g.n))])
+    return Graph(n=g.n, offsets=offsets, targets=cols[order],
+                 weights=np.concatenate([-g.weights[~loop], diag])[order])
 
 
 def save_graph_json(g: Graph, path) -> None:

@@ -163,12 +163,15 @@ def rk4_integrate(
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:
     """Long-format CSV with header ``t,node,option,value``."""
-    lines = ["t,node,option,value"]
-    for t, x in zip(traj.times, traj.states):
-        for i in range(x.shape[0]):
-            for j in range(x.shape[1]):
-                lines.append(f"{t!r},{i},{j},{float(x[i, j])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    shape, cells = None, []
+    with open(path, "w") as f:
+        f.write("t,node,option,value\n")
+        for t, x in zip(traj.times, traj.states):
+            if np.shape(x) != shape:
+                shape = np.shape(x)
+                cells = [f",{i},{j}," for i, j in np.ndindex(shape)]
+            tr, values = repr(t), np.asarray(x, dtype=np.float64).ravel().tolist()
+            f.write("".join([f"{tr}{c}{v!r}\n" for c, v in zip(cells, values)]))
 
 
 def save_metrics_csv(traj: Trajectory, path) -> None:

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .fixtures import random_row_stochastic
-from .graphs import Graph, degrees, laplacian, row_normalize
+from .graphs import Graph, degrees, sparse_laplacian
 from .spectral import KroneckerOperator, vec
 
 
@@ -305,10 +305,6 @@ KERNEL_TAGS = (
 )
 
 
-def _max_degree(g: Graph) -> float:
-    return float(degrees(g).max(initial=0.0))
-
-
 def kernel_setup(
     tag: str,
     g: Graph,
@@ -324,11 +320,12 @@ def kernel_setup(
 ) -> KernelSetup:
     """Assemble a kernel by tag from a graph and an initial state.
 
-    The saturated kernel draws its agent coupling from the row-normalized
-    adjacency and a seeded random row-stochastic option coupling; ``b``
-    defaults to zero.  Its shapes are validated here, once, and its closure
-    skips the per-call checks of :func:`rhs_bimp`: the integrator already
-    checks every state it hands on for finiteness.
+    No closure holds an n-by-n matrix.  The saturated kernel draws its
+    agent coupling from the row-normalized graph and a seeded random
+    row-stochastic option coupling; ``b`` defaults to zero.  Its shapes
+    are validated here, once, and its closure skips the per-call checks of
+    :func:`rhs_bimp`: the integrator already checks every state it hands on
+    for finiteness.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if tag == "reduced":
@@ -346,7 +343,7 @@ def kernel_setup(
         raise ValueError(f"initial state must have {g.n} rows, got {x0.shape}")
 
     if tag == "bimp":
-        aa = row_normalize(g.dense_adjacency())
+        aa = g.row_normalized()
         ao = random_row_stochastic(x0.shape[1], np.random.default_rng(seed))
         params = BimpParams(
             d=d,
@@ -357,37 +354,28 @@ def kernel_setup(
         )
         _check_bimp_shapes(x0, aa, ao, params.b)
         return KernelSetup(tag, lambda s: _rhs_bimp(s, aa, ao, params), x0, damping=d)
-    # The Laplacian flows report the largest out-degree, the diagonal damping
-    # of -D X + A X, so the integrator's dt * damping < 1 guard bounds their
-    # spectrum (Gershgorin; see the integrate module docstring).
-    if tag == "linear-od":
-        a = g.dense_adjacency()
-        d_vec = degrees(g)
-        return KernelSetup(
-            tag, lambda s: rhs_linear_opinion(s, a, d_vec), x0, damping=_max_degree(g)
-        )
-    if tag == "laplacian":
-        l = laplacian(g)
-        return KernelSetup(tag, lambda s: rhs_laplacian(s, l), x0, damping=_max_degree(g))
-    if tag == "laplacian-source":
-        l = laplacian(g)
-        src = np.zeros_like(x0) if b is None else np.asarray(b, dtype=np.float64)
-        return KernelSetup(
-            tag, lambda s: rhs_laplacian_source(s, l, src), x0, damping=_max_degree(g)
-        )
     if tag == "graphcon-tran":
-        aa = row_normalize(g.dense_adjacency())
+        aa = g.row_normalized()
         return KernelSetup(
             tag,
             lambda s: rhs_graphcon_tran(s, aa),
             np.stack([x0, np.zeros_like(x0)]),
             damping=1.0,
         )
+    l = sparse_laplacian(g)
+    # The Laplacian flows report the largest out-degree, the diagonal damping
+    # of -D X + A X, so the integrator's dt * damping < 1 guard bounds their
+    # spectrum (Gershgorin; see the integrate module docstring).
+    max_degree = float(degrees(g).max(initial=0.0))
+    if tag in ("linear-od", "laplacian"):
+        # linear-od's -D X + A X is the Laplacian flow -L X
+        return KernelSetup(tag, lambda s: rhs_laplacian(s, l), x0, damping=max_degree)
+    if tag == "laplacian-source":
+        src = np.zeros_like(x0) if b is None else np.asarray(b, dtype=np.float64)
+        return KernelSetup(tag, lambda s: rhs_laplacian_source(s, l, src), x0, damping=max_degree)
     if tag == "gread-f":
-        l = laplacian(g)
         return KernelSetup(tag, lambda s: rhs_gread(s, l, "F"), x0)
     if tag == "gread-fb":
-        l = laplacian(g)
         return KernelSetup(
             tag, lambda s: rhs_gread(s, l, "FBstar", alpha=alpha, beta=beta), x0
         )

@@ -302,14 +302,11 @@ def make_sbm_task(
     rng = np.random.default_rng(seed)
     n = 2 * n_per_block
     labels = np.repeat([0, 1], n_per_block)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = p_in if labels[i] == labels[j] else p_out
-            if rng.uniform() < p:
-                edges.append((i, j, 1.0))
-                edges.append((j, i, 1.0))
-    graph = from_edge_list(edges, n)
+    # one uniform per pair i < j, drawn in the row-major order of the pairs
+    i, j = np.triu_indices(n, 1)
+    hit = rng.uniform(size=i.size) < np.where(labels[i] == labels[j], p_in, p_out)
+    i, j = i[hit], j[hit]
+    graph = from_edge_list(np.column_stack([np.r_[i, j], np.r_[j, i], np.ones(2 * i.size)]), n)
     onehot = np.eye(2)[labels]
     x_in = onehot + noise * rng.standard_normal((n, 2))
     return SbmTask(graph=graph, x_in=x_in, target=onehot.astype(np.float64))

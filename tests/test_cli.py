@@ -85,6 +85,18 @@ BAD_INPUTS = [
         1,
         "error:",
     ),
+    # three pairs must not be read as two triples
+    ("graph-edges-are-pairs", ["simulate", "--kernel", "laplacian", "--graph", "pairs.json",
+                               "--out", "out"], 1, "error:"),
+    ("graph-text-node-index", ["simulate", "--graph", "text-index.json", "--out", "out"], 1,
+     "error:"),
+    ("graph-duplicate-edge", ["simulate", "--graph", "duplicate.json", "--out", "out"], 1,
+     "error: duplicate edge (0, 1)"),
+    # a node without out-edges cannot be row-normalized
+    ("bimp-sink-node", ["simulate", "--graph", "sink.json", "--out", "out"], 1,
+     "error: row 1 has no positive entry"),
+    ("graphcon-tran-sink-node", ["simulate", "--kernel", "graphcon-tran", "--graph", "sink.json",
+                                 "--out", "out"], 1, "error: row 1 has no positive entry"),
 ]
 
 
@@ -94,6 +106,10 @@ BAD_INPUTS = [
 def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefix):
     (tmp_path / "noedges.json").write_text(json.dumps({"n": 3}))
     (tmp_path / "textn.json").write_text(json.dumps({"n": "3", "edges": []}))
+    for name, edges in (("pairs", [[0, 1], [1, 2], [2, 0]]), ("text-index", [[0, "a", 1.0]]),
+                        ("duplicate", [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0], [0, 1, 0.5]]),
+                        ("sink", [[0, 1, 1.0]])):
+        (tmp_path / f"{name}.json").write_text(json.dumps({"n": 3, "edges": edges}))
     save_matrix_csv(np.full((3, 3), 1e307), tmp_path / "huge.csv")
     # two 2-node components: max out-degree 1, lambda_max(L) = 2
     two_pairs = {"n": 4, "edges": [[0, 1, 1.0], [1, 0, 1.0], [2, 3, 1.0], [3, 2, 1.0]]}

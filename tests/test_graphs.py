@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,41 @@ from odyn.graphs import (
     row_normalize,
     save_graph_json,
     save_matrix_csv,
+    sparse_laplacian,
 )
+
+EPS = np.finfo(np.float64).eps
+
+
+@st.composite
+def graphs(draw, nonfinite=False):
+    """Graphs with isolated nodes, trailing empty rows, self-loops or no edge at all.
+
+    Half of them give every row at least one edge.  Weights lie in
+    [1e-3, 10]; one in ten is zero, and with ``nonfinite`` one in fifty is
+    inf or nan.
+    """
+    n = draw(st.integers(0, 12))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.sets(st.tuples(node, node), max_size=3 * n)) if n else set()
+    if draw(st.booleans()):
+        pairs |= {(i, draw(node)) for i in range(n)}
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.uniform(1e-3, 10.0, len(pairs))
+    kind = rng.uniform(size=len(pairs))
+    w[kind < 0.1] = 0.0
+    if nonfinite:
+        w[kind < 0.01], w[(kind >= 0.01) & (kind < 0.02)] = math.inf, math.nan
+    edges = [(s, d, float(v)) for (s, d), v in zip(sorted(pairs), w)]
+    draw(st.randoms()).shuffle(edges)
+    return from_edge_list(edges, n)
+
+
+def states(g, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (g.n,) if data.draw(st.booleans()) else (g.n, data.draw(st.integers(1, 4)))
+    return rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
+
 
 TOY_EDGES = [
     (0, 1, 0.43),
@@ -76,6 +112,112 @@ class TestFromEdgeList:
         edges.sort(key=lambda e: (e[0], e[1]))
         g = from_edge_list(edges, 6)
         assert g.to_edge_list() == [(s, d, float(w)) for s, d, w in edges]
+
+
+class TestVectorizedBuild:
+    @given(graphs(), st.data())
+    def test_arrays_match_a_sorted_counting_oracle(self, g, data):
+        edges = g.to_edge_list()
+        data.draw(st.randoms()).shuffle(edges)
+        rebuilt = from_edge_list(edges, g.n)
+        triples = sorted(edges)
+        counts = [sum(1 for s, _, _ in triples if s == i) for i in range(g.n)]
+        np.testing.assert_array_equal(rebuilt.offsets, np.cumsum([0] + counts))
+        np.testing.assert_array_equal(rebuilt.targets, [d for _, d, _ in triples])
+        np.testing.assert_array_equal(rebuilt.weights, [w for _, _, w in triples])
+        assert rebuilt.offsets.dtype == rebuilt.targets.dtype == np.int64
+        assert rebuilt.weights.dtype == np.float64
+
+    @pytest.mark.parametrize("edges", [[[0, 1], [1, 2], [2, 0]], [[0, 1, 1.0, 2.0]], [0, 1, 1.0]])
+    def test_rows_that_are_not_triples_are_rejected(self, edges):
+        with pytest.raises(ValueError, match="triples"):
+            from_edge_list(edges, 3)
+
+    def test_text_entry_rejected(self):
+        with pytest.raises(ValueError):
+            from_edge_list([[0, "a", 1.0]], 3)
+
+    def test_first_bad_edge_in_input_order_is_reported(self):
+        with pytest.raises(ValueError, match=r"^negative weight -0\.5 on edge \(2, 1\)$"):
+            from_edge_list([(2, 1, -0.5), (0, 7, 1.0)], 3)
+        with pytest.raises(ValueError, match=r"^edge \(2, 7\) out of range for n=3$"):
+            from_edge_list([(2, 7, -0.5), (0, 1, -1.0)], 3)
+        with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
+            from_edge_list([(1, 2, 1.0), (0, 1, 0.5), (1, 0, 1.0), (0, 1, 0.25)], 3)
+
+    def test_fractional_indices_truncate_like_int(self):
+        g = from_edge_list([(1.9, 0.2, 1.0)], 2)
+        assert g.to_edge_list() == [(1, 0, 1.0)]
+
+
+class TestSegmentSumProduct:
+    @settings(max_examples=200)
+    @given(graphs(), st.data())
+    def test_matches_the_dense_product(self, g, data):
+        x = states(g, data)
+        a = g.dense_adjacency()
+        out = g @ x
+        assert out.shape == x.shape
+        bound = 4 * EPS * (np.abs(a) @ np.abs(x))
+        assert np.all(np.abs(out - a @ x) <= bound)
+
+    def test_rows_without_edges_give_exact_zero(self):
+        g = from_edge_list([(1, 1, 2.0), (1, 0, 3.0)], 4)
+        x = np.array([[1.0, -1.0], [2.0, 5.0], [7.0, 7.0], [9.0, 9.0]])
+        np.testing.assert_array_equal(g @ x, [[0.0, 0.0], [7.0, 7.0], [0.0, 0.0], [0.0, 0.0]])
+        for n in (0, 3):
+            out = from_edge_list([], n) @ np.ones((n, 2))
+            assert out.dtype == np.float64
+            np.testing.assert_array_equal(out, np.zeros((n, 2)))
+        assert g.shape == (4, 4)
+
+    def test_one_graph_acts_on_states_of_every_width(self):
+        g = toy_graph()
+        rng = np.random.default_rng(2)
+        for shape in ((3,), (3, 2), (3, 5), (3,), (3, 1), (3, 2)):
+            x = rng.standard_normal(shape)
+            np.testing.assert_allclose(g @ x, toy_adjacency() @ x, rtol=0, atol=1e-15)
+
+    def test_wrong_row_count_rejected(self):
+        with pytest.raises(ValueError, match="cannot act"):
+            toy_graph() @ np.ones((4, 2))
+        with pytest.raises(ValueError, match="cannot act"):
+            toy_graph() @ np.ones((3, 2, 2))
+
+    @settings(max_examples=200)
+    @given(graphs(nonfinite=True))
+    def test_row_normalized_matches_the_dense_oracle_or_its_error(self, g):
+        a = g.dense_adjacency()
+        try:
+            expected = row_normalize(a)
+        except ValueError as e:
+            with pytest.raises(ValueError, match=f"^{e}$"):
+                g.row_normalized()
+            return
+        out = g.row_normalized()
+        np.testing.assert_array_equal(out.offsets, g.offsets)
+        np.testing.assert_array_equal(out.targets, g.targets)
+        assert np.all(np.abs(out.dense_adjacency() - expected) <= 4 * EPS * expected)
+
+    @settings(max_examples=100)
+    @given(graphs(), st.data())
+    def test_sparse_laplacian_matches_the_dense_one(self, g, data):
+        x = states(g, data)
+        lap = laplacian(g)
+        sparse = sparse_laplacian(g)
+        assert np.all(np.diff(sparse.targets)[np.diff(sparse._rows) == 0] > 0)
+        bound = 4 * EPS * (np.abs(lap) @ np.ones(g.n))
+        assert np.all(np.abs(sparse.dense_adjacency() - lap) <= bound[:, None])
+        bound = 4 * EPS * (np.abs(lap) @ np.abs(x))
+        assert np.all(np.abs(sparse @ x - lap @ x) <= bound)
+
+    def test_row_normalized_errors(self):
+        with pytest.raises(ValueError, match="^non-finite entries$"):
+            from_edge_list([(0, 1, math.nan), (1, 0, 1.0)], 2).row_normalized()
+        with pytest.raises(ValueError, match="^row 1 has no positive entry$"):
+            from_edge_list([(0, 1, 1.0)], 3).row_normalized()
+        with pytest.raises(ValueError, match="^row 1 has no positive entry$"):
+            from_edge_list([(0, 1, 1.0), (1, 0, 0.0)], 2).row_normalized()
 
 
 class TestRowNormalize:

@@ -6,8 +6,8 @@ import pytest
 from odyn.analysis import dirichlet_energy, opinion_diameter
 from odyn.errors import NumericalError
 from odyn.fixtures import toy_graph, toy_initial_state
-from odyn.graphs import row_normalize
 from odyn.integrate import (
+    Trajectory,
     euler_integrate,
     rk4_integrate,
     save_metrics_csv,
@@ -183,7 +183,7 @@ class TestBitExactOracle:
     @SCHEMES
     def test_second_order_graphcon_tran(self, integrate, oracle):
         x0 = toy_initial_state()
-        aa = row_normalize(toy_graph().dense_adjacency())
+        aa = toy_graph().row_normalized()
         setup = kernel_setup("graphcon-tran", toy_graph(), x0)
         traj = integrate(setup.state0, setup.rhs, self.DT, 300, record_every=300)
 
@@ -218,6 +218,25 @@ class TestCsvExports:
         assert lines[0] == "t,node,option,value"
         assert lines[1] == "0.0,0,0,1.0"
         assert len(lines) == 1 + 3 * 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_trajectory_csv_matches_a_per_value_loop_byte_for_byte(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        shape = (1, 1) if seed == 0 else tuple(rng.integers(1, 7, size=2))
+        traj = Trajectory()
+        for k in range(int(rng.integers(1, 5))):
+            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+            x.flat[rng.integers(x.size)] = -0.0
+            x.flat[rng.integers(x.size)] = 1e-300
+            traj.times.append(k * float(rng.uniform(0.01, 0.5)))
+            traj.states.append(x)
+        lines = ["t,node,option,value"]
+        for t, x in zip(traj.times, traj.states):
+            for i in range(x.shape[0]):
+                for j in range(x.shape[1]):
+                    lines.append(f"{t!r},{i},{j},{float(x[i, j])!r}")
+        save_trajectory_csv(traj, tmp_path / "traj.csv")
+        assert (tmp_path / "traj.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_metrics_csv(self, tmp_path):
         traj = euler_integrate(

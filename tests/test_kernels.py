@@ -11,12 +11,14 @@ from odyn.fixtures import (
     toy_graph,
     toy_initial_state,
 )
-from odyn.graphs import from_edge_list, laplacian, row_normalize
+from odyn import graphs, kernels
+from odyn.graphs import Graph, degrees, from_edge_list, laplacian, row_normalize
 from odyn.integrate import euler_integrate
 from odyn.kernels import (
     ARCTAN,
     GELU,
     IDENTITY,
+    KERNEL_TAGS,
     RELU,
     SATURATIONS,
     SIGMOID,
@@ -370,7 +372,69 @@ class TestKernelSetup:
         b = rng.uniform(-0.5, 0.5, (n, o))
         kw = dict(d=0.8, alpha=1.5, b=b, saturation=SATURATIONS[tag])
         setup = kernel_setup("bimp", g, x0, seed=5, **kw)
-        aa = row_normalize(g.dense_adjacency())
+        aa = g.row_normalized()
         ao = random_row_stochastic(o, np.random.default_rng(5))
         for x in (x0, rng.uniform(-3.0, 3.0, (n, o)), rng.normal(0.0, 10.0, (n, o))):
             np.testing.assert_array_equal(setup.rhs(x), rhs_bimp(x, aa, ao, BimpParams(**kw)))
+
+
+GRAPH_TAGS = [tag for tag in KERNEL_TAGS if tag != "reduced"]
+
+
+def sparse_fixture(n=7, o=3):
+    """Out-degree 2 on a ring with chords, plus a self-loop on node 0."""
+    rng = np.random.default_rng(4)
+    edges = [(i, (i + k) % n, float(rng.uniform(0.1, 1.0))) for i in range(n) for k in (1, 3)]
+    g = from_edge_list(edges + [(0, 0, 0.5)], n)
+    return g, rng.uniform(-1.0, 1.0, (n, o))
+
+
+def dense_rhs(tag, g, x0):
+    """The kernel's right-hand side on dense n-by-n matrices."""
+    a, lap, aa = g.dense_adjacency(), laplacian(g), row_normalize(g.dense_adjacency())
+    ao = random_row_stochastic(x0.shape[1], np.random.default_rng(0))
+    return {
+        "bimp": lambda x: rhs_bimp(x, aa, ao, BimpParams(d=1.0, alpha=1.0, b=x0)),
+        "linear-od": lambda x: rhs_linear_opinion(x, a, a.sum(axis=1)),
+        "laplacian": lambda x: rhs_laplacian(x, lap),
+        "laplacian-source": lambda x: rhs_laplacian_source(x, lap, x0),
+        "graphcon-tran": lambda s: rhs_graphcon_tran(s, aa),
+        "gread-f": lambda x: rhs_gread(x, lap, "F"),
+        "gread-fb": lambda x: rhs_gread(x, lap, "FBstar", alpha=1.0, beta=0.5),
+    }[tag]
+
+
+class TestSparseCoupling:
+    @pytest.mark.parametrize("tag", GRAPH_TAGS)
+    def test_setup_never_builds_a_dense_matrix(self, tag, monkeypatch):
+        def dense(*args):
+            raise AssertionError("an n-by-n matrix was built")
+
+        monkeypatch.setattr(Graph, "dense_adjacency", dense)
+        for name in ("laplacian", "row_normalize"):
+            monkeypatch.setattr(graphs, name, dense)
+            monkeypatch.setattr(kernels, name, dense, raising=False)
+        g, x0 = sparse_fixture()
+        setup = kernel_setup(tag, g, x0, b=x0)
+        state = setup.state0
+        for _ in range(3):
+            state = state + 0.01 * setup.rhs(state)
+        assert np.isfinite(state).all()
+        held = [cell.cell_contents for cell in setup.rhs.__closure__ or ()]
+        held += [v for obj in held for v in getattr(obj, "__dict__", {}).values()]
+        assert not any(isinstance(v, np.ndarray) and v.shape == (g.n, g.n) for v in held)
+
+    @pytest.mark.parametrize("tag", GRAPH_TAGS)
+    def test_rhs_matches_the_dense_form(self, tag):
+        g, x0 = sparse_fixture()
+        setup = kernel_setup(tag, g, x0, b=x0)
+        oracle = dense_rhs(tag, g, x0)
+        rng = np.random.default_rng(9)
+        for scale in (1.0, 5.0, 0.01):
+            state = rng.uniform(-scale, scale, setup.state0.shape)
+            np.testing.assert_allclose(setup.rhs(state), oracle(state), rtol=1e-14, atol=1e-15)
+
+    def test_laplacian_flows_report_the_largest_out_degree(self):
+        g, x0 = sparse_fixture()
+        for tag in ("linear-od", "laplacian", "laplacian-source"):
+            assert kernel_setup(tag, g, x0).damping == degrees(g).max()

@@ -5,6 +5,7 @@ import pytest
 
 from odyn.errors import NumericalError
 from odyn.fixtures import random_row_stochastic
+from odyn.graphs import from_edge_list
 from odyn.train import (
     TrainConfig,
     backward_grad,
@@ -219,6 +220,25 @@ class TestSbmTask:
     def test_probability_validation(self):
         with pytest.raises(ValueError, match="p_in"):
             make_sbm_task(3, 1.5, 0.0, noise=0.0, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 3, 17])
+    @pytest.mark.parametrize("p_in, p_out", [(0.8, 0.05), (0.3, 0.3), (1.0, 0.0), (0.05, 0.6)])
+    def test_same_dataset_as_one_draw_per_pair_in_a_loop(self, seed, p_in, p_out):
+        n_per_block, noise = 15, 0.1
+        rng = np.random.default_rng(seed)
+        n = 2 * n_per_block
+        labels = np.repeat([0, 1], n_per_block)
+        edges = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.uniform() < (p_in if labels[i] == labels[j] else p_out):
+                    edges += [(i, j, 1.0), (j, i, 1.0)]
+        expected = from_edge_list(edges, n)
+        x_in = np.eye(2)[labels] + noise * rng.standard_normal((n, 2))
+        task = make_sbm_task(n_per_block, p_in, p_out, noise=noise, seed=seed)
+        for field in ("offsets", "targets", "weights"):
+            np.testing.assert_array_equal(getattr(task.graph, field), getattr(expected, field))
+        np.testing.assert_array_equal(task.x_in, x_in)
 
 
 class TestTrainSgd:
