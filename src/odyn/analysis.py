@@ -33,8 +33,7 @@ def dirichlet_energy(x: np.ndarray, g: Graph) -> float:
         raise ValueError(f"state must have {g.n} rows, got {x.shape}")
     if g.edge_count == 0:
         return 0.0
-    rows = np.repeat(np.arange(g.n), np.diff(g.offsets))
-    diffs = x[rows] - x[g.targets]
+    diffs = x[g.rows] - x[g.targets]
     return float(np.sum(diffs * diffs) / g.n)
 
 

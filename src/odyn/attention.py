@@ -1,10 +1,13 @@
-"""Scaled-dot multi-head attention for the agent and option coupling matrices.
+"""Scaled-dot multi-head attention for the agent and option couplings.
 
-Agent attention scores pairs of state rows and is masked to the edges of
-the communication graph plus a mandatory self-loop per node, so every
-softmax row has support.  Option attention scores pairs of state columns
-and is dense.  Head outputs are averaged in head order; averaging
-row-stochastic matrices stays row-stochastic.
+Agent attention is GAT-style (arXiv:1710.10903): each edge of the
+communication graph with positive weight, plus one self-loop per node, is
+scored from the state rows at its ends, and the scores are softmaxed over
+each row's edges.  The result is a :class:`Graph` that carries the
+attention as its weights, so training couples agents through the same
+O(edges) ``g @ X`` as simulation.  Option attention scores pairs of state
+columns and is a dense o-by-o matrix.  Head outputs are averaged in head
+order; averaging row-stochastic couplings stays row-stochastic.
 
 Scores are divided by the raw temperature ``d_k`` (not its square root).
 Attention is built once from the initial state and held fixed while the
@@ -12,11 +15,11 @@ dynamics run.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, from_edge_list
 
 
 @dataclass(frozen=True)
@@ -51,46 +54,24 @@ class AttentionWeights:
 
 
 def init_attention_weights(
-    heads: int,
-    attention_dim: int,
-    feature_dim: int,
-    seed: int = 0,
-    d_k: float | None = None,
+    heads: int, attention_dim: int, feature_dim: int, seed: int = 0
 ) -> AttentionWeights:
     """Seeded uniform init in [-1/sqrt(feature_dim), 1/sqrt(feature_dim)].
 
     The bound keeps initial scores small enough that the softmax starts
-    away from saturation.  ``d_k`` defaults to the attention dimension.
+    away from saturation.  The temperature ``d_k`` is the attention
+    dimension.
     """
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(feature_dim)
     shape = (attention_dim, feature_dim)
     w_k = tuple(rng.uniform(-bound, bound, shape) for _ in range(heads))
     w_q = tuple(rng.uniform(-bound, bound, shape) for _ in range(heads))
-    return AttentionWeights(w_k=w_k, w_q=w_q, d_k=float(d_k or attention_dim))
+    return AttentionWeights(w_k=w_k, w_q=w_q, d_k=float(attention_dim))
 
 
-def _masked_softmax_rows(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row softmax restricted to ``mask``; masked-out entries are exactly zero."""
-    if not mask.any(axis=1).all():
-        bad = int(np.flatnonzero(~mask.any(axis=1))[0])
-        raise ValueError(f"row {bad} has empty support")
-    shifted = np.where(mask, scores, -np.inf)
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
-    expd = np.where(mask, np.exp(shifted), 0.0)
-    return expd / expd.sum(axis=1, keepdims=True)
-
-
-def _edge_mask_with_self_loops(g: Graph) -> np.ndarray:
-    mask = g.dense_adjacency() > 0
-    np.fill_diagonal(mask, True)
-    return mask
-
-
-def build_communication_attention(
-    x: np.ndarray, w: AttentionWeights, g: Graph
-) -> np.ndarray:
-    """Row-stochastic agent-to-agent coupling, supported on edges and self-loops."""
+def build_communication_attention(x: np.ndarray, w: AttentionWeights, g: Graph) -> Graph:
+    """Row-stochastic agent-to-agent coupling on the positive edges of ``g`` and self-loops."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != g.n:
         raise ValueError(f"state must be {g.n} rows, got {x.shape}")
@@ -98,13 +79,21 @@ def build_communication_attention(
         raise ValueError(
             f"weights expect feature dim {w.feature_dim}, state has {x.shape[1]}"
         )
-    mask = _edge_mask_with_self_loops(g)
-    acc = np.zeros((g.n, g.n))
+    keep = (g.weights > 0) & (g.rows != g.targets)
+    loops = np.arange(g.n)
+    src, dst = np.r_[g.rows[keep], loops], np.r_[g.targets[keep], loops]
+    support = from_edge_list(np.column_stack([src, dst, np.ones(src.size)]), g.n)
+    rows, cols = support.rows, support.targets
+    acc = np.zeros(support.edge_count)
     for wk, wq in zip(w.w_k, w.w_q):
         keys = x @ wk.T
         queries = x @ wq.T
-        acc += _masked_softmax_rows((keys @ queries.T) / w.d_k, mask)
-    return acc / w.heads
+        scores = np.sum(keys[rows] * queries[cols], axis=1) / w.d_k
+        # every row holds its self-loop, so no reduceat segment is empty
+        scores -= np.maximum.reduceat(scores, support.offsets[:-1])[rows]
+        expd = np.exp(scores)
+        acc += expd / np.bincount(rows, expd, g.n)[rows]
+    return replace(support, weights=acc / w.heads)
 
 
 def build_option_attention(x: np.ndarray, w: AttentionWeights) -> np.ndarray:
@@ -118,11 +107,11 @@ def build_option_attention(x: np.ndarray, w: AttentionWeights) -> np.ndarray:
             f"weights expect feature dim {w.feature_dim}, "
             f"state has {cols.shape[1]} rows"
         )
-    n_options = cols.shape[0]
-    mask = np.ones((n_options, n_options), dtype=bool)
-    acc = np.zeros((n_options, n_options))
+    acc = np.zeros((cols.shape[0], cols.shape[0]))
     for wk, wq in zip(w.w_k, w.w_q):
         keys = cols @ wk.T
         queries = cols @ wq.T
-        acc += _masked_softmax_rows((keys @ queries.T) / w.d_k, mask)
+        scores = (keys @ queries.T) / w.d_k
+        expd = np.exp(scores - scores.max(axis=1, keepdims=True))
+        acc += expd / expd.sum(axis=1, keepdims=True)
     return acc / w.heads

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,9 @@ class Graph:
     """Weighted directed graph in compressed row (CSR) form.
 
     ``offsets`` has length ``n + 1``; row ``i`` owns the slice
-    ``targets[offsets[i]:offsets[i + 1]]`` with matching ``weights``.
-    Instances are immutable and safe to share.
+    ``targets[offsets[i]:offsets[i + 1]]`` with matching ``weights``;
+    ``rows`` holds each edge's source row.  Instances are immutable and
+    safe to share.
     """
 
     n: int
@@ -34,10 +36,10 @@ class Graph:
     weights: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.offsets, self.targets, self.weights):
-            arr.flags.writeable = False
         object.__setattr__(self, "shape", (self.n, self.n))
-        object.__setattr__(self, "_rows", np.repeat(np.arange(self.n), np.diff(self.offsets)))
+        object.__setattr__(self, "rows", np.repeat(np.arange(self.n), np.diff(self.offsets)))
+        for arr in (self.offsets, self.targets, self.weights, self.rows):
+            arr.flags.writeable = False
         object.__setattr__(self, "_plans", {})  # state width -> (term sources, weights, bins)
 
     @property
@@ -47,7 +49,7 @@ class Graph:
     def to_edge_list(self) -> list[tuple[int, int, float]]:
         """Expand back to a sorted ``(src, dst, weight)`` list."""
         return [(int(s), int(d), float(w))
-                for s, d, w in zip(self._rows, self.targets, self.weights)]
+                for s, d, w in zip(self.rows, self.targets, self.weights)]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """A X for an ``(n,)`` or ``(n, o)`` state; a row without edges gives 0."""
@@ -59,12 +61,17 @@ class Graph:
             cols = np.arange(width)
             self._plans[width] = ((self.targets[:, None] * width + cols).ravel(),
                                   np.repeat(self.weights, width),
-                                  (self._rows[:, None] * width + cols).ravel())
+                                  (self.rows[:, None] * width + cols).ravel())
         sources, weights, bins = self._plans[width]
         terms = x.reshape(-1).take(sources)
         terms *= weights
         # a bincount of no terms comes back as int64
         return np.bincount(bins, terms, x.size).reshape(x.shape).astype(np.float64, copy=False)
+
+    @cached_property
+    def T(self) -> Graph:
+        """The transpose A^T, built once per graph."""
+        return _sorted_graph(self.n, self.targets, self.rows, self.weights)
 
     def row_normalized(self) -> Graph:
         """The same edges with each row's weights scaled to sum to one."""
@@ -73,20 +80,27 @@ class Graph:
         sums = self @ np.ones(self.n)
         if np.any(sums <= 0):
             raise ValueError(f"row {int(np.flatnonzero(sums <= 0)[0])} has no positive entry")
-        return replace(self, weights=self.weights / sums[self._rows])
+        return replace(self, weights=self.weights / sums[self.rows])
 
     def dense_adjacency(self) -> np.ndarray:
         """Materialize the n-by-n weighted adjacency matrix."""
         a = np.zeros((self.n, self.n))
-        a[self._rows, self.targets] = self.weights
+        a[self.rows, self.targets] = self.weights
         return a
+
+
+def _sorted_graph(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> Graph:
+    """The graph of entries ``(rows[k], cols[k], weights[k])``, sorted by row then column."""
+    order = np.lexsort((cols, rows))
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return Graph(n=n, offsets=offsets, targets=cols[order], weights=weights[order])
 
 
 def from_edge_list(edges, n: int) -> Graph:
     """Build a :class:`Graph` from ``(src, dst, weight)`` triples.
 
-    Indices must lie in ``[0, n)``, weights must be nonnegative, and a
-    ``(src, dst)`` pair may appear at most once.
+    Indices must lie in ``[0, n)``, weights must be finite and
+    nonnegative, and a ``(src, dst)`` pair may appear at most once.
     """
     if n < 0:
         raise ValueError("node count must be nonnegative")
@@ -98,20 +112,21 @@ def from_edge_list(edges, n: int) -> Graph:
     # indices truncate toward zero, as int() does
     src, dst, w = np.trunc(e[:, 0]), np.trunc(e[:, 1]), e[:, 2]
     in_range = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
-    bad = ~in_range | (w < 0)
+    finite = np.isfinite(w)
+    bad = ~in_range | ~finite | (w < 0)
     if bad.any():
         k = int(np.argmax(bad))
         s, d = int(src[k]), int(dst[k])
-        raise ValueError(f"edge ({s}, {d}) out of range for n={n}" if not in_range[k]
-                         else f"negative weight {float(w[k])} on edge ({s}, {d})")
-    order = np.lexsort((dst, src))
-    src, dst = src[order].astype(np.int64), dst[order].astype(np.int64)
-    dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
+        if not in_range[k]:
+            raise ValueError(f"edge ({s}, {d}) out of range for n={n}")
+        kind = "negative" if finite[k] else "non-finite"
+        raise ValueError(f"{kind} weight {float(w[k])} on edge ({s}, {d})")
+    g = _sorted_graph(n, src.astype(np.int64), dst.astype(np.int64), w)
+    dup = (g.rows[1:] == g.rows[:-1]) & (g.targets[1:] == g.targets[:-1])
     if dup.any():
         k = int(np.argmax(dup)) + 1
-        raise ValueError(f"duplicate edge ({src[k]}, {dst[k]})")
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n))])
-    return Graph(n=n, offsets=offsets, targets=dst, weights=w[order])
+        raise ValueError(f"duplicate edge ({g.rows[k]}, {g.targets[k]})")
+    return g
 
 
 def row_normalize(m: np.ndarray) -> np.ndarray:
@@ -146,15 +161,12 @@ def laplacian(g: Graph) -> np.ndarray:
 
 def sparse_laplacian(g: Graph) -> Graph:
     """L = D - A as a CSR matrix with signed weights; :func:`laplacian` is its oracle."""
-    loop = g._rows == g.targets
+    loop = g.rows == g.targets
     diag = degrees(g)
-    diag[g._rows[loop]] -= g.weights[loop]
-    rows = np.concatenate([g._rows[~loop], np.arange(g.n)])
-    cols = np.concatenate([g.targets[~loop], np.arange(g.n)])
-    order = np.lexsort((cols, rows))
-    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=g.n))])
-    return Graph(n=g.n, offsets=offsets, targets=cols[order],
-                 weights=np.concatenate([-g.weights[~loop], diag])[order])
+    diag[g.rows[loop]] -= g.weights[loop]
+    nodes = np.arange(g.n)
+    return _sorted_graph(g.n, np.r_[g.rows[~loop], nodes], np.r_[g.targets[~loop], nodes],
+                         np.r_[-g.weights[~loop], diag])
 
 
 def save_graph_json(g: Graph, path) -> None:

@@ -3,7 +3,7 @@
 A linear encoder X0 = X_in W feeds the saturated kernel ``rhs_bimp``,
 which ``euler_integrate`` unrolls for M steps with the source held at X0.
 The loss gradient with respect to W is accumulated in reverse through the
-unrolled map; the coupling matrices are treated as constants.  A central
+unrolled map; the couplings are treated as constants.  A central
 finite-difference oracle and an analytic norm bound on the gradient give
 two independent checks.
 """
@@ -24,6 +24,10 @@ from .graphs import Graph, from_edge_list
 from .integrate import euler_integrate
 from .kernels import BimpParams, coupling, coupling_adjoint, critical_attention, rhs_bimp
 from .spectral import KroneckerOperator
+
+# attention heads and key/query dimension of the couplings train_sgd builds
+ATTENTION_HEADS = 1
+ATTENTION_DIM = 4
 
 
 @dataclass(frozen=True)
@@ -68,14 +72,14 @@ class Tape:
     x_in: np.ndarray
     w: np.ndarray
     states: list[np.ndarray]
-    aa: np.ndarray
+    aa: Graph | np.ndarray
     ao: np.ndarray
 
 
 def forward_unroll(
     x_in: np.ndarray,
     w: np.ndarray,
-    aa: np.ndarray,
+    aa: Graph | np.ndarray,
     ao: np.ndarray,
     cfg: TrainConfig,
 ) -> tuple[np.ndarray, Tape]:
@@ -138,7 +142,7 @@ def finite_difference_grad(
     x_in: np.ndarray,
     w: np.ndarray,
     target: np.ndarray,
-    aa: np.ndarray,
+    aa: Graph | np.ndarray,
     ao: np.ndarray,
     cfg: TrainConfig,
     h: float = 1e-5,
@@ -218,7 +222,7 @@ class GradReport:
 def gradient_check(
     x_in: np.ndarray,
     w: np.ndarray,
-    aa: np.ndarray,
+    aa: Graph | np.ndarray,
     ao: np.ndarray,
     target: np.ndarray,
     cfg: TrainConfig,
@@ -319,25 +323,21 @@ def accuracy(x_final: np.ndarray, target: np.ndarray) -> float:
     )
 
 
-def train_sgd(
-    task: SbmTask,
-    cfg: TrainConfig,
-    heads: int = 1,
-    attention_dim: int = 4,
-) -> tuple[np.ndarray, list[tuple[float, float]]]:
+def train_sgd(task: SbmTask, cfg: TrainConfig) -> tuple[np.ndarray, list[tuple[float, float]]]:
     """Plain gradient descent on the encoder through the unrolled dynamics.
 
-    The coupling matrices are built once from the initial encoding and
-    held fixed.  History holds (loss, accuracy) at the start of every
-    epoch plus one terminal evaluation.
+    Agent attention (a :class:`Graph`) and option attention are built
+    once from the initial encoding and held fixed.  History holds (loss,
+    accuracy) at the start of every epoch plus one terminal evaluation.
     """
     rng = np.random.default_rng(cfg.seed)
     n_features = task.x_in.shape[1]
     n_options = task.target.shape[1]
     w = rng.uniform(-0.5, 0.5, size=(n_features, n_options)) / np.sqrt(n_features)
     x0 = task.x_in @ w
-    w_agent = init_attention_weights(heads, attention_dim, n_options, seed=cfg.seed)
-    w_option = init_attention_weights(heads, attention_dim, task.graph.n, seed=cfg.seed + 1)
+    w_agent = init_attention_weights(ATTENTION_HEADS, ATTENTION_DIM, n_options, seed=cfg.seed)
+    w_option = init_attention_weights(ATTENTION_HEADS, ATTENTION_DIM, task.graph.n,
+                                      seed=cfg.seed + 1)
     history: list[tuple[float, float]] = []
     # overflow is reported as divergence by the finiteness checks, not as
     # numpy warnings

@@ -40,6 +40,7 @@ def test_training_calls_through_the_patched_names(tracing, tmp_path):
         calls[name] = calls.get(name, 0) + 1
     # two descent epochs plus the terminal evaluation, eight steps each
     assert calls["train.train_sgd"] == 1
+    assert calls["attention.build_communication_attention"] == 1
     assert calls["train.forward_unroll"] == 3
     assert calls["train.encoding_grad"] == 2
     assert calls["kernels.rhs"] == 3 * 8

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -97,6 +98,9 @@ BAD_INPUTS = [
      "error: row 1 has no positive entry"),
     ("graphcon-tran-sink-node", ["simulate", "--kernel", "graphcon-tran", "--graph", "sink.json",
                                  "--out", "out"], 1, "error: row 1 has no positive entry"),
+    # a NaN weight is a validation error, not a non-finite state at step 1
+    ("graph-nan-weight", ["simulate", "--kernel", "laplacian", "--graph", "nan-weight.json",
+                          "--out", "out"], 1, "error: non-finite weight nan on edge (0, 1)"),
 ]
 
 
@@ -108,7 +112,8 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
     (tmp_path / "textn.json").write_text(json.dumps({"n": "3", "edges": []}))
     for name, edges in (("pairs", [[0, 1], [1, 2], [2, 0]]), ("text-index", [[0, "a", 1.0]]),
                         ("duplicate", [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0], [0, 1, 0.5]]),
-                        ("sink", [[0, 1, 1.0]])):
+                        ("sink", [[0, 1, 1.0]]),
+                        ("nan-weight", [[0, 1, math.nan], [1, 2, 1.0], [2, 0, 1.0]])):
         (tmp_path / f"{name}.json").write_text(json.dumps({"n": 3, "edges": edges}))
     save_matrix_csv(np.full((3, 3), 1e307), tmp_path / "huge.csv")
     # two 2-node components: max out-degree 1, lambda_max(L) = 2

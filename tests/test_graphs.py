@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ def graphs(draw, nonfinite=False):
 
     Half of them give every row at least one edge.  Weights lie in
     [1e-3, 10]; one in ten is zero, and with ``nonfinite`` one in fifty is
-    inf or nan.
+    inf or nan, set after the build (``from_edge_list`` rejects them).
     """
     n = draw(st.integers(0, 12))
     node = st.integers(0, max(n - 1, 0))
@@ -38,11 +39,14 @@ def graphs(draw, nonfinite=False):
     w = rng.uniform(1e-3, 10.0, len(pairs))
     kind = rng.uniform(size=len(pairs))
     w[kind < 0.1] = 0.0
-    if nonfinite:
-        w[kind < 0.01], w[(kind >= 0.01) & (kind < 0.02)] = math.inf, math.nan
     edges = [(s, d, float(v)) for (s, d), v in zip(sorted(pairs), w)]
     draw(st.randoms()).shuffle(edges)
-    return from_edge_list(edges, n)
+    g = from_edge_list(edges, n)
+    if nonfinite:
+        w = g.weights.copy()
+        w[kind < 0.01], w[(kind >= 0.01) & (kind < 0.02)] = math.inf, math.nan
+        g = replace(g, weights=w)
+    return g
 
 
 def states(g, data):
@@ -145,6 +149,13 @@ class TestVectorizedBuild:
         with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
             from_edge_list([(1, 2, 1.0), (0, 1, 0.5), (1, 0, 1.0), (0, 1, 0.25)], 3)
 
+    def test_non_finite_weights_are_rejected(self):
+        for weight, text in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")):
+            with pytest.raises(ValueError, match=rf"^non-finite weight {text} on edge \(1, 2\)$"):
+                from_edge_list([(0, 1, 1.0), (1, 2, weight)], 3)
+        with pytest.raises(ValueError, match=r"^negative weight -1\.0 on edge \(0, 1\)$"):
+            from_edge_list([(0, 1, -1.0), (1, 2, math.inf)], 3)
+
     def test_fractional_indices_truncate_like_int(self):
         g = from_edge_list([(1.9, 0.2, 1.0)], 2)
         assert g.to_edge_list() == [(1, 0, 1.0)]
@@ -160,6 +171,16 @@ class TestSegmentSumProduct:
         assert out.shape == x.shape
         bound = 4 * EPS * (np.abs(a) @ np.abs(x))
         assert np.all(np.abs(out - a @ x) <= bound)
+
+    @given(graphs())
+    def test_transpose_is_exact_and_built_once(self, g):
+        np.testing.assert_array_equal(g.T.dense_adjacency(), g.dense_adjacency().T)
+        assert g.T is g.T
+        for field in ("offsets", "targets", "weights", "rows"):
+            back, orig = getattr(g.T.T, field), getattr(g, field)
+            np.testing.assert_array_equal(back, orig)
+            assert back.dtype == orig.dtype
+        assert np.all(np.diff(g.T.targets)[np.diff(g.T.rows) == 0] > 0)
 
     def test_rows_without_edges_give_exact_zero(self):
         g = from_edge_list([(1, 1, 2.0), (1, 0, 3.0)], 4)
@@ -205,7 +226,7 @@ class TestSegmentSumProduct:
         x = states(g, data)
         lap = laplacian(g)
         sparse = sparse_laplacian(g)
-        assert np.all(np.diff(sparse.targets)[np.diff(sparse._rows) == 0] > 0)
+        assert np.all(np.diff(sparse.targets)[np.diff(sparse.rows) == 0] > 0)
         bound = 4 * EPS * (np.abs(lap) @ np.ones(g.n))
         assert np.all(np.abs(sparse.dense_adjacency() - lap) <= bound[:, None])
         bound = 4 * EPS * (np.abs(lap) @ np.abs(x))
@@ -213,7 +234,8 @@ class TestSegmentSumProduct:
 
     def test_row_normalized_errors(self):
         with pytest.raises(ValueError, match="^non-finite entries$"):
-            from_edge_list([(0, 1, math.nan), (1, 0, 1.0)], 2).row_normalized()
+            g = from_edge_list([(0, 1, 1.0), (1, 0, 1.0)], 2)
+            replace(g, weights=np.array([math.nan, 1.0])).row_normalized()
         with pytest.raises(ValueError, match="^row 1 has no positive entry$"):
             from_edge_list([(0, 1, 1.0)], 3).row_normalized()
         with pytest.raises(ValueError, match="^row 1 has no positive entry$"):

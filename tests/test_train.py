@@ -5,7 +5,7 @@ import pytest
 
 from odyn.errors import NumericalError
 from odyn.fixtures import random_row_stochastic
-from odyn.graphs import from_edge_list
+from odyn.graphs import Graph, from_edge_list
 from odyn.train import (
     TrainConfig,
     backward_grad,
@@ -278,6 +278,16 @@ class TestTrainSgd:
             with pytest.raises(NumericalError, match="diverged at epoch 0") as info:
                 train_sgd(huge, cfg)
         assert "non-finite state" in str(info.value.__cause__)
+
+    def test_training_never_builds_a_dense_agent_coupling(self, monkeypatch):
+        def dense(self):
+            raise AssertionError("dense adjacency built during training")
+
+        task = make_sbm_task(20, 0.3, 0.05, noise=0.1, seed=4)
+        cfg = TrainConfig(lr=0.1, epochs=2, steps=8, dt=0.1, d=1.0, alpha=1.0, seed=4)
+        monkeypatch.setattr(Graph, "dense_adjacency", dense)
+        _, history = train_sgd(task, cfg)
+        assert len(history) == 3 and history[-1][0] < history[0][0]
 
     def test_history_csv(self, tmp_path):
         path = tmp_path / "hist.csv"
