@@ -41,8 +41,7 @@ def run(out_dir: str, seed: int, steps: int) -> int:
     ):
         setup = kernel_setup(tag, g, x0, d=1.0, alpha=1.0, b=b, seed=seed)
         traj = euler_integrate(
-            setup.state0, setup.rhs, 0.05, steps,
-            kernel_tag=tag, damping=setup.damping,
+            setup, 0.05, steps,
             energy_fn=lambda x: dirichlet_energy(x, g),
             diameter_fn=opinion_diameter,
         )

@@ -164,13 +164,10 @@ def _integrate(opts, g, x0, tag=None):
     # energy over
     energy_fn = None if tag == "reduced" else (lambda x: dirichlet_energy(x, g))
     return integrator(
-        setup.state0,
-        setup.rhs,
+        setup,
         opts["dt"],
         opts["steps"],
         record_every=opts["record_every"],
-        kernel_tag=tag,
-        damping=setup.damping,
         energy_fn=energy_fn,
         diameter_fn=opinion_diameter,
     )
@@ -201,11 +198,11 @@ def _train_config(opts) -> TrainConfig:
 def cmd_simulate(opts) -> int:
     g, x0 = _load_graph_and_state(opts)
     traj = _integrate(opts, g, x0)
-    out = Path(opts["out"])
+    out, tag = Path(opts["out"]), opts["kernel"]
     out.mkdir(parents=True, exist_ok=True)
-    save_trajectory_csv(traj, out / f"{traj.kernel_tag}.csv")
-    save_metrics_csv(traj, out / f"{traj.kernel_tag}-metrics.csv")
-    print(f"wrote {out / (traj.kernel_tag + '.csv')}", file=sys.stderr)
+    save_trajectory_csv(traj, out / f"{tag}.csv")
+    save_metrics_csv(traj, out / f"{tag}-metrics.csv")
+    print(f"wrote {out / (tag + '.csv')}", file=sys.stderr)
     return 0
 
 
@@ -242,7 +239,7 @@ def cmd_energy(opts) -> int:
     traj = _integrate(opts, g, x0)
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{traj.kernel_tag}-metrics.csv"
+    path = out / f"{opts['kernel']}-metrics.csv"
     save_metrics_csv(traj, path)
     print(f"wrote {path}", file=sys.stderr)
     return 0

@@ -7,20 +7,23 @@ tableau of that loop.  Snapshots are taken at step 0 and at every
 bit-identical snapshots to recording sparsely; a zero-step run is its
 initial snapshot.
 
-The state is a plain float64 array: ``(n, o)`` for first-order kernels,
-and ``(2, n, o)`` for the second-order kernel, which stacks position over
-velocity.  Snapshots and metrics of a stacked state see its position
-``state[0]`` only.  Every new state, and every intermediate RK4 stage
-before the right-hand side sees it, must be finite.
+The integrator runs one :class:`~odyn.kernels.KernelSetup` whole: its
+initial state, its right-hand side, its step bound and its position view.
+The state is a plain float64 array of any shape the right-hand side
+accepts.  Snapshots and metrics see the set-up's ``position`` of each
+state: the state itself for first-order kernels, and ``state[0]`` for the
+second-order kernel, whose ``(2, n, o)`` state stacks position over
+velocity.  Every new state, and every intermediate RK4 stage before the
+right-hand side sees it, must be finite.
 
-For damped kernels the step size must satisfy dt < 1/d: at dt >= 1/d the
-damping term flips the sign of the state at every update and the scheme
-is rejected up front.  The Laplacian flows (``laplacian``,
-``laplacian-source``, ``linear-od``) report their largest out-degree as
-d, the diagonal damping of -D X + A X.  By Gershgorin every eigenvalue of
--dt (D - A) then lies in the disc of radius dt*d about -dt*d, inside the
-Euler stability disc |1 + z| <= 1, which in turn lies inside RK4's
-stability region; so dt < 1/d guards both methods.
+The step bound is the set-up's ``damping`` d: the step size must satisfy
+dt < 1/d, because at dt >= 1/d the damping term flips the sign of the
+state at every update, so the scheme is rejected up front.  The Laplacian
+flows (``laplacian``, ``laplacian-source``, ``linear-od``) report their
+largest out-degree as d, the diagonal damping of -D X + A X.  By
+Gershgorin every eigenvalue of -dt (D - A) then lies in the disc of radius
+dt*d about -dt*d, inside the Euler stability disc |1 + z| <= 1, which in
+turn lies inside RK4's stability region; so dt < 1/d guards both methods.
 """
 from __future__ import annotations
 
@@ -31,6 +34,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .errors import NumericalError
+from .kernels import KernelSetup
 
 
 @dataclass
@@ -41,10 +45,6 @@ class Trajectory:
     states: list[np.ndarray] = field(default_factory=list)
     energy: list[float] = field(default_factory=list)
     diameter: list[float] = field(default_factory=list)
-    kernel_tag: str = ""
-
-    def terminal(self) -> np.ndarray:
-        return self.states[-1]
 
 
 class _Tableau(NamedTuple):
@@ -80,8 +80,7 @@ def _guard_step(dt: float, steps: int, damping: float | None) -> None:
         )
 
 
-def _record(traj: Trajectory, t: float, state: np.ndarray, energy_fn, diameter_fn):
-    x = state[0] if state.ndim == 3 else state
+def _record(traj: Trajectory, t: float, x: np.ndarray, energy_fn, diameter_fn):
     traj.times.append(t)
     traj.states.append(x.copy())
     traj.energy.append(float(energy_fn(x)) if energy_fn else float("nan"))
@@ -90,26 +89,24 @@ def _record(traj: Trajectory, t: float, state: np.ndarray, energy_fn, diameter_f
 
 def _runge_kutta(
     tableau: _Tableau,
-    state0: np.ndarray,
-    rhs: Callable[[np.ndarray], np.ndarray],
+    setup: KernelSetup,
     dt: float,
     steps: int,
     record_every: int,
-    kernel_tag: str,
-    damping: float | None,
     energy_fn: Callable[[np.ndarray], float] | None,
     diameter_fn: Callable[[np.ndarray], float] | None,
 ) -> Trajectory:
-    _guard_step(dt, steps, damping)
+    _guard_step(dt, steps, setup.damping)
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
+    rhs, position = setup.rhs, setup.position
     shifts = [dt / c for c in tableau.divisors]
     scale = dt / tableau.denom
     first, *later = tableau.weights
-    traj = Trajectory(kernel_tag=kernel_tag)
-    state = np.array(state0, dtype=np.float64)
+    traj = Trajectory()
+    state = np.array(setup.state0, dtype=np.float64)
     _check_finite(state, 0)
-    _record(traj, 0.0, state, energy_fn, diameter_fn)
+    _record(traj, 0.0, position(state), energy_fn, diameter_fn)
     # overflow is reported by the finiteness checks, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
@@ -123,42 +120,34 @@ def _runge_kutta(
             state = state + scale * total
             _check_finite(state, k)
             if k % record_every == 0:
-                _record(traj, k * dt, state, energy_fn, diameter_fn)
+                _record(traj, k * dt, position(state), energy_fn, diameter_fn)
     return traj
 
 
 def euler_integrate(
-    state0: np.ndarray,
-    rhs: Callable[[np.ndarray], np.ndarray],
+    setup: KernelSetup,
     dt: float,
     steps: int,
     record_every: int = 1,
     *,
-    kernel_tag: str = "",
-    damping: float | None = None,
     energy_fn: Callable[[np.ndarray], float] | None = None,
     diameter_fn: Callable[[np.ndarray], float] | None = None,
 ) -> Trajectory:
     """Forward Euler: X(t+dt) = X(t) + dt * rhs(X(t))."""
-    return _runge_kutta(_EULER, state0, rhs, dt, steps, record_every,
-                        kernel_tag, damping, energy_fn, diameter_fn)
+    return _runge_kutta(_EULER, setup, dt, steps, record_every, energy_fn, diameter_fn)
 
 
 def rk4_integrate(
-    state0: np.ndarray,
-    rhs: Callable[[np.ndarray], np.ndarray],
+    setup: KernelSetup,
     dt: float,
     steps: int,
     record_every: int = 1,
     *,
-    kernel_tag: str = "",
-    damping: float | None = None,
     energy_fn: Callable[[np.ndarray], float] | None = None,
     diameter_fn: Callable[[np.ndarray], float] | None = None,
 ) -> Trajectory:
     """Classical fourth-order Runge-Kutta with the same recording contract."""
-    return _runge_kutta(_RK4, state0, rhs, dt, steps, record_every,
-                        kernel_tag, damping, energy_fn, diameter_fn)
+    return _runge_kutta(_RK4, setup, dt, steps, record_every, energy_fn, diameter_fn)
 
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:

@@ -29,28 +29,18 @@ from .spectral import KroneckerOperator, vec
 
 @dataclass(frozen=True)
 class SaturationKind:
-    """A saturating nonlinearity: elementwise function and derivative."""
+    """A saturating nonlinearity, applied elementwise."""
 
     tag: str
     fn: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
 
 
 def _softsign(x):
     return x / (1.0 + np.abs(x))
 
 
-def _softsign_deriv(x):
-    return 1.0 / (1.0 + np.abs(x)) ** 2
-
-
 def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def _sigmoid_deriv(x):
-    s = _sigmoid(x)
-    return s * (1.0 - s)
 
 
 _erf = np.vectorize(math.erf, otypes=[np.float64])
@@ -60,18 +50,13 @@ def _gelu(x):
     return 0.5 * x * (1.0 + _erf(x / np.sqrt(2.0)))
 
 
-def _gelu_deriv(x):
-    phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return 0.5 * (1.0 + _erf(x / np.sqrt(2.0))) + x * phi
-
-
-TANH = SaturationKind("tanh", np.tanh, lambda x: 1.0 - np.tanh(x) ** 2)
-SOFTSIGN = SaturationKind("softsign", _softsign, _softsign_deriv)
-ARCTAN = SaturationKind("arctan", np.arctan, lambda x: 1.0 / (1.0 + x * x))
-SIGMOID = SaturationKind("sigmoid", _sigmoid, _sigmoid_deriv)
-RELU = SaturationKind("relu", lambda x: np.maximum(x, 0.0), lambda x: (x > 0).astype(float))
-GELU = SaturationKind("gelu", _gelu, _gelu_deriv)
-IDENTITY = SaturationKind("identity", lambda x: np.asarray(x, dtype=float), lambda x: np.ones_like(np.asarray(x, dtype=float)))
+TANH = SaturationKind("tanh", np.tanh)
+SOFTSIGN = SaturationKind("softsign", _softsign)
+ARCTAN = SaturationKind("arctan", np.arctan)
+SIGMOID = SaturationKind("sigmoid", _sigmoid)
+RELU = SaturationKind("relu", lambda x: np.maximum(x, 0.0))
+GELU = SaturationKind("gelu", _gelu)
+IDENTITY = SaturationKind("identity", lambda x: np.asarray(x, dtype=float))
 
 SATURATIONS = {s.tag: s for s in (TANH, SOFTSIGN, ARCTAN, SIGMOID, RELU, GELU, IDENTITY)}
 
@@ -283,14 +268,25 @@ def rhs_reduced_1d(y: float, u: float, d: float, alpha: float, b: float = 0.0) -
     return -d * y + math.tanh(u * (alpha + 3.0) * y) + b
 
 
+def _whole(state: np.ndarray) -> np.ndarray:
+    return state
+
+
 @dataclass(frozen=True)
 class KernelSetup:
-    """A ready-to-integrate kernel: rhs closure, initial state, damping if any."""
+    """A ready-to-integrate kernel and the facts the integrator needs about it.
 
-    tag: str
+    ``rhs`` maps a state to its time derivative, starting from ``state0``.
+    ``damping`` is the d of the step bound dt < 1/d, or None where the
+    kernel reports no bound.  ``position`` is the view of a state that
+    snapshots and metrics see: the state itself, or the position half of a
+    second-order state that stacks position over velocity.
+    """
+
     rhs: Callable[[np.ndarray], np.ndarray]
     state0: np.ndarray
     damping: float | None = None
+    position: Callable[[np.ndarray], np.ndarray] = _whole
 
 
 KERNEL_TAGS = (
@@ -325,19 +321,20 @@ def kernel_setup(
     row-stochastic option coupling; ``b`` defaults to zero.  Its shapes
     are validated here, once, and its closure skips the per-call checks of
     :func:`rhs_bimp`: the integrator already checks every state it hands on
-    for finiteness.
+    for finiteness.  The reduced kernel's parameters pass the same
+    :class:`BimpParams` checks.
     """
     x0 = np.asarray(x0, dtype=np.float64)
     if tag == "reduced":
         if x0.size != 1:
             raise ValueError("reduced kernel expects a 1x1 state")
-        b_scalar = 0.0 if b is None else float(np.asarray(b).reshape(-1)[0])
-        u_r = critical_attention(d, alpha) if u is None else u
+        b_r = 0.0 if b is None else float(np.asarray(b).reshape(-1)[0])
+        p = BimpParams(d=d, alpha=alpha, b=np.full((1, 1), b_r), u=u)
 
         def rhs_r(s: np.ndarray) -> np.ndarray:
-            return np.array([[rhs_reduced_1d(float(s[0, 0]), u_r, d, alpha, b_scalar)]])
+            return np.array([[rhs_reduced_1d(float(s[0, 0]), p.u, p.d, p.alpha, b_r)]])
 
-        return KernelSetup(tag, rhs_r, x0.reshape(1, 1), damping=d)
+        return KernelSetup(rhs_r, x0.reshape(1, 1), damping=d)
 
     if x0.ndim != 2 or x0.shape[0] != g.n:
         raise ValueError(f"initial state must have {g.n} rows, got {x0.shape}")
@@ -353,14 +350,14 @@ def kernel_setup(
             saturation=saturation,
         )
         _check_bimp_shapes(x0, aa, ao, params.b)
-        return KernelSetup(tag, lambda s: _rhs_bimp(s, aa, ao, params), x0, damping=d)
+        return KernelSetup(lambda s: _rhs_bimp(s, aa, ao, params), x0, damping=d)
     if tag == "graphcon-tran":
         aa = g.row_normalized()
         return KernelSetup(
-            tag,
             lambda s: rhs_graphcon_tran(s, aa),
             np.stack([x0, np.zeros_like(x0)]),
             damping=1.0,
+            position=lambda s: s[0],
         )
     l = sparse_laplacian(g)
     # The Laplacian flows report the largest out-degree, the diagonal damping
@@ -369,14 +366,12 @@ def kernel_setup(
     max_degree = float(degrees(g).max(initial=0.0))
     if tag in ("linear-od", "laplacian"):
         # linear-od's -D X + A X is the Laplacian flow -L X
-        return KernelSetup(tag, lambda s: rhs_laplacian(s, l), x0, damping=max_degree)
+        return KernelSetup(lambda s: rhs_laplacian(s, l), x0, damping=max_degree)
     if tag == "laplacian-source":
         src = np.zeros_like(x0) if b is None else np.asarray(b, dtype=np.float64)
-        return KernelSetup(tag, lambda s: rhs_laplacian_source(s, l, src), x0, damping=max_degree)
+        return KernelSetup(lambda s: rhs_laplacian_source(s, l, src), x0, damping=max_degree)
     if tag == "gread-f":
-        return KernelSetup(tag, lambda s: rhs_gread(s, l, "F"), x0)
+        return KernelSetup(lambda s: rhs_gread(s, l, "F"), x0)
     if tag == "gread-fb":
-        return KernelSetup(
-            tag, lambda s: rhs_gread(s, l, "FBstar", alpha=alpha, beta=beta), x0
-        )
+        return KernelSetup(lambda s: rhs_gread(s, l, "FBstar", alpha=alpha, beta=beta), x0)
     raise ValueError(f"unknown kernel tag {tag!r}; choose from {KERNEL_TAGS}")

@@ -22,7 +22,14 @@ from .attention import (
 from .errors import NumericalError
 from .graphs import Graph, from_edge_list
 from .integrate import euler_integrate
-from .kernels import BimpParams, coupling, coupling_adjoint, critical_attention, rhs_bimp
+from .kernels import (
+    BimpParams,
+    KernelSetup,
+    coupling,
+    coupling_adjoint,
+    critical_attention,
+    rhs_bimp,
+)
 from .spectral import KroneckerOperator
 
 # attention heads and key/query dimension of the couplings train_sgd builds
@@ -92,7 +99,8 @@ def forward_unroll(
         )
     x0 = x_in @ w
     params = BimpParams(d=cfg.d, alpha=cfg.alpha, b=x0, u=cfg.u)
-    traj = euler_integrate(x0, lambda x: rhs_bimp(x, aa, ao, params), cfg.dt, cfg.steps)
+    setup = KernelSetup(lambda x: rhs_bimp(x, aa, ao, params), x0, damping=cfg.d)
+    traj = euler_integrate(setup, cfg.dt, cfg.steps)
     return traj.states[-1], Tape(x_in=x_in, w=w, states=traj.states, aa=aa, ao=ao)
 
 

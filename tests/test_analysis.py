@@ -199,7 +199,7 @@ class TestClosedForm:
         b = rng.standard_normal((5, 2))
         sol = grandpp_closed_form(lap, x0, b)
         setup = kernel_setup("laplacian-source", g, x0, b=b)
-        traj = euler_integrate(setup.state0, setup.rhs, 1e-3, 5000, record_every=500)
+        traj = euler_integrate(setup, 1e-3, 5000, record_every=500)
         worst = max(
             np.max(np.abs(traj.states[i] - sol.evaluate(traj.times[i])))
             for i in range(len(traj.times))
@@ -216,7 +216,7 @@ class TestClosedForm:
         b = rng.standard_normal((5, 2))
         sol = grandpp_closed_form(lap, x0, b)
         setup = kernel_setup("laplacian-source", g, x0, b=b)
-        traj = rk4_integrate(setup.state0, setup.rhs, 1e-2, 500, record_every=50)
+        traj = rk4_integrate(setup, 1e-2, 500, record_every=50)
         worst = max(
             np.max(np.abs(traj.states[i] - sol.evaluate(traj.times[i])))
             for i in range(len(traj.times))

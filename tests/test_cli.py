@@ -101,6 +101,13 @@ BAD_INPUTS = [
     # a NaN weight is a validation error, not a non-finite state at step 1
     ("graph-nan-weight", ["simulate", "--kernel", "laplacian", "--graph", "nan-weight.json",
                           "--out", "out"], 1, "error: non-finite weight nan on edge (0, 1)"),
+    # the reduced kernel checks its parameters as bimp does
+    ("reduced-negative-attention", ["simulate", "--kernel", "reduced", "--graph", "one.json",
+                                    "--init", "one.csv", "--u", "-0.5", "--out", "out"], 1,
+     "error: attention u must be positive"),
+    ("reduced-negative-damping", ["simulate", "--kernel", "reduced", "--graph", "one.json",
+                                  "--init", "one.csv", "--d", "-1", "--out", "out"], 1,
+     "error: damping d must be nonnegative"),
 ]
 
 
@@ -116,6 +123,8 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
                         ("nan-weight", [[0, 1, math.nan], [1, 2, 1.0], [2, 0, 1.0]])):
         (tmp_path / f"{name}.json").write_text(json.dumps({"n": 3, "edges": edges}))
     save_matrix_csv(np.full((3, 3), 1e307), tmp_path / "huge.csv")
+    (tmp_path / "one.json").write_text(json.dumps({"n": 1, "edges": []}))
+    save_matrix_csv(np.array([[0.3]]), tmp_path / "one.csv")
     # two 2-node components: max out-degree 1, lambda_max(L) = 2
     two_pairs = {"n": 4, "edges": [[0, 1, 1.0], [1, 0, 1.0], [2, 3, 1.0], [3, 2, 1.0]]}
     (tmp_path / "two-pairs.json").write_text(json.dumps(two_pairs))

@@ -13,7 +13,7 @@ from odyn.integrate import (
     save_metrics_csv,
     save_trajectory_csv,
 )
-from odyn.kernels import kernel_setup
+from odyn.kernels import KERNEL_TAGS, KernelSetup, kernel_setup
 
 
 def scalar_decay(s):
@@ -25,26 +25,22 @@ class TestEuler:
         setup = kernel_setup("bimp", toy_graph(), toy_initial_state(), b=toy_initial_state())
         x0 = toy_initial_state()
         dt = 1e-3
-        traj = euler_integrate(x0, setup.rhs, dt, 1)
+        traj = euler_integrate(setup, dt, 1)
         expected = x0 + dt * setup.rhs(x0)
         np.testing.assert_array_equal(traj.states[-1], expected)
 
     def test_trajectory_contract(self):
-        traj = euler_integrate(
-            np.ones((2, 1)), scalar_decay, 0.1, 10, record_every=2,
-            kernel_tag="decay",
-        )
+        traj = euler_integrate(KernelSetup(scalar_decay, np.ones((2, 1))), 0.1, 10, record_every=2)
         assert traj.times[0] == 0.0
         assert len(traj.times) == len(traj.states) == len(traj.energy) == len(traj.diameter) == 6
         assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
-        assert traj.kernel_tag == "decay"
 
     def test_step_guard_triggers_exactly_at_one_over_d(self):
         setup = kernel_setup("bimp", toy_graph(), toy_initial_state(), d=2.0)
         with pytest.raises(ValueError, match="1/d"):
-            euler_integrate(setup.state0, setup.rhs, 0.5, 10, damping=2.0)
+            euler_integrate(setup, 0.5, 10)
         # strictly below the threshold is accepted
-        euler_integrate(setup.state0, setup.rhs, 0.499, 10, damping=2.0)
+        euler_integrate(setup, 0.499, 10)
 
     def test_zero_steps_is_the_initial_snapshot(self):
         x0 = toy_initial_state()
@@ -52,15 +48,15 @@ class TestEuler:
         def never_called(s):
             raise AssertionError("a zero-step run evaluated the right-hand side")
 
+        setup = KernelSetup(never_called, x0, damping=1.0)
         for integrate in (euler_integrate, rk4_integrate):
-            traj = integrate(x0, never_called, 0.05, 0, damping=1.0,
-                             diameter_fn=opinion_diameter)
+            traj = integrate(setup, 0.05, 0, diameter_fn=opinion_diameter)
             assert traj.times == [0.0]
             assert len(traj.states) == len(traj.diameter) == 1
             np.testing.assert_array_equal(traj.states[0], x0)
             assert traj.diameter[0] == opinion_diameter(x0)
             with pytest.raises(ValueError, match="nonnegative"):
-                integrate(x0, never_called, 0.05, -1)
+                integrate(setup, 0.05, -1)
 
     def test_nonfinite_abort_reports_step(self):
         def blow_up(s):
@@ -68,12 +64,12 @@ class TestEuler:
                 return s**2
 
         with pytest.raises(NumericalError, match="step"):
-            euler_integrate(np.array([[4.0]]), blow_up, 1.0, 400)
+            euler_integrate(KernelSetup(blow_up, np.array([[4.0]])), 1.0, 400)
 
     def test_subsampled_recording_is_bit_exact(self):
         setup = kernel_setup("bimp", toy_graph(), toy_initial_state(), b=toy_initial_state())
-        dense = euler_integrate(setup.state0, setup.rhs, 0.05, 12, record_every=1)
-        sparse = euler_integrate(setup.state0, setup.rhs, 0.05, 12, record_every=3)
+        dense = euler_integrate(setup, 0.05, 12, record_every=1)
+        sparse = euler_integrate(setup, 0.05, 12, record_every=3)
         for k, (t, x) in enumerate(zip(sparse.times, sparse.states)):
             assert t == dense.times[3 * k]
             np.testing.assert_array_equal(x, dense.states[3 * k])
@@ -85,17 +81,14 @@ class TestEuler:
         x0 = toy_initial_state()
         setup = kernel_setup("bimp", toy_graph(), x0, d=1.0, alpha=1.0, b=x0)
         dt, steps = 0.05, 400
-        traj = euler_integrate(setup.state0, setup.rhs, dt, steps, record_every=400, damping=1.0)
+        traj = euler_integrate(setup, dt, steps, record_every=400)
         bound = np.abs(x0) + steps * dt * (1.0 + np.abs(x0))
         assert np.all(np.abs(traj.states[-1]) <= bound)
 
     def test_toy_saturated_run_keeps_features_distinct(self):
         x0 = toy_initial_state()
         setup = kernel_setup("bimp", toy_graph(), x0, b=x0)
-        traj = euler_integrate(
-            setup.state0, setup.rhs, 0.05, 400, damping=1.0,
-            diameter_fn=opinion_diameter,
-        )
+        traj = euler_integrate(setup, 0.05, 400, diameter_fn=opinion_diameter)
         assert traj.diameter[-1] > 0.05
         x_end = traj.states[-1]
         gaps = [
@@ -108,7 +101,7 @@ class TestEuler:
 
 class TestRk4:
     def test_scalar_exponential(self):
-        traj = rk4_integrate(np.array([[1.0]]), scalar_decay, 0.1, 10)
+        traj = rk4_integrate(KernelSetup(scalar_decay, np.array([[1.0]])), 0.1, 10)
         assert traj.states[-1][0, 0] == pytest.approx(math.exp(-1.0), abs=1e-6)
 
     def test_euler_error_scales_linearly_in_dt(self):
@@ -116,17 +109,15 @@ class TestRk4:
         setup = kernel_setup("bimp", toy_graph(), x0, b=x0)
 
         def gap(dt, steps):
-            e = euler_integrate(setup.state0, setup.rhs, dt, steps, record_every=steps)
-            r = rk4_integrate(setup.state0, setup.rhs, dt, steps, record_every=steps)
+            e = euler_integrate(setup, dt, steps, record_every=steps)
+            r = rk4_integrate(setup, dt, steps, record_every=steps)
             return np.max(np.abs(e.states[-1] - r.states[-1]))
 
         ratio = gap(0.04, 50) / gap(0.02, 100)
         assert 1.5 <= ratio <= 2.5
 
     def test_matches_euler_recording_contract(self):
-        traj = rk4_integrate(
-            np.ones((2, 2)), scalar_decay, 0.1, 9, record_every=3
-        )
+        traj = rk4_integrate(KernelSetup(scalar_decay, np.ones((2, 2))), 0.1, 9, record_every=3)
         np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9], atol=1e-12)
 
     def test_nonfinite_stage_is_caught_before_rhs(self):
@@ -137,7 +128,7 @@ class TestRk4:
             return np.full_like(s, 1e308)
 
         with pytest.raises(NumericalError, match="step 1"):
-            rk4_integrate(np.array([[1e308]]), huge, 2.0, 3)
+            rk4_integrate(KernelSetup(huge, np.array([[1e308]])), 2.0, 3)
         assert seen_finite == [True]
 
 
@@ -176,7 +167,7 @@ class TestBitExactOracle:
     def test_first_order_bimp(self, integrate, oracle):
         x0 = toy_initial_state()
         setup = kernel_setup("bimp", toy_graph(), x0, b=x0)
-        traj = integrate(setup.state0, setup.rhs, self.DT, 300, record_every=300)
+        traj = integrate(setup, self.DT, 300, record_every=300)
         (expected,) = oracle((x0,), lambda s: (setup.rhs(s[0]),), self.DT, 300)
         np.testing.assert_array_equal(traj.states[-1], expected)
 
@@ -185,7 +176,7 @@ class TestBitExactOracle:
         x0 = toy_initial_state()
         aa = toy_graph().row_normalized()
         setup = kernel_setup("graphcon-tran", toy_graph(), x0)
-        traj = integrate(setup.state0, setup.rhs, self.DT, 300, record_every=300)
+        traj = integrate(setup, self.DT, 300, record_every=300)
 
         def oscillator(s):
             x, y = s
@@ -199,19 +190,47 @@ class TestSecondOrderState:
     def test_velocity_integrates(self):
         # dY/dt = -X, dX/dt = Y: circular motion conserves the radius to
         # first order; just confirm both components update.  The state
-        # stacks position over velocity.
+        # stacks position over velocity, and snapshots see the position.
         def rot(s):
             return np.stack([s[1], -s[0]])
 
-        traj = euler_integrate(np.array([[[1.0]], [[0.0]]]), rot, 0.01, 100)
+        setup = KernelSetup(rot, np.array([[[1.0]], [[0.0]]]), position=lambda s: s[0])
+        traj = euler_integrate(setup, 0.01, 100)
         assert traj.states[-1][0, 0] == pytest.approx(math.cos(1.0), abs=1e-2)
+
+
+class TestSetupFacts:
+    """The integrator reads the step bound and the position view from the set-up."""
+
+    def test_first_order_ensemble_state_records_every_member(self):
+        # a (K, n, o) state is not a stacked second-order state: a first-order
+        # set-up records all K members, each as if it had run on its own
+        def rhs(s):
+            return np.tanh(s) - s**3
+
+        members = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 3, 2))
+        traj = euler_integrate(KernelSetup(rhs, members), 0.05, 20, record_every=10)
+        assert [x.shape for x in traj.states] == [(4, 3, 2)] * 3
+        for k, x0 in enumerate(members):
+            alone = euler_integrate(KernelSetup(rhs, x0), 0.05, 20, record_every=10)
+            for x, y in zip(traj.states, alone.states):
+                np.testing.assert_array_equal(x[k], y)
+
+    @pytest.mark.parametrize("tag", KERNEL_TAGS)
+    def test_every_kernel_records_its_initial_state_shape_and_carries_its_bound(self, tag):
+        x0 = np.array([[0.3]]) if tag == "reduced" else toy_initial_state()
+        setup = kernel_setup(tag, toy_graph(), x0, b=x0)
+        traj = euler_integrate(setup, 0.01, 5, diameter_fn=opinion_diameter)
+        assert [x.shape for x in traj.states] == [x0.shape] * 6
+        np.testing.assert_array_equal(traj.states[0], x0)
+        if setup.damping is not None:
+            with pytest.raises(ValueError, match="1/d"):
+                euler_integrate(setup, 1.0 / setup.damping, 1)
 
 
 class TestCsvExports:
     def test_trajectory_csv(self, tmp_path):
-        traj = euler_integrate(
-            np.array([[1.0, 2.0]]), scalar_decay, 0.5, 2
-        )
+        traj = euler_integrate(KernelSetup(scalar_decay, np.array([[1.0, 2.0]])), 0.5, 2)
         path = tmp_path / "traj.csv"
         save_trajectory_csv(traj, path)
         lines = path.read_text().splitlines()
@@ -240,8 +259,7 @@ class TestCsvExports:
 
     def test_metrics_csv(self, tmp_path):
         traj = euler_integrate(
-            np.array([[1.0], [3.0]]),
-            scalar_decay,
+            KernelSetup(scalar_decay, np.array([[1.0], [3.0]])),
             0.5,
             1,
             energy_fn=lambda x: 7.0,
