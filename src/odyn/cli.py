@@ -217,7 +217,9 @@ def cmd_toy(opts) -> int:
         ("bimp", "bimp", "init"),
     )
     for tag, name, b_mode in runs:
-        traj = _integrate({**opts, "b_mode": b_mode}, g, x0, tag=tag)
+        # --saturation selects the saturated run's S; the linear runs have none
+        saturation = opts["saturation"] if tag == "bimp" else DEFAULTS["saturation"]
+        traj = _integrate({**opts, "b_mode": b_mode, "saturation": saturation}, g, x0, tag=tag)
         save_trajectory_csv(traj, out / f"{name}.csv")
         save_metrics_csv(traj, out / f"{name}-metrics.csv")
         print(

@@ -157,20 +157,32 @@ def _check_bimp_shapes(x, aa, ao, b):
         raise ValueError(f"input matrix must match state shape {x.shape}, got {b.shape}")
 
 
-def rhs_bimp(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, p: BimpParams) -> np.ndarray:
+def rhs_bimp(
+    x: np.ndarray,
+    aa: np.ndarray,
+    ao: np.ndarray,
+    p: BimpParams,
+    preacts: list[np.ndarray] | None = None,
+) -> np.ndarray:
     """Saturated kernel in matrix form.
 
     dX/dt = -d X + S(u (alpha X + Aa X + X Ao^T + Aa X Ao^T)) + B
+
+    When ``preacts`` is a list, the pre-activation Z = u (alpha X + ...)
+    that S is applied to is appended to it.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_bimp_shapes(x, aa, ao, p.b)
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite state")
-    return _rhs_bimp(x, aa, ao, p)
+    return _rhs_bimp(x, aa, ao, p, preacts)
 
 
-def _rhs_bimp(x, aa, ao, p):
-    return -p.d * x + p.saturation.fn(p.u * coupling(x, aa, ao, p.alpha)) + p.b
+def _rhs_bimp(x, aa, ao, p, preacts=None):
+    z = p.u * coupling(x, aa, ao, p.alpha)
+    if preacts is not None:
+        preacts.append(z)
+    return -p.d * x + p.saturation.fn(z) + p.b
 
 
 def rhs_bimp_vectorized(xvec: np.ndarray, op: KroneckerOperator, p: BimpParams) -> np.ndarray:
@@ -322,8 +334,11 @@ def kernel_setup(
     are validated here, once, and its closure skips the per-call checks of
     :func:`rhs_bimp`: the integrator already checks every state it hands on
     for finiteness.  The reduced kernel's parameters pass the same
-    :class:`BimpParams` checks.
+    :class:`BimpParams` checks.  Only the saturated kernel reads
+    ``saturation``; any other tag rejects a saturation other than tanh.
     """
+    if tag != "bimp" and saturation != TANH:
+        raise ValueError(f"kernel {tag!r} has no saturation to set to {saturation.tag!r}")
     x0 = np.asarray(x0, dtype=np.float64)
     if tag == "reduced":
         if x0.size != 1:

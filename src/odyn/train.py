@@ -2,10 +2,14 @@
 
 A linear encoder X0 = X_in W feeds the saturated kernel ``rhs_bimp``,
 which ``euler_integrate`` unrolls for M steps with the source held at X0.
-The loss gradient with respect to W is accumulated in reverse through the
-unrolled map; the couplings are treated as constants.  A central
-finite-difference oracle and an analytic norm bound on the gradient give
-two independent checks.
+The forward pass keeps every state and every step's pre-activation
+Z = u (alpha X + Aa X + X Ao^T + Aa X Ao^T) on a :class:`Tape`.  The loss
+gradient with respect to W is accumulated in reverse through the unrolled
+map from that tape, so each reverse step makes one adjoint coupling
+product and no forward one; the couplings are treated as constants.  A
+central finite-difference oracle and an analytic norm bound on the
+gradient give two independent checks, and the dense step Jacobians
+recompute Z from the states on their own.
 """
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ from .integrate import euler_integrate
 from .kernels import (
     BimpParams,
     KernelSetup,
-    coupling,
     coupling_adjoint,
     critical_attention,
     rhs_bimp,
@@ -74,11 +77,17 @@ class TrainConfig:
 
 @dataclass
 class Tape:
-    """Saved forward pass: every intermediate state plus the constants."""
+    """Saved forward pass: states, pre-activations and the constants.
+
+    ``states`` holds the M + 1 states X_0 .. X_M of the unroll, and
+    ``preacts[t]`` the pre-activation Z_t = u * coupling(X_t) that the
+    saturation saw on the step from X_t to X_{t+1} (M arrays).
+    """
 
     x_in: np.ndarray
     w: np.ndarray
     states: list[np.ndarray]
+    preacts: list[np.ndarray]
     aa: Graph | np.ndarray
     ao: np.ndarray
 
@@ -99,9 +108,11 @@ def forward_unroll(
         )
     x0 = x_in @ w
     params = BimpParams(d=cfg.d, alpha=cfg.alpha, b=x0, u=cfg.u)
-    setup = KernelSetup(lambda x: rhs_bimp(x, aa, ao, params), x0, damping=cfg.d)
+    preacts: list[np.ndarray] = []
+    setup = KernelSetup(lambda x: rhs_bimp(x, aa, ao, params, preacts), x0, damping=cfg.d)
     traj = euler_integrate(setup, cfg.dt, cfg.steps)
-    return traj.states[-1], Tape(x_in=x_in, w=w, states=traj.states, aa=aa, ao=ao)
+    tape = Tape(x_in=x_in, w=w, states=traj.states, preacts=preacts, aa=aa, ao=ao)
+    return traj.states[-1], tape
 
 
 def mse_loss(x_final: np.ndarray, target: np.ndarray) -> float:
@@ -119,13 +130,14 @@ def encoding_grad(tape: Tape, target: np.ndarray, cfg: TrainConfig) -> np.ndarra
 
     Exact reverse accumulation through the unrolled Euler map.  X0 enters
     both as the initial state and as the source added at every step; both
-    paths are accumulated.
+    paths are accumulated.  The step Jacobian's sech^2 is read from the
+    tape's pre-activations, so a reverse step costs one adjoint coupling.
     """
     target = np.asarray(target, dtype=np.float64)
     x_final = tape.states[-1]
     if target.shape != x_final.shape:
         raise ValueError("target shape does not match the unrolled state")
-    if len(tape.states) != cfg.steps + 1:
+    if len(tape.states) != cfg.steps + 1 or len(tape.preacts) != cfg.steps:
         raise ValueError("tape does not match the configured unroll depth")
     n_elems = x_final.size
     grad_state = (x_final - target) / n_elems
@@ -133,8 +145,7 @@ def encoding_grad(tape: Tape, target: np.ndarray, cfg: TrainConfig) -> np.ndarra
     u, alpha = cfg.u, cfg.alpha
     for t in range(cfg.steps, 0, -1):
         grad_x0 += cfg.dt * grad_state
-        z = u * coupling(tape.states[t - 1], tape.aa, tape.ao, alpha)
-        h = cfg.dt * grad_state * (1.0 / np.cosh(z)) ** 2
+        h = cfg.dt * grad_state * (1.0 / np.cosh(tape.preacts[t - 1])) ** 2
         grad_state = (1.0 - cfg.d * cfg.dt) * grad_state + u * coupling_adjoint(
             h, tape.aa, tape.ao, alpha
         )

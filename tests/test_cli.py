@@ -108,6 +108,13 @@ BAD_INPUTS = [
     ("reduced-negative-damping", ["simulate", "--kernel", "reduced", "--graph", "one.json",
                                   "--init", "one.csv", "--d", "-1", "--out", "out"], 1,
      "error: damping d must be nonnegative"),
+    # only bimp has a saturation to select
+    ("reduced-non-tanh-saturation", ["simulate", "--kernel", "reduced", "--graph", "one.json",
+                                     "--init", "one.csv", "--u", "0.4", "--saturation",
+                                     "softsign", "--out", "out"], 1,
+     "error: kernel 'reduced' has no saturation"),
+    ("laplacian-saturation", ["simulate", "--kernel", "laplacian", "--saturation", "relu",
+                              "--out", "out"], 1, "error: kernel 'laplacian' has no saturation"),
 ]
 
 
@@ -200,6 +207,14 @@ class TestToy:
             path = out / f"{name}.csv"
             assert path.exists()
             assert path.read_text().splitlines()[0] == "t,node,option,value"
+
+    def test_saturation_applies_to_the_bimp_run_alone(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["toy", "--out", str(a), "--seed", "0"]) == 0
+        assert main(["toy", "--out", str(b), "--seed", "0", "--saturation", "softsign"]) == 0
+        for name in ("grand-l", "grand++-l", "graphcon-tran"):
+            assert (a / f"{name}.csv").read_bytes() == (b / f"{name}.csv").read_bytes()
+        assert (a / "bimp.csv").read_bytes() != (b / "bimp.csv").read_bytes()
 
     def test_seeded_runs_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -152,6 +152,19 @@ class TestBimpForms:
         with pytest.raises(ValueError, match="non-finite"):
             rhs_bimp(np.full((3, 3), np.nan), toy_adjacency(), np.eye(3), p)
 
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_preacts_list_receives_the_preactivation_and_changes_no_bit(self, dense):
+        rng = np.random.default_rng(13)
+        g = from_edge_list([(i, (i + 1) % 5, 1.0) for i in range(5)] + [(0, 2, 0.5)], 5)
+        aa = row_normalize(g.dense_adjacency()) if dense else g.row_normalized()
+        ao = random_row_stochastic(3, rng, zero_diagonal=False)
+        p = BimpParams(d=0.9, alpha=1.7, b=rng.standard_normal((5, 3)), u=0.4)
+        preacts = []
+        for x in (rng.standard_normal((5, 3)), rng.normal(0.0, 10.0, (5, 3))):
+            np.testing.assert_array_equal(rhs_bimp(x, aa, ao, p, preacts), rhs_bimp(x, aa, ao, p))
+            np.testing.assert_array_equal(preacts[-1], p.u * kernels.coupling(x, aa, ao, p.alpha))
+        assert len(preacts) == 2
+
     def test_params_validation(self):
         with pytest.raises(ValueError, match="damping"):
             BimpParams(d=-0.1, alpha=1.0, b=np.zeros((2, 2)))
@@ -345,6 +358,14 @@ class TestKernelSetup:
     def test_reduced_requires_scalar(self):
         with pytest.raises(ValueError, match="1x1"):
             kernel_setup("reduced", toy_graph(), toy_initial_state())
+
+    @pytest.mark.parametrize("tag", [tag for tag in KERNEL_TAGS if tag != "bimp"])
+    def test_only_bimp_reads_the_saturation(self, tag):
+        g, x0 = (from_edge_list([], 1), np.array([[0.3]])) if tag == "reduced" else (
+            toy_graph(), toy_initial_state())
+        kernel_setup(tag, g, x0, saturation=TANH)
+        with pytest.raises(ValueError, match=f"kernel '{tag}' has no saturation"):
+            kernel_setup(tag, g, x0, saturation=saturation_kind("softsign"))
 
     def test_bimp_setup_reports_damping(self):
         setup = kernel_setup("bimp", toy_graph(), toy_initial_state(), d=0.7)

@@ -1,14 +1,21 @@
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from odyn import kernels, train
+from odyn.attention import build_communication_attention, init_attention_weights
 from odyn.errors import NumericalError
 from odyn.fixtures import random_row_stochastic
 from odyn.graphs import Graph, from_edge_list
+from odyn.kernels import coupling, coupling_adjoint
 from odyn.train import (
     TrainConfig,
     backward_grad,
+    encoding_grad,
     finite_difference_grad,
     forward_unroll,
     gradient_check,
@@ -69,15 +76,19 @@ class TestForwardUnroll:
         x_final, tape = forward_unroll(x_in, w, aa, ao, cfg)
         x0 = x_in @ w
         x = x0
-        states = [x0]
+        states, preacts = [x0], []
         for _ in range(cfg.steps):
             mixed = aa @ x
             z = cfg.u * (cfg.alpha * x + mixed + x @ ao.T + mixed @ ao.T)
             x = x + cfg.dt * (-cfg.d * x + np.tanh(z) + x0)
             states.append(x)
+            preacts.append(z)
         np.testing.assert_array_equal(x_final, x)
         assert len(tape.states) == len(states)
         for got, want in zip(tape.states, states):
+            np.testing.assert_array_equal(got, want)
+        assert len(tape.preacts) == len(preacts)
+        for got, want in zip(tape.preacts, preacts):
             np.testing.assert_array_equal(got, want)
 
     def test_determinism(self):
@@ -128,6 +139,61 @@ class TestBackwardGrad:
         _, tape = forward_unroll(x_in, w, aa, ao, cfg)
         with pytest.raises(ValueError, match="target shape"):
             backward_grad(tape, np.zeros((2, 2)), cfg)
+        short = dataclasses.replace(tape, preacts=tape.preacts[:-1])
+        with pytest.raises(ValueError, match="unroll depth"):
+            backward_grad(short, target, cfg)
+
+    @settings(max_examples=60)
+    @given(st.booleans(), st.integers(1, 5), st.integers(1, 4), st.integers(0, 12),
+           st.floats(0.0, 3.0), st.floats(0.01, 0.9), st.integers(0, 2**32 - 1))
+    def test_equals_the_reverse_loop_that_recomputes_the_preactivations(
+        self, attention, n_per_block, n_options, steps, alpha, dt, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n = 2 * n_per_block
+        cfg = TrainConfig(lr=0.0, epochs=0, steps=steps, dt=dt, d=1.0, alpha=alpha)
+        x_in = rng.uniform(-1, 1, (n, 3))
+        w = rng.uniform(-1, 1, (3, n_options))
+        target = rng.uniform(-1, 1, (n, n_options))
+        if attention:
+            graph = make_sbm_task(n_per_block, 0.8, 0.3, noise=0.1, seed=seed).graph
+            weights = init_attention_weights(1, 4, n_options, seed=seed)
+            aa = build_communication_attention(x_in @ w, weights, graph)
+        else:
+            aa = random_row_stochastic(n, rng, zero_diagonal=False)
+        ao = random_row_stochastic(n_options, rng, zero_diagonal=False)
+        _, tape = forward_unroll(x_in, w, aa, ao, cfg)
+        # oracle: the same reverse loop, recomputing each pre-activation from the states
+        grad_state = (tape.states[-1] - target) / tape.states[-1].size
+        grad_x0 = np.zeros_like(grad_state)
+        for t in range(cfg.steps, 0, -1):
+            grad_x0 += cfg.dt * grad_state
+            z = cfg.u * coupling(tape.states[t - 1], aa, ao, cfg.alpha)
+            h = cfg.dt * grad_state * (1.0 / np.cosh(z)) ** 2
+            grad_state = (1.0 - cfg.d * cfg.dt) * grad_state + cfg.u * coupling_adjoint(
+                h, aa, ao, cfg.alpha
+            )
+        assert np.array_equal(encoding_grad(tape, target, cfg), grad_x0 + grad_state)
+
+    def test_reverse_step_makes_one_adjoint_and_no_forward_coupling(self, monkeypatch):
+        cfg, aa, ao, x_in, w, target = small_fixture(11, steps=7)
+        _, tape = forward_unroll(x_in, w, aa, ao, cfg)
+        calls = collections.Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        # patch the names where either module would look them up
+        for name in ("coupling", "coupling_adjoint"):
+            wrapper = counted(name, getattr(kernels, name))
+            for module in (kernels, train):
+                monkeypatch.setattr(module, name, wrapper, raising=False)
+        encoding_grad(tape, target, cfg)
+        assert (calls["coupling"], calls["coupling_adjoint"]) == (0, cfg.steps)
 
 
 class TestFiniteDifference:
