@@ -26,7 +26,7 @@ from .errors import NumericalError
 from .fixtures import random_row_stochastic, toy_graph, toy_initial_state
 from .graphs import load_graph_json, load_matrix_csv, save_matrix_csv
 from .integrate import euler_integrate, rk4_integrate, save_metrics_csv, save_trajectory_csv
-from .kernels import KERNEL_TAGS, SATURATIONS, kernel_setup, saturation_kind
+from .kernels import KERNEL_TAGS, SATURATIONS, kernel_reads, kernel_setup, saturation_kind
 from .svg import Series, write_chart
 from .train import TrainConfig, gradient_check, make_sbm_task, save_history_csv, train_sgd
 
@@ -145,20 +145,15 @@ def _resolve_b(opts, x0):
     return load_matrix_csv(opts["b_file"])
 
 
-def _integrate(opts, g, x0, tag=None):
+def _integrate(opts, g, x0, tag=None, only_read=False):
+    """Integrate one kernel; with ``only_read`` it is handed only the options it reads."""
     tag = tag or opts["kernel"]
-    setup = kernel_setup(
-        tag,
-        g,
-        x0,
-        d=opts["d"],
-        alpha=opts["alpha"],
-        u=opts["u"],
-        b=_resolve_b(opts, x0),
-        beta=opts["beta"],
-        saturation=saturation_kind(opts["saturation"]),
-        seed=opts["seed"],
-    )
+    options = dict(d=opts["d"], alpha=opts["alpha"], u=opts["u"], b=_resolve_b(opts, x0),
+                   beta=opts["beta"], saturation=saturation_kind(opts["saturation"]),
+                   seed=opts["seed"])
+    if only_read:
+        options = {name: options[name] for name in kernel_reads(tag)}
+    setup = kernel_setup(tag, g, x0, **options)
     integrator = rk4_integrate if opts["method"] == "rk4" else euler_integrate
     # the scalar reduced kernel has no graph-indexed state to take an
     # energy over
@@ -217,9 +212,8 @@ def cmd_toy(opts) -> int:
         ("bimp", "bimp", "init"),
     )
     for tag, name, b_mode in runs:
-        # --saturation selects the saturated run's S; the linear runs have none
-        saturation = opts["saturation"] if tag == "bimp" else DEFAULTS["saturation"]
-        traj = _integrate({**opts, "b_mode": b_mode, "saturation": saturation}, g, x0, tag=tag)
+        # one option set drives four kernels; each takes only what it reads
+        traj = _integrate({**opts, "b_mode": b_mode}, g, x0, tag=tag, only_read=True)
         save_trajectory_csv(traj, out / f"{name}.csv")
         save_metrics_csv(traj, out / f"{name}-metrics.csv")
         print(
@@ -248,8 +242,11 @@ def cmd_energy(opts) -> int:
 
 
 def cmd_gradcheck(opts) -> int:
-    rng = np.random.default_rng(opts["seed"])
     na, no, f = opts["n_agents"], opts["n_options"], opts["features"]
+    for flag, size in zip(("n-agents", "n-options", "features"), (na, no, f)):
+        if size < 1:
+            raise CliError(f"--{flag} must be at least 1, got {size}")
+    rng = np.random.default_rng(opts["seed"])
     aa = random_row_stochastic(na, rng, zero_diagonal=False)
     ao = random_row_stochastic(no, rng, zero_diagonal=False)
     x_in = rng.uniform(-1, 1, (na, f))

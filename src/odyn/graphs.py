@@ -129,25 +129,6 @@ def from_edge_list(edges, n: int) -> Graph:
     return g
 
 
-def row_normalize(m: np.ndarray) -> np.ndarray:
-    """Scale each row of a nonnegative matrix to sum to one.
-
-    Zero entries stay zero; a zero row or a negative entry is rejected.
-    """
-    m = np.asarray(m, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-d matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("non-finite entries")
-    if np.any(m < 0):
-        raise ValueError("negative entries cannot be row-normalized")
-    sums = m.sum(axis=1)
-    if np.any(sums <= 0):
-        bad = int(np.flatnonzero(sums <= 0)[0])
-        raise ValueError(f"row {bad} has no positive entry")
-    return m / sums[:, None]
-
-
 def degrees(g: Graph) -> np.ndarray:
     """Out-degree vector d_i = sum_j A_ij."""
     return g @ np.ones(g.n)
@@ -167,11 +148,6 @@ def sparse_laplacian(g: Graph) -> Graph:
     nodes = np.arange(g.n)
     return _sorted_graph(g.n, np.r_[g.rows[~loop], nodes], np.r_[g.targets[~loop], nodes],
                          np.r_[-g.weights[~loop], diag])
-
-
-def save_graph_json(g: Graph, path) -> None:
-    payload = {"n": g.n, "edges": [[s, d, w] for s, d, w in g.to_edge_list()]}
-    Path(path).write_text(json.dumps(payload))
 
 
 def load_graph_json(path) -> Graph:

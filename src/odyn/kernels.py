@@ -5,19 +5,18 @@ The saturated kernel couples agents through ``Aa``, options through
 
     dX/dt = -d X + S(u (alpha X + Aa X + X Ao^T + Aa X Ao^T)) + B
 
-Linear consensus kernels (degree-damped averaging, Laplacian flow, a
-Laplacian flow with a constant source, a damped second-order oscillator,
-and two reaction-diffusion variants) share the same calling shape so the
-integrator stays agnostic.  All functions are pure.
-
-Kernel tags for external selection:
-``bimp | linear-od | laplacian | laplacian-source | graphcon-tran |
-gread-f | gread-fb | reduced``.
+:data:`KERNELS` has one row per kernel tag, ``bimp | linear-od |
+laplacian | laplacian-source | graphcon-tran | gread-f | gread-fb |
+reduced``: a builder ``(g, x0, *, <options>)`` whose keyword parameters
+are the only statement of what the kernel reads.  It checks its inputs
+once and returns a :class:`KernelSetup` whose closure the integrator
+runs without knowing the tag.
 """
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -147,16 +146,6 @@ class BimpParams:
         object.__setattr__(self, "b", b)
 
 
-def _check_bimp_shapes(x, aa, ao, b):
-    n_a, n_o = x.shape
-    if aa.shape != (n_a, n_a):
-        raise ValueError(f"agent coupling must be {n_a}x{n_a}, got {aa.shape}")
-    if ao.shape != (n_o, n_o):
-        raise ValueError(f"option coupling must be {n_o}x{n_o}, got {ao.shape}")
-    if b.shape != x.shape:
-        raise ValueError(f"input matrix must match state shape {x.shape}, got {b.shape}")
-
-
 def rhs_bimp(
     x: np.ndarray,
     aa: np.ndarray,
@@ -172,7 +161,13 @@ def rhs_bimp(
     that S is applied to is appended to it.
     """
     x = np.asarray(x, dtype=np.float64)
-    _check_bimp_shapes(x, aa, ao, p.b)
+    n_a, n_o = x.shape
+    if aa.shape != (n_a, n_a):
+        raise ValueError(f"agent coupling must be {n_a}x{n_a}, got {aa.shape}")
+    if ao.shape != (n_o, n_o):
+        raise ValueError(f"option coupling must be {n_o}x{n_o}, got {ao.shape}")
+    if p.b.shape != x.shape:
+        raise ValueError(f"input matrix must match state shape {x.shape}, got {p.b.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite state")
     return _rhs_bimp(x, aa, ao, p, preacts)
@@ -213,65 +208,6 @@ def rhs_bimp_filter_form(xvec: np.ndarray, op: KroneckerOperator, p: BimpParams)
     return -p.d * xvec + p.saturation.fn(p.u * joint) + vec(p.b)
 
 
-def rhs_linear_opinion(x: np.ndarray, a: np.ndarray, d_vec: np.ndarray) -> np.ndarray:
-    """Degree-damped linear averaging: dx_i/dt = -d_i x_i + sum_k a_ik x_k."""
-    x = np.asarray(x, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    d_vec = np.asarray(d_vec, dtype=np.float64)
-    if np.any(a < 0):
-        raise ValueError("influence weights must be nonnegative")
-    if a.shape[0] != x.shape[0] or d_vec.shape != (a.shape[0],):
-        raise ValueError("inconsistent shapes")
-    if np.max(np.abs(a.sum(axis=1) - d_vec), initial=0.0) > 1e-10:
-        raise ValueError("damping vector must equal the influence row sums")
-    return -d_vec[:, None] * x + a @ x
-
-
-def rhs_laplacian(x: np.ndarray, l: np.ndarray) -> np.ndarray:
-    """Laplacian flow dX/dt = -(D - A) X."""
-    x = np.asarray(x, dtype=np.float64)
-    if l.shape[1] != x.shape[0]:
-        raise ValueError("Laplacian and state shapes do not match")
-    return -(l @ x)
-
-
-def rhs_laplacian_source(x: np.ndarray, l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Laplacian flow with a constant source: dX/dt = -L X + B."""
-    b = np.asarray(b, dtype=np.float64)
-    if b.shape != np.asarray(x).shape:
-        raise ValueError("source must match the state shape")
-    return rhs_laplacian(x, l) + b
-
-
-def rhs_graphcon_tran(state: np.ndarray, aa: np.ndarray) -> np.ndarray:
-    """Damped oscillator wrapped around linear averaging.
-
-    dY/dt = (Aa - I) X - Y,  dX/dt = Y  (unit damping coefficients), on the
-    state ``(2, n, o)`` that stacks position X over velocity Y.
-    """
-    state = np.asarray(state, dtype=np.float64)
-    if state.ndim != 3 or state.shape[0] != 2:
-        raise ValueError("second-order kernel needs a velocity component")
-    x, y = state
-    return np.stack([y, (aa @ x - x) - y])
-
-
-def rhs_gread(
-    x: np.ndarray, l: np.ndarray, variant: str, alpha: float = 1.0, beta: float = 0.5
-) -> np.ndarray:
-    """Reaction-diffusion variants on the Laplacian.
-
-    ``F``: dX/dt = -L X + X o (1 - X); ``FBstar``: dX/dt = -a L X + b (L X + X).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if variant == "F":
-        return -(l @ x) + x * (1.0 - x)
-    if variant == "FBstar":
-        lx = l @ x
-        return -alpha * lx + beta * (lx + x)
-    raise ValueError(f"unknown variant {variant!r}; expected 'F' or 'FBstar'")
-
-
 def rhs_reduced_1d(y: float, u: float, d: float, alpha: float, b: float = 0.0) -> float:
     """Scalar dynamics along the leading joint-coupling direction.
 
@@ -301,16 +237,106 @@ class KernelSetup:
     position: Callable[[np.ndarray], np.ndarray] = _whole
 
 
-KERNEL_TAGS = (
-    "bimp",
-    "linear-od",
-    "laplacian",
-    "laplacian-source",
-    "graphcon-tran",
-    "gread-f",
-    "gread-fb",
-    "reduced",
-)
+def _check_rows(g: Graph, x0: np.ndarray) -> None:
+    if x0.ndim != 2 or x0.shape[0] != g.n:
+        raise ValueError(f"initial state must have {g.n} rows, got {x0.shape}")
+
+
+def _source(b: np.ndarray | None, x0: np.ndarray) -> np.ndarray:
+    """The constant input B: zero by default, else of the initial state's shape."""
+    b = np.zeros_like(x0) if b is None else np.asarray(b, dtype=np.float64)
+    if b.shape != x0.shape:
+        raise ValueError(f"input matrix must match state shape {x0.shape}, got {b.shape}")
+    return b
+
+
+def _bimp(g, x0, *, d, alpha, u, b, saturation, seed):
+    _check_rows(g, x0)
+    aa = g.row_normalized()
+    ao = random_row_stochastic(x0.shape[1], np.random.default_rng(seed))
+    params = BimpParams(d=d, alpha=alpha, b=_source(b, x0), u=u, saturation=saturation)
+    return KernelSetup(lambda s: _rhs_bimp(s, aa, ao, params), x0, damping=d)
+
+
+def _reduced(g, x0, *, d, alpha, u, b):
+    if x0.size != 1:
+        raise ValueError("reduced kernel expects a 1x1 state")
+    x0 = x0.reshape(1, 1)
+    p = BimpParams(d=d, alpha=alpha, b=_source(b, x0), u=u)
+    b_r = float(p.b[0, 0])
+
+    def rhs(s: np.ndarray) -> np.ndarray:
+        return np.array([[rhs_reduced_1d(float(s[0, 0]), p.u, p.d, p.alpha, b_r)]])
+
+    return KernelSetup(rhs, x0, damping=d)
+
+
+def _laplacian(g, x0):
+    """Laplacian flow dX/dt = -(D - A) X, which is linear-od's -D X + A X.
+
+    It reports the largest out-degree, the diagonal damping of -D X + A X,
+    so the integrator's dt * damping < 1 guard bounds its spectrum
+    (Gershgorin; see the integrate module docstring).
+    """
+    _check_rows(g, x0)
+    l = sparse_laplacian(g)
+    return KernelSetup(lambda s: -(l @ s), x0, damping=float(degrees(g).max(initial=0.0)))
+
+
+def _laplacian_source(g, x0, *, b):
+    """Laplacian flow with a constant source, dX/dt = -L X + B, and its step bound."""
+    flow, src = _laplacian(g, x0), _source(b, x0)
+    return replace(flow, rhs=lambda s: flow.rhs(s) + src)
+
+
+def _graphcon_tran(g, x0):
+    """Damped oscillator wrapped around linear averaging.
+
+    dY/dt = (Aa - I) X - Y,  dX/dt = Y  (unit damping coefficients), on the
+    state ``(2, n, o)`` that stacks position X over velocity Y.
+    """
+    _check_rows(g, x0)
+    aa = g.row_normalized()
+    return KernelSetup(lambda s: np.stack([s[1], (aa @ s[0] - s[0]) - s[1]]),
+                       np.stack([x0, np.zeros_like(x0)]), damping=1.0, position=lambda s: s[0])
+
+
+def _gread_f(g, x0):
+    """Reaction-diffusion dX/dt = -L X + X o (1 - X)."""
+    _check_rows(g, x0)
+    l = sparse_laplacian(g)
+    return KernelSetup(lambda s: -(l @ s) + s * (1.0 - s), x0)
+
+
+def _gread_fb(g, x0, *, alpha, beta):
+    """Reaction-diffusion dX/dt = -alpha L X + beta (L X + X)."""
+    _check_rows(g, x0)
+    l = sparse_laplacian(g)
+
+    def rhs(x: np.ndarray) -> np.ndarray:
+        lx = l @ x
+        return -alpha * lx + beta * (lx + x)
+
+    return KernelSetup(rhs, x0)
+
+
+# One row per kernel tag: a builder (g, x0, *, <the options it reads>).
+KERNELS = {
+    "bimp": _bimp,
+    "linear-od": _laplacian,
+    "laplacian": _laplacian,
+    "laplacian-source": _laplacian_source,
+    "graphcon-tran": _graphcon_tran,
+    "gread-f": _gread_f,
+    "gread-fb": _gread_fb,
+    "reduced": _reduced,
+}
+KERNEL_TAGS = tuple(KERNELS)
+
+
+def kernel_reads(tag: str) -> frozenset[str]:
+    """The :func:`kernel_setup` options that ``tag``'s builder reads."""
+    return frozenset(inspect.signature(KERNELS[tag]).parameters) - {"g", "x0"}
 
 
 def kernel_setup(
@@ -328,65 +354,22 @@ def kernel_setup(
 ) -> KernelSetup:
     """Assemble a kernel by tag from a graph and an initial state.
 
-    No closure holds an n-by-n matrix.  The saturated kernel draws its
-    agent coupling from the row-normalized graph and a seeded random
-    row-stochastic option coupling; ``b`` defaults to zero.  Its shapes
-    are validated here, once, and its closure skips the per-call checks of
-    :func:`rhs_bimp`: the integrator already checks every state it hands on
-    for finiteness.  The reduced kernel's parameters pass the same
-    :class:`BimpParams` checks.  Only the saturated kernel reads
-    ``saturation``; any other tag rejects a saturation other than tanh.
+    Each tag's row in :data:`KERNELS` reads only the options its builder
+    names; every other option must keep its default here, or the call is
+    rejected.  ``seed`` is exempt.  No closure holds an n-by-n matrix.
+    The saturated kernel draws its agent coupling from the row-normalized
+    graph and a seeded random row-stochastic option coupling.  ``b``
+    defaults to zero and must match the state's shape.
     """
-    if tag != "bimp" and saturation != TANH:
-        raise ValueError(f"kernel {tag!r} has no saturation to set to {saturation.tag!r}")
-    x0 = np.asarray(x0, dtype=np.float64)
-    if tag == "reduced":
-        if x0.size != 1:
-            raise ValueError("reduced kernel expects a 1x1 state")
-        b_r = 0.0 if b is None else float(np.asarray(b).reshape(-1)[0])
-        p = BimpParams(d=d, alpha=alpha, b=np.full((1, 1), b_r), u=u)
+    if tag not in KERNELS:
+        raise ValueError(f"unknown kernel tag {tag!r}; choose from {KERNEL_TAGS}")
+    options = {"d": d, "alpha": alpha, "u": u, "b": b, "beta": beta, "saturation": saturation}
+    reads = kernel_reads(tag)
+    for name, value in options.items():
+        default = kernel_setup.__kwdefaults__[name]
+        at_default = value is default or (default is not None and value == default)
+        if name not in reads and not at_default:
+            raise ValueError(f"kernel {tag!r} has no {name} to set")
+    read = {name: value for name, value in {**options, "seed": seed}.items() if name in reads}
+    return KERNELS[tag](g, np.asarray(x0, dtype=np.float64), **read)
 
-        def rhs_r(s: np.ndarray) -> np.ndarray:
-            return np.array([[rhs_reduced_1d(float(s[0, 0]), p.u, p.d, p.alpha, b_r)]])
-
-        return KernelSetup(rhs_r, x0.reshape(1, 1), damping=d)
-
-    if x0.ndim != 2 or x0.shape[0] != g.n:
-        raise ValueError(f"initial state must have {g.n} rows, got {x0.shape}")
-
-    if tag == "bimp":
-        aa = g.row_normalized()
-        ao = random_row_stochastic(x0.shape[1], np.random.default_rng(seed))
-        params = BimpParams(
-            d=d,
-            alpha=alpha,
-            b=np.zeros_like(x0) if b is None else b,
-            u=u,
-            saturation=saturation,
-        )
-        _check_bimp_shapes(x0, aa, ao, params.b)
-        return KernelSetup(lambda s: _rhs_bimp(s, aa, ao, params), x0, damping=d)
-    if tag == "graphcon-tran":
-        aa = g.row_normalized()
-        return KernelSetup(
-            lambda s: rhs_graphcon_tran(s, aa),
-            np.stack([x0, np.zeros_like(x0)]),
-            damping=1.0,
-            position=lambda s: s[0],
-        )
-    l = sparse_laplacian(g)
-    # The Laplacian flows report the largest out-degree, the diagonal damping
-    # of -D X + A X, so the integrator's dt * damping < 1 guard bounds their
-    # spectrum (Gershgorin; see the integrate module docstring).
-    max_degree = float(degrees(g).max(initial=0.0))
-    if tag in ("linear-od", "laplacian"):
-        # linear-od's -D X + A X is the Laplacian flow -L X
-        return KernelSetup(lambda s: rhs_laplacian(s, l), x0, damping=max_degree)
-    if tag == "laplacian-source":
-        src = np.zeros_like(x0) if b is None else np.asarray(b, dtype=np.float64)
-        return KernelSetup(lambda s: rhs_laplacian_source(s, l, src), x0, damping=max_degree)
-    if tag == "gread-f":
-        return KernelSetup(lambda s: rhs_gread(s, l, "F"), x0)
-    if tag == "gread-fb":
-        return KernelSetup(lambda s: rhs_gread(s, l, "FBstar", alpha=alpha, beta=beta), x0)
-    raise ValueError(f"unknown kernel tag {tag!r}; choose from {KERNEL_TAGS}")

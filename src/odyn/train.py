@@ -319,6 +319,8 @@ def make_sbm_task(
     is the clean one-hot label.  Identical seeds reproduce the dataset
     byte for byte.
     """
+    if n_per_block < 1:
+        raise ValueError(f"n_per_block must be at least 1, got {n_per_block}")
     for name, p in (("p_in", p_in), ("p_out", p_out)):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {p}")

@@ -1,0 +1,49 @@
+"""Dense and file-writing helpers that only the tests read.
+
+The package couples agents through sparse graphs; these dense forms are
+the small-n oracles its sparse paths are checked against.
+"""
+import json
+from pathlib import Path
+
+import numpy as np
+
+from odyn.graphs import Graph
+
+
+def row_normalize(m: np.ndarray) -> np.ndarray:
+    """Scale each row of a nonnegative matrix to sum to one.
+
+    Zero entries stay zero; a zero row or a negative entry is rejected.
+    """
+    m = np.asarray(m, dtype=np.float64)
+    if m.ndim != 2:
+        raise ValueError("expected a 2-d matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("non-finite entries")
+    if np.any(m < 0):
+        raise ValueError("negative entries cannot be row-normalized")
+    sums = m.sum(axis=1)
+    if np.any(sums <= 0):
+        bad = int(np.flatnonzero(sums <= 0)[0])
+        raise ValueError(f"row {bad} has no positive entry")
+    return m / sums[:, None]
+
+
+def save_graph_json(g: Graph, path) -> None:
+    payload = {"n": g.n, "edges": [[s, d, w] for s, d, w in g.to_edge_list()]}
+    Path(path).write_text(json.dumps(payload))
+
+
+def rhs_linear_opinion(x: np.ndarray, a: np.ndarray, d_vec: np.ndarray) -> np.ndarray:
+    """Degree-damped linear averaging: dx_i/dt = -d_i x_i + sum_k a_ik x_k."""
+    x = np.asarray(x, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    d_vec = np.asarray(d_vec, dtype=np.float64)
+    if np.any(a < 0):
+        raise ValueError("influence weights must be nonnegative")
+    if a.shape[0] != x.shape[0] or d_vec.shape != (a.shape[0],):
+        raise ValueError("inconsistent shapes")
+    if np.max(np.abs(a.sum(axis=1) - d_vec), initial=0.0) > 1e-10:
+        raise ValueError("damping vector must equal the influence row sums")
+    return -d_vec[:, None] * x + a @ x

@@ -11,7 +11,8 @@ import pytest
 import odyn
 from odyn.cli import DEFAULTS, main
 from odyn.fixtures import toy_graph, toy_initial_state
-from odyn.graphs import from_edge_list, save_graph_json, save_matrix_csv
+from odyn.graphs import from_edge_list, save_matrix_csv
+from oracles import save_graph_json
 
 
 class TestValidation:
@@ -115,6 +116,26 @@ BAD_INPUTS = [
      "error: kernel 'reduced' has no saturation"),
     ("laplacian-saturation", ["simulate", "--kernel", "laplacian", "--saturation", "relu",
                               "--out", "out"], 1, "error: kernel 'laplacian' has no saturation"),
+    # every row that reads b checks its shape once, at set-up
+    ("laplacian-source-b-file-shape-mismatch",
+     ["simulate", "--kernel", "laplacian-source", "--b-mode", "file", "--b-file",
+      "three-by-two.csv", "--steps", "0", "--out", "out"], 1,
+     "error: input matrix must match state shape (3, 3), got (3, 2)"),
+    ("reduced-b-file-shape-mismatch",
+     ["simulate", "--kernel", "reduced", "--graph", "one.json", "--init", "one.csv",
+      "--b-mode", "file", "--b-file", "three-by-two.csv", "--out", "out"], 1,
+     "error: input matrix must match state shape (1, 1), got (3, 2)"),
+    # sizes below 1
+    ("train-zero-block-size", ["train", "--n-per-block", "0", "--out", "out"], 1,
+     "error: n_per_block must be at least 1, got 0"),
+    ("train-negative-block-size", ["train", "--n-per-block", "-1", "--out", "out"], 1,
+     "error: n_per_block must be at least 1, got -1"),
+    ("gradcheck-zero-agents", ["gradcheck", "--n-agents", "0", "--out", "out.json"], 1,
+     "error: --n-agents must be at least 1, got 0"),
+    ("gradcheck-zero-options", ["gradcheck", "--n-options", "0", "--out", "out.json"], 1,
+     "error: --n-options must be at least 1, got 0"),
+    ("gradcheck-zero-features", ["gradcheck", "--features", "0", "--out", "out.json"], 1,
+     "error: --features must be at least 1, got 0"),
 ]
 
 
@@ -132,6 +153,7 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
     save_matrix_csv(np.full((3, 3), 1e307), tmp_path / "huge.csv")
     (tmp_path / "one.json").write_text(json.dumps({"n": 1, "edges": []}))
     save_matrix_csv(np.array([[0.3]]), tmp_path / "one.csv")
+    save_matrix_csv(np.ones((3, 2)), tmp_path / "three-by-two.csv")
     # two 2-node components: max out-degree 1, lambda_max(L) = 2
     two_pairs = {"n": 4, "edges": [[0, 1, 1.0], [1, 0, 1.0], [2, 3, 1.0], [3, 2, 1.0]]}
     (tmp_path / "two-pairs.json").write_text(json.dumps(two_pairs))
@@ -148,6 +170,40 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
+# The kernel options each row reads (README, "Command line"); --seed is
+# accepted by every kernel.
+READS = {
+    "bimp": {"d", "alpha", "u", "b-mode", "saturation"},
+    "linear-od": set(),
+    "laplacian": set(),
+    "laplacian-source": {"b-mode"},
+    "graphcon-tran": set(),
+    "gread-f": set(),
+    "gread-fb": {"alpha", "beta"},
+    "reduced": {"d", "alpha", "u", "b-mode"},
+}
+NON_DEFAULT = {"d": "0.5", "alpha": "1.5", "u": "0.3", "beta": "0.7", "saturation": "softsign",
+               "b-mode": "init", "seed": "7"}
+
+
+@pytest.mark.parametrize("flag", NON_DEFAULT)
+@pytest.mark.parametrize("tag", READS)
+def test_a_kernel_rejects_a_set_option_it_does_not_read(tmp_path, capsys, tag, flag):
+    (tmp_path / "one.json").write_text(json.dumps({"n": 1, "edges": []}))
+    save_matrix_csv(np.array([[0.3]]), tmp_path / "one.csv")
+    inputs = ["--graph", str(tmp_path / "one.json"), "--init", str(tmp_path / "one.csv")]
+    argv = ["simulate", "--kernel", tag, "--steps", "2", "--out", str(tmp_path / "out"),
+            *(inputs if tag == "reduced" else []), f"--{flag}", NON_DEFAULT[flag]]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err.splitlines()
+    if flag in READS[tag] or flag == "seed":
+        assert code == 0
+    else:
+        name = "b" if flag == "b-mode" else flag
+        assert (code, err) == (1, [f"error: kernel '{tag}' has no {name} to set"])
 
 
 def _differs_from_default_train(tmp_path):

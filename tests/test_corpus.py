@@ -1,0 +1,165 @@
+"""Byte identity of seeded CLI output.
+
+Every command below runs in-process in a fresh directory, and every file
+it writes (or, for ``bifurcation`` to stdout, what it prints) must keep
+the SHA-256 recorded here.  A change that moves a recorded hash changes
+seeded output, which the project treats as a behaviour change.
+"""
+import hashlib
+import json
+
+import numpy as np
+
+from odyn.cli import main
+from odyn.graphs import save_matrix_csv
+
+CORPUS = (
+    ["toy", "--seed", "0", "--out", "toy"],
+    ["simulate", "--method", "rk4", "--kernel", "graphcon-tran", "--seed", "0",
+     "--out", "sim-rk4"],
+    ["simulate", "--kernel", "bimp", "--b-mode", "init", "--u", "0.3", "--saturation",
+     "softsign", "--method", "rk4", "--out", "sim-bimp"],
+    ["simulate", "--config", "sim-cfg.json", "--out", "sim-cfg"],
+    ["energy", "--kernel", "laplacian", "--steps", "100", "--out", "energy"],
+    ["bifurcation", "--out", "bif/bif.csv"],
+    ["gradcheck", "--seed", "3", "--out", "grad/grad.json"],
+    ["train", "--seed", "1", "--epochs", "5", "--out", "train"],
+    ["plot", "--in", "toy/bimp.csv", "--out", "bimp.svg"],
+    ["plot", "--in", "toy/grand-l-metrics.csv"],
+    # the kernels the recorded corpus above does not run
+    ["simulate", "--kernel", "linear-od", "--steps", "100", "--out", "sim-linear-od"],
+    ["simulate", "--kernel", "laplacian-source", "--b-mode", "init", "--steps", "100",
+     "--out", "sim-laplacian-source"],
+    ["simulate", "--kernel", "gread-f", "--method", "rk4", "--steps", "100",
+     "--out", "sim-gread-f"],
+    ["simulate", "--kernel", "gread-fb", "--alpha", "1.5", "--beta", "0.7", "--steps", "100",
+     "--out", "sim-gread-fb"],
+    ["simulate", "--kernel", "reduced", "--graph", "one.json", "--init", "one.csv",
+     "--u", "0.4", "--b-mode", "init", "--steps", "100", "--out", "sim-reduced"],
+    # toy hands each run only the options its kernel reads
+    ["toy", "--seed", "0", "--saturation", "softsign", "--out", "toy-softsign"],
+    ["toy", "--seed", "0", "--d", "2", "--out", "toy-d2"],
+)
+
+HASHES = {
+    "bif-stdout.csv":
+        "8888e9a88e6714f61f81a716f465a510aa59218c52397d6127d0e972f1115bd6",
+    "bif/bif.csv":
+        "8888e9a88e6714f61f81a716f465a510aa59218c52397d6127d0e972f1115bd6",
+    "bimp.svg":
+        "d038e35067314506413ce516b1694a6ad82bb2f59b5d3a771f2c8e2130fc1e12",
+    "energy/laplacian-metrics.csv":
+        "87acecb9f3f19386d495a3b169e060a8b4769b431d1a7e646a8b22c6dbcbcf20",
+    "grad/grad.json":
+        "fd94ad3297f70663b5964409974be37ecc8d67f9c57e26e4f80b7a73b8a39e4d",
+    "sim-bimp/bimp-metrics.csv":
+        "edc132ebe09eeb2444c1530374819bcce10a117e302f63db38564616f431b8ee",
+    "sim-bimp/bimp.csv":
+        "4ed9fc23cb267571f6abc3542ee77cec6f019200736b088447f533eee837be80",
+    "sim-cfg/laplacian-metrics.csv":
+        "99f33e2acc6ba046ec5e19b52e221e09ffdf877ad75397e2ea2db876e66e93f0",
+    "sim-cfg/laplacian.csv":
+        "36cfe493d2045462218caf1c24ec626d5a2b83f436028682207e2fedb0d4f60d",
+    "sim-gread-f/gread-f-metrics.csv":
+        "80a35b874b08f2d8825c30d03f77869f0b128d9c09da38db2c04bf9e56007573",
+    "sim-gread-f/gread-f.csv":
+        "0ea2fdf59e6ee77bbfbe675acba8e7e206ed7987af106ee66401433e902693c1",
+    "sim-gread-fb/gread-fb-metrics.csv":
+        "9a262d54592aacb38a169dc72027c52ee70a06c904a660100dbf9e74db1bc8f5",
+    "sim-gread-fb/gread-fb.csv":
+        "5ee7a77986a48bc49e0a2f987f37951ab885871977da91c270b9c100c0acf239",
+    "sim-laplacian-source/laplacian-source-metrics.csv":
+        "d1050267fba3739d6e556cae0bbddff71aef954d776590360fbf1ad767e9f23b",
+    "sim-laplacian-source/laplacian-source.csv":
+        "b8af2925b2297a0a53a77ba06f5a4f0bf4d34016c0b94538602defc38b2934d6",
+    "sim-linear-od/linear-od-metrics.csv":
+        "87acecb9f3f19386d495a3b169e060a8b4769b431d1a7e646a8b22c6dbcbcf20",
+    "sim-linear-od/linear-od.csv":
+        "2d7cf05ebfcc7468c4ab230de6106dc83c6872d19b77ad0731bf72a8b5d76a3d",
+    "sim-reduced/reduced-metrics.csv":
+        "b20cf2cb9d2e0767e2620c46ac8854152ec69c739072bd93252dfba9fa811e81",
+    "sim-reduced/reduced.csv":
+        "6432e751313b39b54361759699acb3fef23855bb82984a19954b55ad8a89bd28",
+    "sim-rk4/graphcon-tran-metrics.csv":
+        "49a49e2e4c02f9a9ab2e0a0bed654f426891c240940a9628fd49e8d41c957505",
+    "sim-rk4/graphcon-tran.csv":
+        "9a63269b09235a6ddafc164134691610b24487c4c86c9a57598a83a2cb699830",
+    "toy-d2/bimp-metrics.csv":
+        "80827631ed54433569ddf7b19740b6234124d9893d33d418c5a3b2694bd3a03a",
+    "toy-d2/bimp.csv":
+        "be526581f9d8bbe5a8c079ac047ad3d52a0c2dd2d072aaa052449c99fc080048",
+    "toy-d2/grand++-l-metrics.csv":
+        "3ef936df06b455fa5b0701752c0742bb6010679e1ed4cdf2a4d0f263cbe74352",
+    "toy-d2/grand++-l.csv":
+        "f0d1afadeb8bee044dd238412a0560c4e006938688f3a60c757c3fd7db70cf49",
+    "toy-d2/grand-l-metrics.csv":
+        "1279037dfdd34eb6fffd0339102508c8928bc61f4b79adc14f2afbeec75d4907",
+    "toy-d2/grand-l.csv":
+        "135d72d3d76d5fd77e84bda5ca33c561de8acdb4586f05386d4e54f787e3b16f",
+    "toy-d2/graphcon-tran-metrics.csv":
+        "9c6468953224ff8483b7e113c7fd5984cb6d9b02cfc5ece1e7d35facf8c4bbb9",
+    "toy-d2/graphcon-tran.csv":
+        "3e885f37b16d8e521ab69793b00f9dc6282fe6ac3233e22b9109f6b3fc364798",
+    "toy-softsign/bimp-metrics.csv":
+        "b4b645d5ababf79aa0bd9f60d181790b2871faf784b70abc23af06e429f4018e",
+    "toy-softsign/bimp.csv":
+        "bd71e4caefc287d806968e5980614bd214573613e3b6dde4f34c9c34936972c6",
+    "toy-softsign/grand++-l-metrics.csv":
+        "3ef936df06b455fa5b0701752c0742bb6010679e1ed4cdf2a4d0f263cbe74352",
+    "toy-softsign/grand++-l.csv":
+        "f0d1afadeb8bee044dd238412a0560c4e006938688f3a60c757c3fd7db70cf49",
+    "toy-softsign/grand-l-metrics.csv":
+        "1279037dfdd34eb6fffd0339102508c8928bc61f4b79adc14f2afbeec75d4907",
+    "toy-softsign/grand-l.csv":
+        "135d72d3d76d5fd77e84bda5ca33c561de8acdb4586f05386d4e54f787e3b16f",
+    "toy-softsign/graphcon-tran-metrics.csv":
+        "9c6468953224ff8483b7e113c7fd5984cb6d9b02cfc5ece1e7d35facf8c4bbb9",
+    "toy-softsign/graphcon-tran.csv":
+        "3e885f37b16d8e521ab69793b00f9dc6282fe6ac3233e22b9109f6b3fc364798",
+    "toy/bimp-metrics.csv":
+        "c200a8ea9e3f4ce101fd1f54bcdaf0edeb77318ddafb73373327fc867d30f9e6",
+    "toy/bimp.csv":
+        "ca20752fafa2056aa959f09b96377cbd787749bef33c25929e53a6ae785e68bc",
+    "toy/grand++-l-metrics.csv":
+        "3ef936df06b455fa5b0701752c0742bb6010679e1ed4cdf2a4d0f263cbe74352",
+    "toy/grand++-l.csv":
+        "f0d1afadeb8bee044dd238412a0560c4e006938688f3a60c757c3fd7db70cf49",
+    "toy/grand-l-metrics.csv":
+        "1279037dfdd34eb6fffd0339102508c8928bc61f4b79adc14f2afbeec75d4907",
+    "toy/grand-l-metrics.svg":
+        "75261c7820d122ac18adda025a6f0450941d3d4c94b7fcb9d2dad6d27df37624",
+    "toy/grand-l.csv":
+        "135d72d3d76d5fd77e84bda5ca33c561de8acdb4586f05386d4e54f787e3b16f",
+    "toy/graphcon-tran-metrics.csv":
+        "9c6468953224ff8483b7e113c7fd5984cb6d9b02cfc5ece1e7d35facf8c4bbb9",
+    "toy/graphcon-tran.csv":
+        "3e885f37b16d8e521ab69793b00f9dc6282fe6ac3233e22b9109f6b3fc364798",
+    "train/history.csv":
+        "946f16154c03f5e17da51999e4c30ca0038afd4270531d8d552c2c8f0c79577d",
+    "train/weights.csv":
+        "5ed97f175c1241c1e02abce0b88f50ede3baf910850a38357f32a06f8d0a053b",
+}
+
+
+def run_corpus(root, capsys):
+    """Run :data:`CORPUS` in ``root`` and return the SHA-256 of every output file."""
+    (root / "sim-cfg.json").write_text(
+        json.dumps({"kernel": "laplacian", "steps": 50, "dt": 0.02, "record_every": 5}))
+    (root / "one.json").write_text(json.dumps({"n": 1, "edges": []}))
+    save_matrix_csv(np.array([[0.3]]), root / "one.csv")
+    inputs = {p.name for p in root.iterdir()}
+    capsys.readouterr()
+    for argv in CORPUS:
+        assert main(argv) == 0, argv
+    assert main(["bifurcation"]) == 0
+    hashes = {"bif-stdout.csv": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and path.name not in inputs:
+            hashes[path.relative_to(root).as_posix()] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+    return hashes
+
+
+def test_seeded_output_keeps_its_recorded_bytes(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_corpus(tmp_path, capsys) == HASHES

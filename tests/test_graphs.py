@@ -13,11 +13,10 @@ from odyn.graphs import (
     laplacian,
     load_graph_json,
     load_matrix_csv,
-    row_normalize,
-    save_graph_json,
     save_matrix_csv,
     sparse_laplacian,
 )
+from oracles import row_normalize, save_graph_json
 
 EPS = np.finfo(np.float64).eps
 

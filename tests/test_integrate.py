@@ -13,7 +13,7 @@ from odyn.integrate import (
     save_metrics_csv,
     save_trajectory_csv,
 )
-from odyn.kernels import KERNEL_TAGS, KernelSetup, kernel_setup
+from odyn.kernels import KERNEL_TAGS, KernelSetup, kernel_reads, kernel_setup
 
 
 def scalar_decay(s):
@@ -219,7 +219,7 @@ class TestSetupFacts:
     @pytest.mark.parametrize("tag", KERNEL_TAGS)
     def test_every_kernel_records_its_initial_state_shape_and_carries_its_bound(self, tag):
         x0 = np.array([[0.3]]) if tag == "reduced" else toy_initial_state()
-        setup = kernel_setup(tag, toy_graph(), x0, b=x0)
+        setup = kernel_setup(tag, toy_graph(), x0, b=x0 if "b" in kernel_reads(tag) else None)
         traj = euler_integrate(setup, 0.01, 5, diameter_fn=opinion_diameter)
         assert [x.shape for x in traj.states] == [x0.shape] * 6
         np.testing.assert_array_equal(traj.states[0], x0)

@@ -12,7 +12,7 @@ from odyn.fixtures import (
     toy_initial_state,
 )
 from odyn import graphs, kernels
-from odyn.graphs import Graph, degrees, from_edge_list, laplacian, row_normalize
+from odyn.graphs import Graph, degrees, from_edge_list, laplacian
 from odyn.integrate import euler_integrate
 from odyn.kernels import (
     GELU,
@@ -23,21 +23,18 @@ from odyn.kernels import (
     SIGMOID,
     TANH,
     BimpParams,
+    kernel_reads,
     kernel_setup,
     nod_validity,
     rhs_bimp,
     rhs_bimp_filter_form,
     rhs_bimp_vectorized,
-    rhs_gread,
-    rhs_graphcon_tran,
-    rhs_laplacian,
-    rhs_laplacian_source,
-    rhs_linear_opinion,
     rhs_reduced_1d,
     saturation_kind,
 )
 from odyn.analysis import opinion_diameter
 from odyn.spectral import KroneckerOperator, symmetric_eigendecomposition, vec
+from oracles import rhs_linear_opinion, row_normalize
 
 
 def toy_params(**overrides):
@@ -201,59 +198,55 @@ class TestLinearKernels:
             rhs_linear_opinion(np.zeros((3, 1)), toy_adjacency(), np.ones(3) * 2.0)
 
     def test_laplacian_consensus_zero(self):
-        lap = laplacian(toy_graph())
+        x = np.ones((3, 2)) * 0.4
         np.testing.assert_allclose(
-            rhs_laplacian(np.ones((3, 2)) * 0.4, lap), 0.0, atol=1e-14
+            kernel_setup("laplacian", toy_graph(), x).rhs(x), 0.0, atol=1e-14
         )
 
-    def test_laplacian_equals_linear_opinion_on_toy(self):
+    @pytest.mark.parametrize("tag", ["laplacian", "linear-od"])
+    def test_laplacian_equals_linear_opinion_on_toy(self, tag):
         a = toy_adjacency()
-        lap = laplacian(toy_graph())
         x = toy_initial_state()
         np.testing.assert_allclose(
-            rhs_laplacian(x, lap),
+            kernel_setup(tag, toy_graph(), x).rhs(x),
             rhs_linear_opinion(x, a, a.sum(axis=1)),
             atol=1e-12,
         )
 
     def test_two_node_laplacian_value(self):
-        lap = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        np.testing.assert_allclose(
-            rhs_laplacian(np.array([[1.0], [-1.0]]), lap), [[-2.0], [2.0]]
-        )
+        g = from_edge_list([(0, 1, 1.0), (1, 0, 1.0)], 2)
+        x = np.array([[1.0], [-1.0]])
+        np.testing.assert_allclose(kernel_setup("laplacian", g, x).rhs(x), [[-2.0], [2.0]])
 
     def test_source_zero_matches_plain(self):
-        lap = laplacian(toy_graph())
         x = toy_initial_state()
         np.testing.assert_array_equal(
-            rhs_laplacian_source(x, lap, np.zeros_like(x)), rhs_laplacian(x, lap)
+            kernel_setup("laplacian-source", toy_graph(), x, b=np.zeros_like(x)).rhs(x),
+            kernel_setup("laplacian", toy_graph(), x).rhs(x),
         )
 
     def test_source_breaks_consensus_equilibrium(self):
-        lap = laplacian(toy_graph())
         x = np.ones((3, 3)) * 0.5
         b = toy_initial_state()
-        assert np.max(np.abs(rhs_laplacian_source(x, lap, b))) > 0.1
+        assert np.max(np.abs(kernel_setup("laplacian-source", toy_graph(), x, b=b).rhs(x))) > 0.1
 
 
 class TestGraphconTran:
     def test_equilibrium(self):
-        aa = toy_adjacency()
         x = np.ones((3, 2)) * 0.3
-        d = rhs_graphcon_tran(np.stack([x, np.zeros_like(x)]), aa)
+        setup = kernel_setup("graphcon-tran", toy_graph(), x)
+        d = setup.rhs(setup.state0)
         np.testing.assert_allclose(d[0], 0.0, atol=1e-14)
         np.testing.assert_allclose(d[1], 0.0, atol=1e-14)
 
     def test_initial_derivatives(self):
         aa = toy_adjacency()
         x0 = toy_initial_state()
-        d = rhs_graphcon_tran(np.stack([x0, np.zeros_like(x0)]), aa)
+        setup = kernel_setup("graphcon-tran", toy_graph(), x0)
+        np.testing.assert_array_equal(setup.state0, np.stack([x0, np.zeros_like(x0)]))
+        d = setup.rhs(setup.state0)
         np.testing.assert_array_equal(d[0], np.zeros_like(x0))
         np.testing.assert_allclose(d[1], (aa - np.eye(3)) @ x0, atol=1e-14)
-
-    def test_missing_velocity_rejected(self):
-        with pytest.raises(ValueError, match="velocity"):
-            rhs_graphcon_tran(np.zeros((3, 1)), toy_adjacency())
 
     def test_long_run_reaches_consensus(self):
         setup = kernel_setup("graphcon-tran", toy_graph(), toy_initial_state())
@@ -264,20 +257,16 @@ class TestGraphconTran:
 
 class TestGread:
     def test_fixed_points_of_reaction_term(self):
-        lap = laplacian(toy_graph())
-        np.testing.assert_allclose(
-            rhs_gread(np.zeros((3, 2)), lap, "F"), 0.0, atol=1e-14
-        )
-        np.testing.assert_allclose(
-            rhs_gread(np.ones((3, 2)), lap, "F"), 0.0, atol=1e-14
-        )
+        rhs = kernel_setup("gread-f", toy_graph(), np.zeros((3, 2))).rhs
+        np.testing.assert_allclose(rhs(np.zeros((3, 2))), 0.0, atol=1e-14)
+        np.testing.assert_allclose(rhs(np.ones((3, 2))), 0.0, atol=1e-14)
 
     def test_deep_negative_states_decrease_monotonically(self):
         lap = laplacian(toy_graph())
         # |[L X]_i| <= c |X|_max with c the largest absolute row sum of L
         c = float(np.max(np.sum(np.abs(lap), axis=1)))
         x = np.full((3, 2), -(c + 1.0))
-        assert np.all(rhs_gread(x, lap, "F") < 0.0)
+        assert np.all(kernel_setup("gread-f", toy_graph(), x).rhs(x) < 0.0)
 
     def test_fbstar_dominated_by_constant_mode(self):
         # With alpha > beta > 0 the slowest-decaying (here: growing) mode
@@ -297,10 +286,6 @@ class TestGread:
         lead = np.abs(coeffs[0]).max()
         rest = np.abs(coeffs[1:]).max()
         assert rest < 1e-6 * lead
-
-    def test_unknown_variant(self):
-        with pytest.raises(ValueError, match="variant"):
-            rhs_gread(np.zeros((3, 1)), laplacian(toy_graph()), "Z")
 
 
 class TestReduced1d:
@@ -367,6 +352,13 @@ class TestKernelSetup:
         with pytest.raises(ValueError, match=f"kernel '{tag}' has no saturation"):
             kernel_setup(tag, g, x0, saturation=saturation_kind("softsign"))
 
+    @pytest.mark.parametrize("tag", KERNEL_TAGS)
+    def test_an_unread_option_may_be_passed_at_its_default(self, tag):
+        g, x0 = (from_edge_list([], 1), np.array([[0.3]])) if tag == "reduced" else (
+            toy_graph(), toy_initial_state())
+        kernel_setup(tag, g, x0, d=1.0, alpha=1.0, u=None, b=None, beta=0.5, saturation=TANH,
+                     seed=3)
+
     def test_bimp_setup_reports_damping(self):
         setup = kernel_setup("bimp", toy_graph(), toy_initial_state(), d=0.7)
         assert setup.damping == 0.7
@@ -406,12 +398,17 @@ def dense_rhs(tag, g, x0):
     return {
         "bimp": lambda x: rhs_bimp(x, aa, ao, BimpParams(d=1.0, alpha=1.0, b=x0)),
         "linear-od": lambda x: rhs_linear_opinion(x, a, a.sum(axis=1)),
-        "laplacian": lambda x: rhs_laplacian(x, lap),
-        "laplacian-source": lambda x: rhs_laplacian_source(x, lap, x0),
-        "graphcon-tran": lambda s: rhs_graphcon_tran(s, aa),
-        "gread-f": lambda x: rhs_gread(x, lap, "F"),
-        "gread-fb": lambda x: rhs_gread(x, lap, "FBstar", alpha=1.0, beta=0.5),
+        "laplacian": lambda x: -(lap @ x),
+        "laplacian-source": lambda x: -(lap @ x) + x0,
+        "graphcon-tran": lambda s: np.stack([s[1], (aa @ s[0] - s[0]) - s[1]]),
+        "gread-f": lambda x: -(lap @ x) + x * (1.0 - x),
+        "gread-fb": lambda x: -1.0 * (lap @ x) + 0.5 * (lap @ x + x),
     }[tag]
+
+
+def source_if_read(tag, x0):
+    """``x0`` as the source of a row that reads ``b``, else the default."""
+    return x0 if "b" in kernel_reads(tag) else None
 
 
 class TestSparseCoupling:
@@ -421,11 +418,10 @@ class TestSparseCoupling:
             raise AssertionError("an n-by-n matrix was built")
 
         monkeypatch.setattr(Graph, "dense_adjacency", dense)
-        for name in ("laplacian", "row_normalize"):
-            monkeypatch.setattr(graphs, name, dense)
-            monkeypatch.setattr(kernels, name, dense, raising=False)
+        monkeypatch.setattr(graphs, "laplacian", dense)
+        monkeypatch.setattr(kernels, "laplacian", dense, raising=False)
         g, x0 = sparse_fixture()
-        setup = kernel_setup(tag, g, x0, b=x0)
+        setup = kernel_setup(tag, g, x0, b=source_if_read(tag, x0))
         state = setup.state0
         for _ in range(3):
             state = state + 0.01 * setup.rhs(state)
@@ -437,7 +433,7 @@ class TestSparseCoupling:
     @pytest.mark.parametrize("tag", GRAPH_TAGS)
     def test_rhs_matches_the_dense_form(self, tag):
         g, x0 = sparse_fixture()
-        setup = kernel_setup(tag, g, x0, b=x0)
+        setup = kernel_setup(tag, g, x0, b=source_if_read(tag, x0))
         oracle = dense_rhs(tag, g, x0)
         rng = np.random.default_rng(9)
         for scale in (1.0, 5.0, 0.01):
