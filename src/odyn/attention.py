@@ -1,4 +1,4 @@
-"""Scaled-dot multi-head attention for the agent and option couplings.
+"""Scaled-dot attention for the agent and option couplings.
 
 Agent attention is GAT-style (arXiv:1710.10903): each edge of the
 communication graph with positive weight, plus one self-loop per node, is
@@ -6,8 +6,7 @@ scored from the state rows at its ends, and the scores are softmaxed over
 each row's edges.  The result is a :class:`Graph` that carries the
 attention as its weights, so training couples agents through the same
 O(edges) ``g @ X`` as simulation.  Option attention scores pairs of state
-columns and is a dense o-by-o matrix.  Head outputs are averaged in head
-order; averaging row-stochastic couplings stays row-stochastic.
+columns and is a dense o-by-o matrix.
 
 Scores are divided by the raw temperature ``d_k`` (not its square root).
 Attention is built once from the initial state and held fixed while the
@@ -24,39 +23,29 @@ from .graphs import Graph, from_edge_list
 
 @dataclass(frozen=True)
 class AttentionWeights:
-    """Per-head key/query projections with a shared temperature."""
+    """Key and query projections, each attention_dim by feature_dim, and a temperature."""
 
-    w_k: tuple[np.ndarray, ...]
-    w_q: tuple[np.ndarray, ...]
+    w_k: np.ndarray
+    w_q: np.ndarray
     d_k: float
 
     def __post_init__(self):
-        if len(self.w_k) != len(self.w_q) or not self.w_k:
-            raise ValueError("need matching, nonempty key and query stacks")
-        shape = self.w_k[0].shape
-        for m in (*self.w_k, *self.w_q):
-            if m.shape != shape:
-                raise ValueError("all head weights must share one shape")
+        if self.w_k.shape != self.w_q.shape:
+            raise ValueError("key and query weights must share one shape")
         if not self.d_k > 0:
             raise ValueError("temperature d_k must be positive")
 
     @property
-    def heads(self) -> int:
-        return len(self.w_k)
-
-    @property
     def attention_dim(self) -> int:
-        return self.w_k[0].shape[0]
+        return self.w_k.shape[0]
 
     @property
     def feature_dim(self) -> int:
-        return self.w_k[0].shape[1]
+        return self.w_k.shape[1]
 
 
-def init_attention_weights(
-    heads: int, attention_dim: int, feature_dim: int, seed: int = 0
-) -> AttentionWeights:
-    """Seeded uniform init in [-1/sqrt(feature_dim), 1/sqrt(feature_dim)].
+def init_attention_weights(attention_dim: int, feature_dim: int, seed: int = 0) -> AttentionWeights:
+    """Seeded uniform init in [-1/sqrt(feature_dim), 1/sqrt(feature_dim)], keys first.
 
     The bound keeps initial scores small enough that the softmax starts
     away from saturation.  The temperature ``d_k`` is the attention
@@ -65,8 +54,8 @@ def init_attention_weights(
     rng = np.random.default_rng(seed)
     bound = 1.0 / np.sqrt(feature_dim)
     shape = (attention_dim, feature_dim)
-    w_k = tuple(rng.uniform(-bound, bound, shape) for _ in range(heads))
-    w_q = tuple(rng.uniform(-bound, bound, shape) for _ in range(heads))
+    w_k = rng.uniform(-bound, bound, shape)
+    w_q = rng.uniform(-bound, bound, shape)
     return AttentionWeights(w_k=w_k, w_q=w_q, d_k=float(attention_dim))
 
 
@@ -84,16 +73,13 @@ def build_communication_attention(x: np.ndarray, w: AttentionWeights, g: Graph) 
     src, dst = np.r_[g.rows[keep], loops], np.r_[g.targets[keep], loops]
     support = from_edge_list(np.column_stack([src, dst, np.ones(src.size)]), g.n)
     rows, cols = support.rows, support.targets
-    acc = np.zeros(support.edge_count)
-    for wk, wq in zip(w.w_k, w.w_q):
-        keys = x @ wk.T
-        queries = x @ wq.T
-        scores = np.sum(keys[rows] * queries[cols], axis=1) / w.d_k
-        # every row holds its self-loop, so no reduceat segment is empty
-        scores -= np.maximum.reduceat(scores, support.offsets[:-1])[rows]
-        expd = np.exp(scores)
-        acc += expd / np.bincount(rows, expd, g.n)[rows]
-    return replace(support, weights=acc / w.heads)
+    keys = x @ w.w_k.T
+    queries = x @ w.w_q.T
+    scores = np.sum(keys[rows] * queries[cols], axis=1) / w.d_k
+    # every row holds its self-loop, so no reduceat segment is empty
+    scores -= np.maximum.reduceat(scores, support.offsets[:-1])[rows]
+    expd = np.exp(scores)
+    return replace(support, weights=expd / np.bincount(rows, expd, g.n)[rows])
 
 
 def build_option_attention(x: np.ndarray, w: AttentionWeights) -> np.ndarray:
@@ -107,11 +93,8 @@ def build_option_attention(x: np.ndarray, w: AttentionWeights) -> np.ndarray:
             f"weights expect feature dim {w.feature_dim}, "
             f"state has {cols.shape[1]} rows"
         )
-    acc = np.zeros((cols.shape[0], cols.shape[0]))
-    for wk, wq in zip(w.w_k, w.w_q):
-        keys = cols @ wk.T
-        queries = cols @ wq.T
-        scores = (keys @ queries.T) / w.d_k
-        expd = np.exp(scores - scores.max(axis=1, keepdims=True))
-        acc += expd / expd.sum(axis=1, keepdims=True)
-    return acc / w.heads
+    keys = cols @ w.w_k.T
+    queries = cols @ w.w_q.T
+    scores = (keys @ queries.T) / w.d_k
+    expd = np.exp(scores - scores.max(axis=1, keepdims=True))
+    return expd / expd.sum(axis=1, keepdims=True)

@@ -43,6 +43,8 @@ class Parser(argparse.ArgumentParser):
 
 
 KERNEL_VERBS = ("simulate", "toy", "energy")
+# the verbs that run one kernel of the user's choice; toy fixes its four
+ONE_KERNEL_VERBS = ("simulate", "energy")
 MODEL_VERBS = (*KERNEL_VERBS, "bifurcation", "gradcheck", "train")
 TRAIN_VERBS = ("gradcheck", "train")
 ALL_VERBS = (*MODEL_VERBS, "verify", "plot")
@@ -68,7 +70,7 @@ OPTIONS = (
     Option("out", "out", None, ".", (*MODEL_VERBS, "verify"), help="output directory or file"),
     Option("out", "svg_out", None, None, ("plot",)),
     Option("seed", "seed", int, 0, ALL_VERBS),
-    Option("kernel", "kernel", None, "bimp", KERNEL_VERBS, KERNEL_TAGS),
+    Option("kernel", "kernel", None, "bimp", ONE_KERNEL_VERBS, KERNEL_TAGS),
     Option("graph", "graph", None, None, KERNEL_VERBS, help="graph JSON file"),
     Option("init", "init", None, None, KERNEL_VERBS, help="initial-state CSV file"),
     Option("dt", "dt", float, 0.05, KERNEL_VERBS),
@@ -77,10 +79,10 @@ OPTIONS = (
     Option("d", "d", float, 1.0, MODEL_VERBS),
     Option("alpha", "alpha", float, 1.0, MODEL_VERBS),
     Option("u", "u", float, None, KERNEL_VERBS),
-    Option("beta", "beta", float, 0.5, KERNEL_VERBS),
+    Option("beta", "beta", float, 0.5, ONE_KERNEL_VERBS),
     Option("saturation", "saturation", None, "tanh", KERNEL_VERBS, tuple(sorted(SATURATIONS))),
-    Option("b-mode", "b_mode", None, "zero", KERNEL_VERBS, ("zero", "init", "file")),
-    Option("b-file", "b_file", None, None, KERNEL_VERBS),
+    Option("b-mode", "b_mode", None, "zero", ONE_KERNEL_VERBS, ("zero", "init", "file")),
+    Option("b-file", "b_file", None, None, ONE_KERNEL_VERBS),
     Option("method", "method", None, "euler", KERNEL_VERBS, ("euler", "rk4")),
     Option("b", "b", float, 0.0, ("bifurcation",)),
     Option("u-min", "u_min", float, 0.05, ("bifurcation",)),
@@ -148,11 +150,11 @@ def _resolve_b(opts, x0):
 def _integrate(opts, g, x0, tag=None, only_read=False):
     """Integrate one kernel; with ``only_read`` it is handed only the options it reads."""
     tag = tag or opts["kernel"]
-    options = dict(d=opts["d"], alpha=opts["alpha"], u=opts["u"], b=_resolve_b(opts, x0),
-                   beta=opts["beta"], saturation=saturation_kind(opts["saturation"]),
-                   seed=opts["seed"])
+    # the verb may lack a flag, as toy lacks --beta
+    options = {name: opts[name] for name in ("d", "alpha", "u", "beta", "seed") if name in opts}
+    options.update(b=_resolve_b(opts, x0), saturation=saturation_kind(opts["saturation"]))
     if only_read:
-        options = {name: options[name] for name in kernel_reads(tag)}
+        options = {name: value for name, value in options.items() if name in kernel_reads(tag)}
     setup = kernel_setup(tag, g, x0, **options)
     integrator = rk4_integrate if opts["method"] == "rk4" else euler_integrate
     # the scalar reduced kernel has no graph-indexed state to take an
@@ -307,6 +309,11 @@ def _read_csv(path):
     return header, rows
 
 
+# line-chart schemas: the first column is x, each other column one line
+LINE_CHART_Y_LABELS = {("t", "dirichlet", "diameter"): "metric",
+                       ("epoch", "loss", "accuracy"): "value"}
+
+
 def cmd_plot(opts) -> int:
     src = opts["infile"]
     if not src:
@@ -325,13 +332,12 @@ def cmd_plot(opts) -> int:
             groups[key].y.append(float(value))
         series = [groups[k] for k in sorted(groups)]
         write_chart(dst, series, title=title, x_label="t", y_label="value")
-    elif header == ["t", "dirichlet", "diameter"]:
-        ts = [float(r[0]) for r in rows]
-        series = [
-            Series("dirichlet", ts, [float(r[1]) for r in rows]),
-            Series("diameter", ts, [float(r[2]) for r in rows]),
-        ]
-        write_chart(dst, series, title=title, x_label="t", y_label="metric")
+    elif tuple(header) in LINE_CHART_Y_LABELS:
+        xs = [float(r[0]) for r in rows]
+        series = [Series(name, xs, [float(r[k]) for r in rows])
+                  for k, name in enumerate(header[1:], 1)]
+        write_chart(dst, series, title=title, x_label=header[0],
+                    y_label=LINE_CHART_Y_LABELS[tuple(header)])
     elif header == ["u", "y", "stable"]:
         stable = Series("stable", [], [], mode="points")
         unstable = Series("unstable", [], [], mode="points")
@@ -340,13 +346,6 @@ def cmd_plot(opts) -> int:
             target.x.append(float(u))
             target.y.append(float(y))
         write_chart(dst, [stable, unstable], title=title, x_label="u", y_label="y")
-    elif header == ["epoch", "loss", "accuracy"]:
-        es = [float(r[0]) for r in rows]
-        series = [
-            Series("loss", es, [float(r[1]) for r in rows]),
-            Series("accuracy", es, [float(r[2]) for r in rows]),
-        ]
-        write_chart(dst, series, title=title, x_label="epoch", y_label="value")
     else:
         raise CliError(f"unrecognized CSV schema: {','.join(header)}")
     print(f"wrote {dst}", file=sys.stderr)

@@ -1,9 +1,9 @@
-"""Sparse directed graphs in compressed row form, plus dense-matrix plumbing.
+"""Sparse directed graphs in compressed row form, and their file formats.
 
 A :class:`Graph` stores the communication structure: nonnegative edge
 weights, no duplicate edges, rows sorted by target column.  Every graph
 kernel couples its agents through ``g @ X``, an O(edges) segment sum over
-the rows; the dense n-by-n forms below are small-n oracles.
+the rows; ``g @ np.eye(g.n)`` is the dense n-by-n form, for small n.
 
 File formats:
 
@@ -82,12 +82,6 @@ class Graph:
             raise ValueError(f"row {int(np.flatnonzero(sums <= 0)[0])} has no positive entry")
         return replace(self, weights=self.weights / sums[self.rows])
 
-    def dense_adjacency(self) -> np.ndarray:
-        """Materialize the n-by-n weighted adjacency matrix."""
-        a = np.zeros((self.n, self.n))
-        a[self.rows, self.targets] = self.weights
-        return a
-
 
 def _sorted_graph(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> Graph:
     """The graph of entries ``(rows[k], cols[k], weights[k])``, sorted by row then column."""
@@ -134,14 +128,8 @@ def degrees(g: Graph) -> np.ndarray:
     return g @ np.ones(g.n)
 
 
-def laplacian(g: Graph) -> np.ndarray:
-    """Combinatorial Laplacian L = D - A; every row sums to zero."""
-    a = g.dense_adjacency()
-    return np.diag(a.sum(axis=1)) - a
-
-
 def sparse_laplacian(g: Graph) -> Graph:
-    """L = D - A as a CSR matrix with signed weights; :func:`laplacian` is its oracle."""
+    """The combinatorial Laplacian L = D - A as a CSR matrix with signed weights."""
     loop = g.rows == g.targets
     diag = degrees(g)
     diag[g.rows[loop]] -= g.weights[loop]

@@ -157,23 +157,12 @@ def rhs_bimp(
 
     dX/dt = -d X + S(u (alpha X + Aa X + X Ao^T + Aa X Ao^T)) + B
 
-    When ``preacts`` is a list, the pre-activation Z = u (alpha X + ...)
-    that S is applied to is appended to it.
+    It checks nothing per call: its callers fit ``aa``, ``ao`` and ``p.b``
+    to the state once, when the run is set up, and the integrator rejects
+    a non-finite state before this sees it.  When ``preacts`` is a list,
+    the pre-activation Z = u (alpha X + ...) that S is applied to is
+    appended to it.
     """
-    x = np.asarray(x, dtype=np.float64)
-    n_a, n_o = x.shape
-    if aa.shape != (n_a, n_a):
-        raise ValueError(f"agent coupling must be {n_a}x{n_a}, got {aa.shape}")
-    if ao.shape != (n_o, n_o):
-        raise ValueError(f"option coupling must be {n_o}x{n_o}, got {ao.shape}")
-    if p.b.shape != x.shape:
-        raise ValueError(f"input matrix must match state shape {x.shape}, got {p.b.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("non-finite state")
-    return _rhs_bimp(x, aa, ao, p, preacts)
-
-
-def _rhs_bimp(x, aa, ao, p, preacts=None):
     z = p.u * coupling(x, aa, ao, p.alpha)
     if preacts is not None:
         preacts.append(z)
@@ -255,7 +244,7 @@ def _bimp(g, x0, *, d, alpha, u, b, saturation, seed):
     aa = g.row_normalized()
     ao = random_row_stochastic(x0.shape[1], np.random.default_rng(seed))
     params = BimpParams(d=d, alpha=alpha, b=_source(b, x0), u=u, saturation=saturation)
-    return KernelSetup(lambda s: _rhs_bimp(s, aa, ao, params), x0, damping=d)
+    return KernelSetup(lambda s: rhs_bimp(s, aa, ao, params), x0, damping=d)
 
 
 def _reduced(g, x0, *, d, alpha, u, b):

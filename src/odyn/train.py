@@ -35,8 +35,7 @@ from .kernels import (
 )
 from .spectral import KroneckerOperator
 
-# attention heads and key/query dimension of the couplings train_sgd builds
-ATTENTION_HEADS = 1
+# key/query dimension of the couplings train_sgd builds
 ATTENTION_DIM = 4
 
 
@@ -85,7 +84,6 @@ class Tape:
     """
 
     x_in: np.ndarray
-    w: np.ndarray
     states: list[np.ndarray]
     preacts: list[np.ndarray]
     aa: Graph | np.ndarray
@@ -107,11 +105,16 @@ def forward_unroll(
             f"encoder shape {w.shape} does not accept features of dim {x_in.shape[1]}"
         )
     x0 = x_in @ w
+    n, o = x0.shape
+    if aa.shape != (n, n):
+        raise ValueError(f"agent coupling must be {n}x{n}, got {aa.shape}")
+    if ao.shape != (o, o):
+        raise ValueError(f"option coupling must be {o}x{o}, got {ao.shape}")
     params = BimpParams(d=cfg.d, alpha=cfg.alpha, b=x0, u=cfg.u)
     preacts: list[np.ndarray] = []
     setup = KernelSetup(lambda x: rhs_bimp(x, aa, ao, params, preacts), x0, damping=cfg.d)
     traj = euler_integrate(setup, cfg.dt, cfg.steps)
-    tape = Tape(x_in=x_in, w=w, states=traj.states, preacts=preacts, aa=aa, ao=ao)
+    tape = Tape(x_in=x_in, states=traj.states, preacts=preacts, aa=aa, ao=ao)
     return traj.states[-1], tape
 
 
@@ -356,9 +359,8 @@ def train_sgd(task: SbmTask, cfg: TrainConfig) -> tuple[np.ndarray, list[tuple[f
     n_options = task.target.shape[1]
     w = rng.uniform(-0.5, 0.5, size=(n_features, n_options)) / np.sqrt(n_features)
     x0 = task.x_in @ w
-    w_agent = init_attention_weights(ATTENTION_HEADS, ATTENTION_DIM, n_options, seed=cfg.seed)
-    w_option = init_attention_weights(ATTENTION_HEADS, ATTENTION_DIM, task.graph.n,
-                                      seed=cfg.seed + 1)
+    w_agent = init_attention_weights(ATTENTION_DIM, n_options, seed=cfg.seed)
+    w_option = init_attention_weights(ATTENTION_DIM, task.graph.n, seed=cfg.seed + 1)
     history: list[tuple[float, float]] = []
     # overflow is reported as divergence by the finiteness checks, not as
     # numpy warnings

@@ -30,6 +30,19 @@ def row_normalize(m: np.ndarray) -> np.ndarray:
     return m / sums[:, None]
 
 
+def dense_adjacency(g: Graph) -> np.ndarray:
+    """Materialize the n-by-n weighted adjacency matrix."""
+    a = np.zeros((g.n, g.n))
+    a[g.rows, g.targets] = g.weights
+    return a
+
+
+def laplacian(g: Graph) -> np.ndarray:
+    """Combinatorial Laplacian L = D - A; every row sums to zero."""
+    a = dense_adjacency(g)
+    return np.diag(a.sum(axis=1)) - a
+
+
 def save_graph_json(g: Graph, path) -> None:
     payload = {"n": g.n, "edges": [[s, d, w] for s, d, w in g.to_edge_list()]}
     Path(path).write_text(json.dumps(payload))

@@ -20,9 +20,10 @@ from odyn.fixtures import (
     toy_graph,
     toy_initial_state,
 )
-from odyn.graphs import from_edge_list, laplacian
+from odyn.graphs import from_edge_list
 from odyn.integrate import euler_integrate
 from odyn.kernels import kernel_setup
+from oracles import laplacian
 
 
 def fully_connected(n):

@@ -11,11 +11,12 @@ from odyn.attention import (
 )
 from odyn.fixtures import toy_graph, toy_initial_state
 from odyn.graphs import from_edge_list
+from oracles import dense_adjacency
 
 
 def identity_weights(dim, d_k=1.0):
     eye = np.eye(dim)
-    return AttentionWeights(w_k=(eye,), w_q=(eye,), d_k=d_k)
+    return AttentionWeights(w_k=eye, w_q=eye, d_k=d_k)
 
 
 def fully_connected(n):
@@ -30,15 +31,12 @@ def softmax_rows(scores):
 
 
 def dense_masked_attention(x, w, g):
-    """n-by-n oracle: masked softmax of the dense scores, averaged over heads."""
-    mask = g.dense_adjacency() > 0
+    """n-by-n oracle: masked softmax of the dense scores."""
+    mask = dense_adjacency(g) > 0
     np.fill_diagonal(mask, True)
-    acc = np.zeros((g.n, g.n))
-    for wk, wq in zip(w.w_k, w.w_q):
-        scores = np.where(mask, (x @ wk.T) @ (x @ wq.T).T / w.d_k, -np.inf)
-        e = np.where(mask, np.exp(scores - scores.max(axis=1, keepdims=True)), 0.0)
-        acc += e / e.sum(axis=1, keepdims=True)
-    return acc / w.heads
+    scores = np.where(mask, (x @ w.w_k.T) @ (x @ w.w_q.T).T / w.d_k, -np.inf)
+    e = np.where(mask, np.exp(scores - scores.max(axis=1, keepdims=True)), 0.0)
+    return e / e.sum(axis=1, keepdims=True)
 
 
 @st.composite
@@ -54,82 +52,64 @@ def graphs_with_loops_and_zero_edges(draw):
 
 class TestCommunicationAttention:
     def test_identity_weights_hand_oracle(self):
-        # 1 head, identity projections, unit temperature, identity state:
+        # identity projections, unit temperature, identity state:
         # the score matrix is x x^T = I, softmax'd per row.
         g = fully_connected(3)
         x = np.eye(3)
-        out = build_communication_attention(x, identity_weights(3), g).dense_adjacency()
+        out = dense_adjacency(build_communication_attention(x, identity_weights(3), g))
         np.testing.assert_allclose(out, softmax_rows(np.eye(3)), atol=1e-12)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         g = toy_graph()
         x = toy_initial_state()
-        w = init_attention_weights(2, 4, 3, seed=0)
-        out = build_communication_attention(x, w, g).dense_adjacency()
+        w = init_attention_weights(4, 3, seed=0)
+        out = dense_adjacency(build_communication_attention(x, w, g))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(out >= 0) and np.all(out <= 1)
 
-    def test_heads_average(self):
-        g = toy_graph()
-        x = toy_initial_state()
-        w1 = init_attention_weights(1, 4, 3, seed=1)
-        w2 = init_attention_weights(1, 4, 3, seed=2)
-        combined = AttentionWeights(
-            w_k=(w1.w_k[0], w2.w_k[0]), w_q=(w1.w_q[0], w2.w_q[0]), d_k=4.0
-        )
-        single1 = build_communication_attention(x, w1, g).dense_adjacency()
-        single2 = build_communication_attention(x, w2, g).dense_adjacency()
-        out = build_communication_attention(x, combined, g).dense_adjacency()
-        np.testing.assert_allclose(out, (single1 + single2) / 2.0, atol=1e-12)
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
-
     def test_support_masked_to_edges_and_self_loops(self):
         g = from_edge_list([(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)], 3)
-        x = toy_initial_state()
-        out = build_communication_attention(
-            x, init_attention_weights(1, 4, 3, seed=3), g
-        ).dense_adjacency()
-        allowed = (g.dense_adjacency() > 0) | np.eye(3, dtype=bool)
+        w = init_attention_weights(4, 3, seed=3)
+        out = dense_adjacency(build_communication_attention(toy_initial_state(), w, g))
+        allowed = (dense_adjacency(g) > 0) | np.eye(3, dtype=bool)
         assert np.all(out[~allowed] == 0.0)
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
     def test_isolated_node_gets_self_loop_row(self):
         g = from_edge_list([(0, 1, 1.0)], 3)
-        out = build_communication_attention(
-            toy_initial_state(), init_attention_weights(1, 4, 3, seed=4), g
-        ).dense_adjacency()
+        w = init_attention_weights(4, 3, seed=4)
+        out = dense_adjacency(build_communication_attention(toy_initial_state(), w, g))
         np.testing.assert_allclose(out[2], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_shape_mismatch(self):
         g = toy_graph()
         with pytest.raises(ValueError, match="feature dim"):
             build_communication_attention(
-                toy_initial_state(), init_attention_weights(1, 4, 5, seed=0), g
+                toy_initial_state(), init_attention_weights(4, 5, seed=0), g
             )
         with pytest.raises(ValueError, match="rows"):
             build_communication_attention(
-                np.zeros((2, 3)), init_attention_weights(1, 4, 3, seed=0), g
+                np.zeros((2, 3)), init_attention_weights(4, 3, seed=0), g
             )
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(2, 6), st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
-    def test_row_stochastic_for_random_inputs(self, n, n_opts, heads, seed):
+    @given(st.integers(2, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_row_stochastic_for_random_inputs(self, n, n_opts, seed):
         rng = np.random.default_rng(seed)
         g = fully_connected(n)
         x = rng.standard_normal((n, n_opts))
-        w = init_attention_weights(heads, 3, n_opts, seed=seed)
-        out = build_communication_attention(x, w, g).dense_adjacency()
+        w = init_attention_weights(3, n_opts, seed=seed)
+        out = dense_adjacency(build_communication_attention(x, w, g))
         np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(out >= 0) and np.all(out <= 1 + 1e-15)
 
 
     @settings(max_examples=200, deadline=None)
-    @given(graphs_with_loops_and_zero_edges(), st.integers(1, 4), st.integers(1, 3),
-           st.integers(0, 2**32 - 1))
-    def test_edge_softmax_matches_the_dense_masked_oracle(self, g, n_opts, heads, seed):
+    @given(graphs_with_loops_and_zero_edges(), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_edge_softmax_matches_the_dense_masked_oracle(self, g, n_opts, seed):
         x = np.random.default_rng(seed).standard_normal((g.n, n_opts))
-        w = init_attention_weights(heads, 4, n_opts, seed=seed)
+        w = init_attention_weights(4, n_opts, seed=seed)
         out = build_communication_attention(x, w, g)
         # support: positive edges and one self-loop per node, rows in target order
         assert np.all(out.rows[1:] >= out.rows[:-1])
@@ -137,7 +117,7 @@ class TestCommunicationAttention:
         # the two differ only in rounding: a 4-term dot product per score (BLAS
         # may fuse its multiply-adds), which exp scales by the score, and the
         # order of each row sum; 3 ulp is typical, 7 the worst of 23,000 draws
-        np.testing.assert_array_max_ulp(out.dense_adjacency(), dense_masked_attention(x, w, g),
+        np.testing.assert_array_max_ulp(dense_adjacency(out), dense_masked_attention(x, w, g),
                                         maxulp=16)
 
 
@@ -150,7 +130,7 @@ class TestOptionAttention:
     def test_identical_columns_give_uniform(self):
         col = np.array([0.1, 0.5, 0.9])
         x = np.column_stack([col, col, col])
-        out = build_option_attention(x, init_attention_weights(1, 4, 3, seed=5))
+        out = build_option_attention(x, init_attention_weights(4, 3, seed=5))
         np.testing.assert_allclose(out, np.full((3, 3), 1.0 / 3.0), atol=1e-12)
 
     def test_identity_weights_hand_oracle(self):
@@ -162,23 +142,33 @@ class TestOptionAttention:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="feature dim"):
-            build_option_attention(np.zeros((4, 2)), init_attention_weights(1, 3, 5, seed=0))
+            build_option_attention(np.zeros((4, 2)), init_attention_weights(3, 5, seed=0))
 
 
 class TestWeights:
     def test_init_bounds_and_determinism(self):
-        w = init_attention_weights(3, 4, 6, seed=11)
-        assert w.heads == 3 and w.attention_dim == 4 and w.feature_dim == 6
+        w = init_attention_weights(4, 6, seed=11)
+        assert w.attention_dim == 4 and w.feature_dim == 6
         bound = 1.0 / np.sqrt(6)
-        for m in (*w.w_k, *w.w_q):
+        for m in (w.w_k, w.w_q):
             assert np.all(np.abs(m) <= bound)
-        w2 = init_attention_weights(3, 4, 6, seed=11)
-        for a, b in zip(w.w_k, w2.w_k):
-            np.testing.assert_array_equal(a, b)
+        w2 = init_attention_weights(4, 6, seed=11)
+        np.testing.assert_array_equal(w.w_k, w2.w_k)
+        np.testing.assert_array_equal(w.w_q, w2.w_q)
+
+    def test_keys_are_drawn_before_queries(self):
+        w = init_attention_weights(4, 6, seed=11)
+        draws = np.random.default_rng(11).uniform(-1.0 / np.sqrt(6), 1.0 / np.sqrt(6), (8, 6))
+        np.testing.assert_array_equal(w.w_k, draws[:4])
+        np.testing.assert_array_equal(w.w_q, draws[4:])
 
     def test_default_temperature_is_attention_dim(self):
-        assert init_attention_weights(1, 8, 3, seed=0).d_k == 8.0
+        assert init_attention_weights(8, 3, seed=0).d_k == 8.0
 
     def test_invalid_temperature(self):
         with pytest.raises(ValueError, match="d_k"):
-            AttentionWeights(w_k=(np.eye(2),), w_q=(np.eye(2),), d_k=0.0)
+            AttentionWeights(w_k=np.eye(2), w_q=np.eye(2), d_k=0.0)
+
+    def test_key_and_query_shapes_must_match(self):
+        with pytest.raises(ValueError, match="share one shape"):
+            AttentionWeights(w_k=np.eye(2), w_q=np.eye(3), d_k=1.0)

@@ -136,6 +136,11 @@ BAD_INPUTS = [
      "error: --n-options must be at least 1, got 0"),
     ("gradcheck-zero-features", ["gradcheck", "--features", "0", "--out", "out.json"], 1,
      "error: --features must be at least 1, got 0"),
+    # toy fixes the kernel and source of each of its runs, and none reads beta
+    ("toy-kernel", ["toy", "--kernel", "gread-fb", "--out", "out"], 1, "error:"),
+    ("toy-beta", ["toy", "--beta", "0.7", "--out", "out"], 1, "error:"),
+    ("toy-b-mode", ["toy", "--b-mode", "init", "--out", "out"], 1, "error:"),
+    ("toy-b-file", ["toy", "--b-file", "missing.csv", "--out", "out"], 1, "error:"),
 ]
 
 

@@ -39,6 +39,9 @@ CORPUS = (
     # toy hands each run only the options its kernel reads
     ["toy", "--seed", "0", "--saturation", "softsign", "--out", "toy-softsign"],
     ["toy", "--seed", "0", "--d", "2", "--out", "toy-d2"],
+    # the line chart of a training history, and the point chart of a sweep
+    ["plot", "--in", "train/history.csv"],
+    ["plot", "--in", "bif/bif.csv"],
 )
 
 HASHES = {
@@ -46,6 +49,8 @@ HASHES = {
         "8888e9a88e6714f61f81a716f465a510aa59218c52397d6127d0e972f1115bd6",
     "bif/bif.csv":
         "8888e9a88e6714f61f81a716f465a510aa59218c52397d6127d0e972f1115bd6",
+    "bif/bif.svg":
+        "9cb48855889c9470eacf946155b36ba9a85469f1b3e2ac34635e3833a2efe686",
     "bimp.svg":
         "d038e35067314506413ce516b1694a6ad82bb2f59b5d3a771f2c8e2130fc1e12",
     "energy/laplacian-metrics.csv":
@@ -136,6 +141,8 @@ HASHES = {
         "3e885f37b16d8e521ab69793b00f9dc6282fe6ac3233e22b9109f6b3fc364798",
     "train/history.csv":
         "946f16154c03f5e17da51999e4c30ca0038afd4270531d8d552c2c8f0c79577d",
+    "train/history.svg":
+        "76499e185866ce88a8219b46de6c24a5d116410a6c8062bb97e779625df86674",
     "train/weights.csv":
         "5ed97f175c1241c1e02abce0b88f50ede3baf910850a38357f32a06f8d0a053b",
 }

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from odyn.errors import NumericalError
 from odyn.fixtures import random_row_stochastic, toy_adjacency, toy_initial_state
-from odyn.graphs import from_edge_list, laplacian
+from odyn.graphs import from_edge_list
 from odyn.spectral import (
     KroneckerOperator,
     power_iteration,
@@ -13,6 +13,7 @@ from odyn.spectral import (
     unvec,
     vec,
 )
+from oracles import laplacian
 
 
 class TestKronMatvec:

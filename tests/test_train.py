@@ -26,6 +26,7 @@ from odyn.train import (
     save_history_csv,
     train_sgd,
 )
+from oracles import dense_adjacency
 
 
 def small_fixture(seed, na=6, no=3, f=3, steps=4, dt=0.05, d=1.0, alpha=1.0):
@@ -97,6 +98,25 @@ class TestForwardUnroll:
         b = forward_unroll(x_in, w, aa, ao, cfg)[0]
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("bad", ["agent", "agent-graph", "option"])
+    def test_rejects_a_misshaped_coupling_before_any_rhs_call(self, bad, monkeypatch):
+        calls = collections.Counter()
+
+        def counted(*args):
+            calls["rhs_bimp"] += 1
+            return kernels.rhs_bimp(*args)
+
+        monkeypatch.setattr(train, "rhs_bimp", counted)
+        cfg, aa, ao, x_in, w, _ = small_fixture(3)
+        forward_unroll(x_in, w, aa, ao, cfg)
+        assert calls["rhs_bimp"] == cfg.steps
+        calls.clear()
+        aa, ao = {"agent": (np.eye(5), ao), "agent-graph": (from_edge_list([], 7), ao),
+                  "option": (aa, np.eye(2))}[bad]
+        with pytest.raises(ValueError, match=f"{bad.split('-')[0]} coupling must be"):
+            forward_unroll(x_in, w, aa, ao, cfg)
+        assert calls["rhs_bimp"] == 0
+
 
 class TestMseLoss:
     def test_zero_at_target(self):
@@ -157,7 +177,7 @@ class TestBackwardGrad:
         target = rng.uniform(-1, 1, (n, n_options))
         if attention:
             graph = make_sbm_task(n_per_block, 0.8, 0.3, noise=0.1, seed=seed).graph
-            weights = init_attention_weights(1, 4, n_options, seed=seed)
+            weights = init_attention_weights(4, n_options, seed=seed)
             aa = build_communication_attention(x_in @ w, weights, graph)
         else:
             aa = random_row_stochastic(n, rng, zero_diagonal=False)
@@ -268,7 +288,7 @@ class TestJacobianChain:
 class TestSbmTask:
     def test_disjoint_cliques(self):
         task = make_sbm_task(3, 1.0, 0.0, noise=0.0, seed=0)
-        a = task.graph.dense_adjacency()
+        a = dense_adjacency(task.graph)
         assert np.all(a[:3, 3:] == 0) and np.all(a[3:, :3] == 0)
         block = a[:3, :3]
         assert np.all(block + np.eye(3) == 1.0)
@@ -346,12 +366,17 @@ class TestTrainSgd:
         assert "non-finite state" in str(info.value.__cause__)
 
     def test_training_never_builds_a_dense_agent_coupling(self, monkeypatch):
-        def dense(self):
-            raise AssertionError("dense adjacency built during training")
+        product = Graph.__matmul__
+
+        def sparse_only(self, x):
+            # g @ I is the package's one route to an n-by-n form of a graph
+            if np.shape(x) == self.shape:
+                raise AssertionError("dense agent coupling built during training")
+            return product(self, x)
 
         task = make_sbm_task(20, 0.3, 0.05, noise=0.1, seed=4)
         cfg = TrainConfig(lr=0.1, epochs=2, steps=8, dt=0.1, d=1.0, alpha=1.0, seed=4)
-        monkeypatch.setattr(Graph, "dense_adjacency", dense)
+        monkeypatch.setattr(Graph, "__matmul__", sparse_only)
         _, history = train_sgd(task, cfg)
         assert len(history) == 3 and history[-1][0] < history[0][0]
 
