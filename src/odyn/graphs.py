@@ -2,8 +2,12 @@
 
 A :class:`Graph` stores the communication structure: nonnegative edge
 weights, no duplicate edges, rows sorted by target column.  Every graph
-kernel couples its agents through ``g @ X``, an O(edges) segment sum over
-the rows; ``g @ np.eye(g.n)`` is the dense n-by-n form, for small n.
+kernel couples its agents through ``g @ X``.  Its summation order is a
+contract: each output cell is ``0.0 + w_0 x_0 + w_1 x_1 + ...``, added
+left to right over the row's edges in target order, so seeded output
+keeps its bits whatever layout computes the sum.  The product runs in
+O(edges) time and memory; ``g @ np.eye(g.n)`` is the dense n-by-n form,
+for small n.
 
 File formats:
 
@@ -40,7 +44,8 @@ class Graph:
         object.__setattr__(self, "rows", np.repeat(np.arange(self.n), np.diff(self.offsets)))
         for arr in (self.offsets, self.targets, self.weights, self.rows):
             arr.flags.writeable = False
-        object.__setattr__(self, "_plans", {})  # state width -> (term sources, weights, bins)
+        # state shape past the node axis -> _product_plan(self, that shape)
+        object.__setattr__(self, "_plans", {})
 
     @property
     def edge_count(self) -> int:
@@ -52,21 +57,26 @@ class Graph:
                 for s, d, w in zip(self.rows, self.targets, self.weights)]
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        """A X for an ``(n,)`` or ``(n, o)`` state; a row without edges gives 0."""
+        """A X for an ``(n,)`` or ``(n, o)`` state; a row without edges gives 0.
+
+        Each output cell is ``0.0 + w_0 x_0 + w_1 x_1 + ...``, summed left to
+        right over the row's edges in target order, signed zeros included.
+        The terms are gathered level by level from the padded layout of
+        :func:`_product_plan` and reduced over the levels in one call.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim not in (1, 2) or x.shape[0] != self.n:
             raise ValueError(f"graph on {self.n} nodes cannot act on shape {x.shape}")
-        width = x.size // self.n if self.n else 0
-        if width not in self._plans:
-            cols = np.arange(width)
-            self._plans[width] = ((self.targets[:, None] * width + cols).ravel(),
-                                  np.repeat(self.weights, width),
-                                  (self.rows[:, None] * width + cols).ravel())
-        sources, weights, bins = self._plans[width]
-        terms = x.reshape(-1).take(sources)
-        terms *= weights
-        # a bincount of no terms comes back as int64
-        return np.bincount(bins, terms, x.size).reshape(x.shape).astype(np.float64, copy=False)
+        plan = self._plans.get(x.shape[1:])
+        if plan is None:
+            plan = self._plans[x.shape[1:]] = _product_plan(self, x.shape[1:])
+        blocks, padded, order = plan
+        if padded:
+            x = np.concatenate([x, np.zeros((1, *x.shape[1:]))])
+        if len(blocks) == 1:
+            return _level_sum(x, *blocks[0])
+        sums = np.concatenate([_level_sum(x, *block) for block in blocks])
+        return sums if order is None else sums.take(order, axis=0)
 
     @cached_property
     def T(self) -> Graph:
@@ -88,6 +98,70 @@ def _sorted_graph(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarra
     order = np.lexsort((cols, rows))
     offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     return Graph(n=n, offsets=offsets, targets=cols[order], weights=weights[order])
+
+
+# A block's gathered terms stay within about this many bytes, so that its
+# gather, multiply and reduce run in cache: on a 3000-node graph of
+# out-degree 16 at 8 columns (3 MB of terms) this made the product 1.1-1.4x
+# faster (2 cores, numpy 2.4.6), and it leaves smaller blocks whole.
+_BLOCK_BYTES = 1 << 20
+
+
+def _level_sum(x: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum one block's terms ``weights[k] * x[targets[k]]`` over its levels k."""
+    terms = x.take(targets, axis=0)
+    terms *= weights
+    # axis 0 is the reduce's outer loop, so each cell adds its terms in
+    # level order, starting from 0.0
+    return np.add.reduce(terms, axis=0, initial=0.0)
+
+
+def _product_plan(g: Graph, tail: tuple[int, ...]):
+    """The padded level-major layout of ``g @ X`` for states of shape ``(n, *tail)``.
+
+    Returns ``(blocks, padded, order)``.  Each block covers a run of rows:
+    ``targets[k, m]`` is the k-th target of the block's row m, or the zero
+    row ``n`` past the row's last edge, and ``weights[k, m]`` its weight,
+    0 in padded cells.  When ``n * maxdeg <= 2 * edges`` the rows keep
+    their own order (``order`` is None); otherwise they are stably sorted
+    by ``floor(log2(degree))``, each class padded by less than 2x, and
+    ``order`` takes the concatenated block sums back to row order.  A run
+    of rows is split into blocks whose terms take at most about
+    ``_BLOCK_BYTES``.  ``padded`` tells whether any cell reads row ``n``.
+    """
+    width = int(np.prod(tail))
+    degree = np.diff(g.offsets)
+    if g.n * int(degree.max(initial=0)) <= 2 * g.edge_count:
+        groups = [np.arange(g.n)]
+    else:
+        # frexp's exponent is floor(log2(d)) + 1, and 0 for a row without edges
+        exponent = np.frexp(degree)[1]
+        perm = np.argsort(exponent, kind="stable")
+        groups = np.split(perm, np.flatnonzero(np.diff(exponent[perm])) + 1)
+    blocks, padded, order, start = [], False, np.empty(g.n, dtype=np.int64), 0
+    for group in groups:
+        row_bytes = 8 * max(width, 1) * max(int(degree[group].max(initial=0)), 1)
+        per_block = max(2, _BLOCK_BYTES // row_bytes)
+        for rows in np.split(group, np.arange(per_block, len(group), per_block)):
+            d = degree[rows]
+            levels = int(d.max(initial=0))
+            # numpy sums a one-cell reduce pairwise, so such a block gets a
+            # second, padded row
+            count = len(rows) + (len(rows) * width == 1 and levels > 1)
+            column = np.repeat(np.arange(len(rows)), d)
+            level = np.arange(column.size) - np.repeat(np.cumsum(d) - d, d)
+            edge = np.repeat(g.offsets[rows], d) + level
+            targets = np.full((levels, count), g.n, dtype=np.int64)
+            weights = np.zeros((levels, count))
+            targets[level, column] = g.targets[edge]
+            weights[level, column] = g.weights[edge]
+            padded |= column.size < targets.size
+            # expanded across the state's columns: a broadcast multiply is slower
+            expanded = np.repeat(weights[:, :, None], width, axis=2)
+            blocks.append((targets, expanded.reshape(targets.shape + tail)))
+            order[rows] = start + np.arange(len(rows))
+            start += count
+    return tuple(blocks), padded, order if len(groups) > 1 else None
 
 
 def from_edge_list(edges, n: int) -> Graph:

@@ -60,3 +60,18 @@ def rhs_linear_opinion(x: np.ndarray, a: np.ndarray, d_vec: np.ndarray) -> np.nd
     if np.max(np.abs(a.sum(axis=1) - d_vec), initial=0.0) > 1e-10:
         raise ValueError("damping vector must equal the influence row sums")
     return -d_vec[:, None] * x + a @ x
+
+
+def graph_product(g: Graph, x: np.ndarray) -> np.ndarray:
+    """A X in pure Python: each cell is ``0.0 + w x + ...`` in CSR edge order."""
+    x = np.asarray(x, dtype=np.float64)
+    cols = x.reshape(g.n, -1).tolist() if g.n else []
+    width = x.size // g.n if g.n else 0
+    out = []
+    for i in range(g.n):
+        row = [0.0] * width
+        for e in range(g.offsets[i], g.offsets[i + 1]):
+            w, src = float(g.weights[e]), cols[g.targets[e]]
+            row = [acc + w * v for acc, v in zip(row, src)]
+        out.append(row)
+    return np.array(out, dtype=np.float64).reshape(x.shape)

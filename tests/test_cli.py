@@ -141,6 +141,11 @@ BAD_INPUTS = [
     ("toy-beta", ["toy", "--beta", "0.7", "--out", "out"], 1, "error:"),
     ("toy-b-mode", ["toy", "--b-mode", "init", "--out", "out"], 1, "error:"),
     ("toy-b-file", ["toy", "--b-file", "missing.csv", "--out", "out"], 1, "error:"),
+    # gread-fb's beta term grows the state like exp(beta t) on a cycle; the
+    # run ends at the magnitude limit instead of writing 1e+128
+    ("gread-fb-runaway", ["simulate", "--kernel", "gread-fb", "--graph", "cycle.json",
+                          "--dt", "0.05", "--steps", "12000", "--out", "out"], 2,
+     "numerical failure: state norm above 1e+50 at step 4656"),
 ]
 
 
@@ -152,7 +157,7 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
     (tmp_path / "textn.json").write_text(json.dumps({"n": "3", "edges": []}))
     for name, edges in (("pairs", [[0, 1], [1, 2], [2, 0]]), ("text-index", [[0, "a", 1.0]]),
                         ("duplicate", [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0], [0, 1, 0.5]]),
-                        ("sink", [[0, 1, 1.0]]),
+                        ("sink", [[0, 1, 1.0]]), ("cycle", [[0, 1, 1], [1, 2, 1], [2, 0, 1]]),
                         ("nan-weight", [[0, 1, math.nan], [1, 2, 1.0], [2, 0, 1.0]])):
         (tmp_path / f"{name}.json").write_text(json.dumps({"n": 3, "edges": edges}))
     save_matrix_csv(np.full((3, 3), 1e307), tmp_path / "huge.csv")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odyn.attention import build_communication_attention, init_attention_weights
 from odyn.fixtures import toy_adjacency, toy_graph
 from odyn.graphs import (
     degrees,
@@ -15,7 +16,8 @@ from odyn.graphs import (
     save_matrix_csv,
     sparse_laplacian,
 )
-from oracles import dense_adjacency, laplacian, row_normalize, save_graph_json
+from odyn.train import ATTENTION_DIM, make_sbm_task
+from oracles import dense_adjacency, graph_product, laplacian, row_normalize, save_graph_json
 
 EPS = np.finfo(np.float64).eps
 
@@ -51,6 +53,42 @@ def states(g, data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     shape = (g.n,) if data.draw(st.booleans()) else (g.n, data.draw(st.integers(1, 4)))
     return rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-3, 4, shape)
+
+
+@st.composite
+def skewed_graphs(draw):
+    """One hub row of degree 9 or more among rows of degree 0 to 2.
+
+    Then n * maxdeg > 2 * edges, so the product sorts the rows into one
+    block per power-of-two degree class, and the hub's block holds that
+    row alone.
+    """
+    n = draw(st.integers(12, 40))
+    hub = draw(st.integers(0, n - 1))
+    targets = draw(st.permutations(range(n)))[:draw(st.integers(9, n))]
+    edges = [(hub, t) for t in targets]
+    for i in range(n):
+        if i != hub:
+            edges += [(i, t) for t in draw(st.sets(st.integers(0, n - 1), max_size=2))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return from_edge_list([(s, d, float(w)) for (s, d), w in
+                           zip(edges, rng.uniform(0.0, 2.0, len(edges)))], n)
+
+
+def signed_states(g, data):
+    """``(n,)`` or ``(n, 1..8)`` states over many magnitudes, with zeros of both signs."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (g.n,) if data.draw(st.booleans()) else (g.n, data.draw(st.integers(1, 8)))
+    x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+    kind = rng.uniform(size=shape)
+    x[kind < 0.1], x[(kind >= 0.1) & (kind < 0.15)] = -0.0, 0.0
+    return x
+
+
+def plan_blocks(g, x):
+    """The ``(targets, weights)`` blocks of ``g``'s product plan for ``x``'s shape."""
+    g @ x
+    return g._plans[x.shape[1:]][0]
 
 
 TOY_EDGES = [
@@ -238,6 +276,89 @@ class TestSegmentSumProduct:
             from_edge_list([(0, 1, 1.0)], 3).row_normalized()
         with pytest.raises(ValueError, match="^row 1 has no positive entry$"):
             from_edge_list([(0, 1, 1.0), (1, 0, 0.0)], 2).row_normalized()
+
+
+class TestProductSummationOrder:
+    """``g @ x`` adds each row's terms in CSR order from 0.0, bit for bit."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(graphs(), graphs().map(sparse_laplacian), skewed_graphs()), st.data())
+    def test_every_bit_matches_the_edge_order_oracle(self, g, data):
+        x = signed_states(g, data)
+        out, expected = g @ x, graph_product(g, x)
+        assert out.shape == x.shape and out.dtype == np.float64
+        assert np.array_equal(out, expected)
+        assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+    @given(skewed_graphs(), st.data())
+    def test_a_skewed_graph_takes_one_block_per_degree_class(self, g, data):
+        x = signed_states(g, data)
+        degree = np.diff(g.offsets)
+        assert g.n * degree.max() > 2 * g.edge_count
+        classes = np.unique(np.floor(np.log2(degree[degree > 0])))
+        assert len(plan_blocks(g, x)) == len(classes) + (degree == 0).any()
+        np.testing.assert_array_equal(g @ x, graph_product(g, x))
+
+    def test_a_lone_deep_row_at_width_one_sums_in_order(self):
+        # 1 + 2**-53 rounds back to 1, so an ordered sum stays at 1.0
+        # where a pairwise one would collect the small terms first
+        n = 12
+        g = from_edge_list([(0, t, 1.0) for t in range(n)] + [(1, 2, 1.0)], n)
+        x = np.r_[1.0, np.full(n - 1, 2.0**-53)]
+        for state in (x, x[:, None]):
+            assert len(plan_blocks(g, state)) == 3
+            out = g @ state
+            assert out.ravel()[0] == 1.0
+            np.testing.assert_array_equal(out, graph_product(g, state))
+
+    def test_a_block_beyond_the_byte_budget_splits_into_row_runs(self):
+        # 1000 rows of 20 edges at 8 columns gather 1.28 MB of terms
+        rng = np.random.default_rng(6)
+        edges = [(i, int(t), float(w)) for i in range(1000)
+                 for t, w in zip(rng.choice(1000, 20, replace=False), rng.uniform(0, 1, 20))]
+        g = from_edge_list(edges, 1000)
+        x = rng.standard_normal((1000, 8))
+        blocks = plan_blocks(g, x)
+        assert len(blocks) == 2 and g._plans[(8,)][2] is None
+        np.testing.assert_array_equal(g @ x, graph_product(g, x))
+
+    def test_negative_zero_terms_sum_to_positive_zero(self):
+        g = sparse_laplacian(from_edge_list([(0, 1, 0.0), (1, 0, 2.0)], 2))
+        x = np.array([[-0.0, 1.0], [0.0, -0.0]])
+        out = g @ x
+        np.testing.assert_array_equal(np.signbit(out), np.signbit(graph_product(g, x)))
+        assert not np.signbit(out[0]).any()
+
+
+class TestProductPlanMemory:
+    """A plan holds at most two target cells per edge, plus guard rows."""
+
+    @staticmethod
+    def assert_bounded(g, x):
+        blocks = plan_blocks(g, x)
+        cells = sum(targets.size for targets, _ in blocks)
+        guards = sum(targets.shape[0] for targets, _ in blocks)
+        assert cells <= 2 * g.edge_count + guards
+        for targets, weights in blocks:
+            assert weights.shape == targets.shape + x.shape[1:]
+
+    def test_a_star_of_ten_thousand_nodes(self):
+        n = 10**4
+        star = from_edge_list([(0, j, 1.0 / j) for j in range(1, n)], n)
+        x = np.random.default_rng(5).standard_normal(n)
+        self.assert_bounded(star, x)
+        assert sum(t.size for t, _ in plan_blocks(star, x)) <= 2 * star.edge_count
+        np.testing.assert_array_equal(star @ x, graph_product(star, x))
+        self.assert_bounded(star.T, x)
+
+    def test_the_sbm_attention_graph_and_its_transpose(self):
+        task = make_sbm_task(500, 0.03, 0.004, noise=0.1, seed=0)
+        x0 = np.random.default_rng(0).uniform(-1.0, 1.0, (task.graph.n, 2))
+        aa = build_communication_attention(x0, init_attention_weights(ATTENTION_DIM, 2, seed=0),
+                                           task.graph)
+        for g in (aa, aa.T):
+            self.assert_bounded(g, x0)
+            np.testing.assert_array_equal(g @ x0, graph_product(g, x0))
 
 
 class TestRowNormalize:

@@ -7,6 +7,7 @@ from odyn.analysis import dirichlet_energy, opinion_diameter
 from odyn.errors import NumericalError
 from odyn.fixtures import toy_graph, toy_initial_state
 from odyn.integrate import (
+    MAGNITUDE_LIMIT,
     Trajectory,
     euler_integrate,
     rk4_integrate,
@@ -65,6 +66,15 @@ class TestEuler:
 
         with pytest.raises(NumericalError, match="step"):
             euler_integrate(KernelSetup(blow_up, np.array([[4.0]])), 1.0, 400)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_finite_runaway_ends_at_the_magnitude_limit(self, sign):
+        # the state doubles every step, and 2**167 is the first power above 1e50
+        assert 2.0**166 <= MAGNITUDE_LIMIT < 2.0**167
+        with pytest.raises(NumericalError, match=r"^state norm above 1e\+50 at step 167$"):
+            euler_integrate(KernelSetup(lambda s: s, np.array([[sign]])), 1.0, 400)
+        with pytest.raises(NumericalError, match=r"^stage norm above 1e\+50 at step 1$"):
+            rk4_integrate(KernelSetup(lambda s: s, np.array([[sign * 1e50]])), 2.0, 3)
 
     def test_subsampled_recording_is_bit_exact(self):
         setup = kernel_setup("bimp", toy_graph(), toy_initial_state(), b=toy_initial_state())
