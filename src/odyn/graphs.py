@@ -74,8 +74,9 @@ class Graph:
         if padded:
             x = np.concatenate([x, np.zeros((1, *x.shape[1:]))])
         if len(blocks) == 1:
-            return _level_sum(x, *blocks[0])
-        sums = np.concatenate([_level_sum(x, *block) for block in blocks])
+            sums = _level_sum(x, *blocks[0])
+        else:
+            sums = np.concatenate([_level_sum(x, *block) for block in blocks])
         return sums if order is None else sums.take(order, axis=0)
 
     @cached_property
@@ -102,8 +103,8 @@ def _sorted_graph(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarra
 
 # A block's gathered terms stay within about this many bytes, so that its
 # gather, multiply and reduce run in cache: on a 3000-node graph of
-# out-degree 16 at 8 columns (3 MB of terms) this made the product 1.1-1.4x
-# faster (2 cores, numpy 2.4.6), and it leaves smaller blocks whole.
+# out-degree 16 at 8 columns (3 MB of terms) three blocks made the product
+# 1.2x faster than one (2 cores, numpy 2.4.6), and smaller classes stay whole.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -119,15 +120,16 @@ def _level_sum(x: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> np.nd
 def _product_plan(g: Graph, tail: tuple[int, ...]):
     """The padded level-major layout of ``g @ X`` for states of shape ``(n, *tail)``.
 
-    Returns ``(blocks, padded, order)``.  Each block covers a run of rows:
+    Returns ``(blocks, padded, order)``.  When ``n * maxdeg <= 2 * edges``
+    the rows keep their own order as one group; otherwise they are stably
+    sorted by ``floor(log2(degree))``, one group per class, each padded by
+    less than 2x.  Each group is split into near-equal runs of at least two
+    rows whose terms take about ``_BLOCK_BYTES``, one block per run:
     ``targets[k, m]`` is the k-th target of the block's row m, or the zero
     row ``n`` past the row's last edge, and ``weights[k, m]`` its weight,
-    0 in padded cells.  When ``n * maxdeg <= 2 * edges`` the rows keep
-    their own order (``order`` is None); otherwise they are stably sorted
-    by ``floor(log2(degree))``, each class padded by less than 2x, and
-    ``order`` takes the concatenated block sums back to row order.  A run
-    of rows is split into blocks whose terms take at most about
-    ``_BLOCK_BYTES``.  ``padded`` tells whether any cell reads row ``n``.
+    0 in padded cells.  ``order`` takes the concatenated block sums back to
+    row order, or is None when they are in it already (one group and no
+    guard row).  ``padded`` tells whether any cell reads row ``n``.
     """
     width = int(np.prod(tail))
     degree = np.diff(g.offsets)
@@ -141,8 +143,8 @@ def _product_plan(g: Graph, tail: tuple[int, ...]):
     blocks, padded, order, start = [], False, np.empty(g.n, dtype=np.int64), 0
     for group in groups:
         row_bytes = 8 * max(width, 1) * max(int(degree[group].max(initial=0)), 1)
-        per_block = max(2, _BLOCK_BYTES // row_bytes)
-        for rows in np.split(group, np.arange(per_block, len(group), per_block)):
+        runs = min(-(-len(group) * row_bytes // _BLOCK_BYTES), len(group) // 2)
+        for rows in np.array_split(group, max(runs, 1)):
             d = degree[rows]
             levels = int(d.max(initial=0))
             # numpy sums a one-cell reduce pairwise, so such a block gets a
@@ -161,7 +163,9 @@ def _product_plan(g: Graph, tail: tuple[int, ...]):
             blocks.append((targets, expanded.reshape(targets.shape + tail)))
             order[rows] = start + np.arange(len(rows))
             start += count
-    return tuple(blocks), padded, order if len(groups) > 1 else None
+    # a guard row shifts every later row, so it needs the inverse order too
+    in_order = len(groups) == 1 and start == g.n
+    return tuple(blocks), padded, None if in_order else order
 
 
 def from_edge_list(edges, n: int) -> Graph:

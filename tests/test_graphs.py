@@ -311,6 +311,20 @@ class TestProductSummationOrder:
             assert out.ravel()[0] == 1.0
             np.testing.assert_array_equal(out, graph_product(g, state))
 
+    @pytest.mark.parametrize("shape", [(8193,), (8193, 1)])
+    def test_a_uniform_graph_split_at_width_one_keeps_the_output_shape(self, shape):
+        # 8193 rows of degree 16 take just over one block of terms at width one
+        n, d = 8193, 16
+        targets = np.sort((np.arange(n)[:, None] + 1 + np.arange(d)) % n, axis=1)
+        g = from_edge_list([(i, int(t), 1.0 + (i * t) % 7) for i in range(n) for t in targets[i]], n)
+        x = np.random.default_rng(9).standard_normal(shape)
+        assert len(plan_blocks(g, x)) == 2
+        out = g @ x
+        assert out.shape == x.shape
+        np.testing.assert_array_equal(out, graph_product(g, x))
+        np.testing.assert_array_equal(degrees(g), graph_product(g, np.ones(n)))
+        g.row_normalized()
+
     def test_a_block_beyond_the_byte_budget_splits_into_row_runs(self):
         # 1000 rows of 20 edges at 8 columns gather 1.28 MB of terms
         rng = np.random.default_rng(6)
