@@ -33,8 +33,10 @@ def dirichlet_energy(x: np.ndarray, g: Graph) -> float:
         raise ValueError(f"state must have {g.n} rows, got {x.shape}")
     if g.edge_count == 0:
         return 0.0
-    diffs = x[g.rows] - x[g.targets]
-    return float(np.sum(diffs * diffs) / g.n)
+    diffs = x.take(g.rows, axis=0)
+    diffs -= x.take(g.targets, axis=0)
+    diffs *= diffs
+    return float(np.sum(diffs) / g.n)
 
 
 def opinion_diameter(x: np.ndarray) -> float:

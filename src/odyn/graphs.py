@@ -88,15 +88,22 @@ class Graph:
         """The same edges with each row's weights scaled to sum to one."""
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("non-finite entries")
-        sums = self @ np.ones(self.n)
+        sums = _row_sums(self)
         if np.any(sums <= 0):
             raise ValueError(f"row {int(np.flatnonzero(sums <= 0)[0])} has no positive entry")
         return replace(self, weights=self.weights / sums[self.rows])
 
 
+def _row_sums(g: Graph) -> np.ndarray:
+    """``g @ np.ones(g.n)`` with its bits, without caching a product plan on ``g``."""
+    # bincount adds each row's weights from 0.0 in edge order, as the product does
+    return np.bincount(g.rows, weights=g.weights, minlength=g.n).astype(np.float64)
+
+
 def _sorted_graph(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> Graph:
     """The graph of entries ``(rows[k], cols[k], weights[k])``, sorted by row then column."""
-    order = np.lexsort((cols, rows))
+    # one stable sort on the combined key keeps equal entries in input order, as lexsort does
+    order = np.argsort(rows * n + cols, kind="stable")
     offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     return Graph(n=n, offsets=offsets, targets=cols[order], weights=weights[order])
 
@@ -203,7 +210,7 @@ def from_edge_list(edges, n: int) -> Graph:
 
 def degrees(g: Graph) -> np.ndarray:
     """Out-degree vector d_i = sum_j A_ij."""
-    return g @ np.ones(g.n)
+    return _row_sums(g)
 
 
 def sparse_laplacian(g: Graph) -> Graph:

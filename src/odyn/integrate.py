@@ -5,7 +5,8 @@ reference scheme and classical RK4 a higher-accuracy cross-check, each a
 tableau of that loop.  Snapshots are taken at step 0 and at every
 ``record_every``-th step, so recording densely and subsampling gives
 bit-identical snapshots to recording sparsely; a zero-step run is its
-initial snapshot.
+initial snapshot.  The snapshots are slots of one array allocated up
+front, so recording leaves no per-snapshot blocks in the heap.
 
 The integrator runs one :class:`~odyn.kernels.KernelSetup` whole: its
 initial state, its right-hand side, its step bound and its position view.
@@ -34,12 +35,14 @@ turn lies inside RK4's stability region; so dt < 1/d guards both methods.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import NumericalError
+from .floatrepr import repr_cells
 from .kernels import KernelSetup
 
 
@@ -70,6 +73,8 @@ _EULER = _Tableau(divisors=(), weights=(), denom=1.0)
 _RK4 = _Tableau(divisors=(2.0, 2.0, 1.0), weights=(2.0, 2.0, 1.0), denom=6.0)
 
 MAGNITUDE_LIMIT = 1e50
+# rows the trajectory writer encodes at a time, about 0.5 MB of working set
+CHUNK_ROWS = 1 << 10
 
 
 def _check_state(state: np.ndarray, step: int, what: str = "state") -> None:
@@ -92,9 +97,12 @@ def _guard_step(dt: float, steps: int, damping: float | None) -> None:
         )
 
 
-def _record(traj: Trajectory, t: float, x: np.ndarray, energy_fn, diameter_fn):
+def _record(traj: Trajectory, t: float, x: np.ndarray, snapshots: np.ndarray,
+            energy_fn, diameter_fn):
+    slot = snapshots[len(traj.states)]
+    slot[...] = x
     traj.times.append(t)
-    traj.states.append(x.copy())
+    traj.states.append(slot)
     traj.energy.append(float(energy_fn(x)) if energy_fn else float("nan"))
     traj.diameter.append(float(diameter_fn(x)) if diameter_fn else float("nan"))
 
@@ -118,7 +126,10 @@ def _runge_kutta(
     state = np.array(setup.state0, dtype=np.float64)
     if not np.isfinite(state).all():
         raise NumericalError("non-finite state at step 0")
-    _record(traj, 0.0, position(state), energy_fn, diameter_fn)
+    first = position(state)
+    # every snapshot is a slot of one block, allocated once and freed whole
+    snapshots = np.empty((steps // record_every + 1, *first.shape))
+    _record(traj, 0.0, first, snapshots, energy_fn, diameter_fn)
     # overflow is reported by the state checks, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
@@ -132,7 +143,7 @@ def _runge_kutta(
             state = state + scale * total
             _check_state(state, k)
             if k % record_every == 0:
-                _record(traj, k * dt, position(state), energy_fn, diameter_fn)
+                _record(traj, k * dt, position(state), snapshots, energy_fn, diameter_fn)
     return traj
 
 
@@ -163,16 +174,48 @@ def rk4_integrate(
 
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:
-    """Long-format CSV with header ``t,node,option,value``."""
-    shape, cells = None, []
-    with open(path, "w") as f:
-        f.write("t,node,option,value\n")
-        for t, x in zip(traj.times, traj.states):
-            if np.shape(x) != shape:
-                shape = np.shape(x)
-                cells = [f",{i},{j}," for i, j in np.ndindex(shape)]
-            tr, values = repr(t), np.asarray(x, dtype=np.float64).ravel().tolist()
-            f.write("".join([f"{tr}{c}{v!r}\n" for c, v in zip(cells, values)]))
+    """Long-format CSV with header ``t,node,option,value``.
+
+    One row per entry of each 2-d snapshot, in row-major order; t and the
+    value are Python's ``repr`` of each float64.  Rows are encoded
+    ``CHUNK_ROWS`` at a time, across snapshot boundaries, as a NUL-padded
+    byte matrix (time, cell, value, newline) written without its NULs, so
+    the writer's working set stays about 0.5 MB whatever the snapshot size.
+    """
+    times = _byte_rows([repr(t) for t in traj.times])
+    with open(path, "wb") as f:
+        f.write(b"t,node,option,value\n")
+        done = 0
+        for shape, run in groupby(traj.states, key=np.shape):
+            run = list(run)
+            for chunk in _encode_snapshots(times[done:done + len(run)], run, *shape):
+                f.write(chunk)
+            done += len(run)
+
+
+def _encode_snapshots(times: np.ndarray, states: list[np.ndarray], n: int, o: int):
+    """The CSV bytes of snapshots of one ``(n, o)`` shape, ``CHUNK_ROWS`` rows at a time."""
+    nodes = _byte_rows([f",{i}," for i in range(n)])
+    options = _byte_rows([f"{j}," for j in range(o)])
+    cells, rows = n * o, len(states) * n * o
+    for start in range(0, rows, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, rows)
+        row = np.arange(start, stop)
+        snap = row // cells
+        cell = row - snap * cells
+        node = cell // o
+        values = np.concatenate([np.ravel(states[s])[max(start - s * cells, 0):stop - s * cells]
+                                 for s in range(start // cells, (stop - 1) // cells + 1)])
+        mat = np.concatenate([times.take(snap, axis=0), nodes.take(node, axis=0),
+                              options.take(cell - node * o, axis=0), repr_cells(values),
+                              np.full((stop - start, 1), ord("\n"), dtype=np.uint8)], axis=1)
+        yield mat[mat != 0].tobytes()
+
+
+def _byte_rows(strings: list[str]) -> np.ndarray:
+    """ASCII strings as rows of a uint8 matrix, padded with NUL bytes."""
+    packed = np.array(strings, dtype=bytes)
+    return packed.view(np.uint8).reshape(len(strings), packed.itemsize)
 
 
 def save_metrics_csv(traj: Trajectory, path) -> None:

@@ -66,6 +66,18 @@ class TestDirichletEnergy:
             dirichlet_energy(np.zeros((2, 2)), toy_graph())
 
     @settings(max_examples=40)
+    @given(st.integers(1, 12), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_bits_match_the_gathered_difference_formula(self, n, o, seed):
+        rng = np.random.default_rng(seed)
+        edges = [(i, j, 1.0) for i in range(n) for j in range(n) if rng.uniform() < 0.4]
+        g = from_edge_list(edges, n)
+        # a transposed view: the energy reads any memory layout
+        x = (rng.standard_normal((o, n)) * 10.0 ** rng.integers(-3, 4, (o, n))).T
+        diffs = x[g.rows] - x[g.targets]
+        expected = float(np.sum(diffs * diffs) / g.n) if g.edge_count else 0.0
+        assert dirichlet_energy(x, g) == expected
+
+    @settings(max_examples=40)
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))
     def test_zero_iff_edge_connected_pairs_equal(self, n, seed):
         rng = np.random.default_rng(seed)

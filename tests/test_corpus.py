@@ -42,7 +42,23 @@ CORPUS = (
     # the line chart of a training history, and the point chart of a sweep
     ["plot", "--in", "train/history.csv"],
     ["plot", "--in", "bif/bif.csv"],
+    # every regime of the trajectory writer: the t = 0 snapshot holds the specials
+    ["simulate", "--graph", "specials.json", "--init", "specials.csv", "--steps", "2",
+     "--record-every", "1", "--out", "sim-specials"],
 )
+
+# Zeros of both signs, subnormals, the neighbours of repr's positional range
+# [1e-4, 1e16), powers of two, multiples of 0.05 and the largest magnitudes
+# that stay within the integrator's norm limit of 1e50.
+SPECIALS = np.array([
+    [0.0, -0.0, 5e-324, -5e-324],
+    [2.2250738585072014e-308, 2.225073858507201e-308, 1e-310, -4.9e-320],
+    [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e-4, 1.0), -1e-4],
+    [9999999999999998.0, 1e16, np.nextafter(1e16, np.inf), -9999999999999998.0],
+    [0.5, 2.0 ** -20, 2.0 ** 52, -(2.0 ** 53)],
+    [0.05, 3 * 0.05, 7 * 0.05, -21 * 0.05],
+    [0.1 + 0.2, 1 / 3, 9.999999999999999e48, -1e49],
+])
 
 HASHES = {
     "bif-stdout.csv":
@@ -81,6 +97,10 @@ HASHES = {
         "87acecb9f3f19386d495a3b169e060a8b4769b431d1a7e646a8b22c6dbcbcf20",
     "sim-linear-od/linear-od.csv":
         "2d7cf05ebfcc7468c4ab230de6106dc83c6872d19b77ad0731bf72a8b5d76a3d",
+    "sim-specials/bimp-metrics.csv":
+        "ec88abe21dcad1fd7a11eb267d07e95230907c1362a7ce7cfe77fb0b6e2277f3",
+    "sim-specials/bimp.csv":
+        "f03553d1c33e8f74a109c7d95274a03e4564d609cdc4af1e30c9c73d784cae83",
     "sim-reduced/reduced-metrics.csv":
         "b20cf2cb9d2e0767e2620c46ac8854152ec69c739072bd93252dfba9fa811e81",
     "sim-reduced/reduced.csv":
@@ -154,6 +174,9 @@ def run_corpus(root, capsys):
         json.dumps({"kernel": "laplacian", "steps": 50, "dt": 0.02, "record_every": 5}))
     (root / "one.json").write_text(json.dumps({"n": 1, "edges": []}))
     save_matrix_csv(np.array([[0.3]]), root / "one.csv")
+    (root / "specials.json").write_text(
+        json.dumps({"n": len(SPECIALS), "edges": [[i, i, 1.0] for i in range(len(SPECIALS))]}))
+    save_matrix_csv(SPECIALS, root / "specials.csv")
     inputs = {p.name for p in root.iterdir()}
     capsys.readouterr()
     for argv in CORPUS:

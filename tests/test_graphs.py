@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from odyn.attention import build_communication_attention, init_attention_weights
 from odyn.fixtures import toy_adjacency, toy_graph
 from odyn.graphs import (
+    _sorted_graph,
     degrees,
     from_edge_list,
     load_graph_json,
@@ -16,6 +17,7 @@ from odyn.graphs import (
     save_matrix_csv,
     sparse_laplacian,
 )
+from odyn.kernels import kernel_setup
 from odyn.train import ATTENTION_DIM, make_sbm_task
 from oracles import dense_adjacency, graph_product, laplacian, row_normalize, save_graph_json
 
@@ -168,6 +170,18 @@ class TestVectorizedBuild:
         assert rebuilt.offsets.dtype == rebuilt.targets.dtype == np.int64
         assert rebuilt.weights.dtype == np.float64
 
+    @given(st.integers(1, 30), st.data())
+    def test_the_sort_matches_lexsort_on_multigraphs(self, n, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = data.draw(st.integers(0, 4 * n))
+        rows, cols = rng.integers(0, n, m), rng.integers(0, n, m)
+        # each weight names its entry, so the weights are the permutation
+        g = _sorted_graph(n, rows, cols, np.arange(m, dtype=np.float64))
+        order = np.lexsort((cols, rows))
+        np.testing.assert_array_equal(g.weights, order)
+        np.testing.assert_array_equal(g.targets, cols[order])
+        np.testing.assert_array_equal(g.rows, rows[order])
+
     @pytest.mark.parametrize("edges", [[[0, 1], [1, 2], [2, 0]], [[0, 1, 1.0, 2.0]], [0, 1, 1.0]])
     def test_rows_that_are_not_triples_are_rejected(self, edges):
         with pytest.raises(ValueError, match="triples"):
@@ -267,6 +281,21 @@ class TestSegmentSumProduct:
         assert np.all(np.abs(dense_adjacency(sparse) - lap) <= bound[:, None])
         bound = 4 * EPS * (np.abs(lap) @ np.abs(x))
         assert np.all(np.abs(sparse @ x - lap @ x) <= bound)
+
+    @given(st.one_of(graphs(), graphs().map(sparse_laplacian)))
+    def test_row_sums_match_the_edge_order_oracle_bit_for_bit(self, g):
+        sums = degrees(g)
+        assert sums.dtype == np.float64 and sums.shape == (g.n,)
+        assert np.array_equal(sums, graph_product(g, np.ones(g.n)))
+        assert np.array_equal(np.signbit(sums), np.signbit(graph_product(g, np.ones(g.n))))
+
+    def test_row_sums_cache_no_product_plan_on_the_graph(self):
+        g = from_edge_list([(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (2, 2, 1.5)], 3)
+        kernel_setup("bimp", g, np.ones((3, 2)))
+        degrees(g)
+        sparse_laplacian(g)
+        g.row_normalized()
+        assert g._plans == {}
 
     def test_row_normalized_errors(self):
         with pytest.raises(ValueError, match="^non-finite entries$"):

@@ -7,6 +7,7 @@ from odyn.analysis import dirichlet_energy, opinion_diameter
 from odyn.errors import NumericalError
 from odyn.fixtures import toy_graph, toy_initial_state
 from odyn.integrate import (
+    CHUNK_ROWS,
     MAGNITUDE_LIMIT,
     Trajectory,
     euler_integrate,
@@ -83,6 +84,20 @@ class TestEuler:
         for k, (t, x) in enumerate(zip(sparse.times, sparse.states)):
             assert t == dense.times[3 * k]
             np.testing.assert_array_equal(x, dense.states[3 * k])
+
+    @pytest.mark.parametrize("steps, every", [(0, 1), (12, 3), (13, 5)])
+    def test_snapshots_are_slots_of_one_block_that_later_steps_leave_alone(self, steps, every):
+        setup = kernel_setup("bimp", toy_graph(), toy_initial_state(), b=toy_initial_state())
+        traj = euler_integrate(setup, 0.05, steps, record_every=every)
+        block = traj.states[0].base
+        assert block.shape == (steps // every + 1, 3, 3)
+        assert all(x.base is block for x in traj.states)
+        # each slot keeps the state of its own step
+        x = toy_initial_state()
+        for k in range(1, steps + 1):
+            x = x + 0.05 * setup.rhs(x)
+            if k % every == 0:
+                np.testing.assert_array_equal(traj.states[k // every], x)
 
     def test_state_bound_under_damped_saturated_dynamics(self):
         # |x_i(M dt)| <= |x_i(0)| + M (1 + |x_i(0)|) dt when the damping
@@ -248,13 +263,22 @@ class TestCsvExports:
         assert lines[1] == "0.0,0,0,1.0"
         assert len(lines) == 1 + 3 * 2
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(9))
     def test_trajectory_csv_matches_a_per_value_loop_byte_for_byte(self, tmp_path, seed):
         rng = np.random.default_rng(seed)
-        shape = (1, 1) if seed == 0 else tuple(rng.integers(1, 7, size=2))
+        shape = {6: (3, 3), 7: (200, 8), 8: (5000, 1)}.get(seed)
+        if shape:
+            # enough snapshots that chunks of CHUNK_ROWS rows cross and split them
+            count = 2 * CHUNK_ROWS // (shape[0] * shape[1]) + 2
+        else:
+            shape = (1, 1) if seed == 0 else tuple(rng.integers(1, 7, size=2))
+            count = int(rng.integers(1, 5))
         traj = Trajectory()
-        for k in range(int(rng.integers(1, 5))):
-            x = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        for k in range(count):
+            # repr's scientific range, and its positional range [1e-4, 1e16)
+            wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+            positional = np.tanh(rng.standard_normal(shape)) * 10.0 ** rng.integers(-3, 16, size=shape)
+            x = np.where(rng.uniform(size=shape) < 0.3, wide, positional)
             x.flat[rng.integers(x.size)] = -0.0
             x.flat[rng.integers(x.size)] = 1e-300
             traj.times.append(k * float(rng.uniform(0.01, 0.5)))
