@@ -124,8 +124,7 @@ def _runge_kutta(
     scale = dt / tableau.denom
     traj = Trajectory()
     state = np.array(setup.state0, dtype=np.float64)
-    if not np.isfinite(state).all():
-        raise NumericalError("non-finite state at step 0")
+    _check_state(state, 0)
     first = position(state)
     # every snapshot is a slot of one block, allocated once and freed whole
     snapshots = np.empty((steps // record_every + 1, *first.shape))

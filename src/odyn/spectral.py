@@ -2,8 +2,8 @@
 
 The joint agent-option coupling is the Kronecker product
 ``(Ao + I) kron (Aa + I)`` acting on column-stacked states.  It is kept
-in factored form: one matvec costs two small dense products instead of
-touching the full (Na*No)^2 matrix.
+in factored form: one matvec costs two small dense products, and the
+full (Na*No)^2 matrix is never formed.
 
 Vectorization is column-stacking, so ``vec(A X C^T) = (C kron A) vec(X)``.
 """
@@ -14,10 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-
-# Largest joint dimension for which materializing the full operator is
-# permitted (dense step Jacobians and checks only).
-MATERIALIZE_LIMIT = 4096
 
 
 def vec(m: np.ndarray) -> np.ndarray:
@@ -72,15 +68,6 @@ class KroneckerOperator:
         if x.shape != (self.dim,):
             raise ValueError(f"expected vector of length {self.dim}, got {x.shape}")
         return vec(self.aa_plus_i @ unvec(x, self.n_agents, self.n_options) @ self.ao_plus_i.T)
-
-    def materialize(self) -> np.ndarray:
-        """Dense form of the operator; refuses beyond the size limit."""
-        if self.dim > MATERIALIZE_LIMIT:
-            raise ValueError(
-                f"joint dimension {self.dim} exceeds the materialization "
-                f"limit {MATERIALIZE_LIMIT}; use matvec"
-            )
-        return np.kron(self.ao_plus_i, self.aa_plus_i)
 
 
 @dataclass(frozen=True)

@@ -75,3 +75,26 @@ def graph_product(g: Graph, x: np.ndarray) -> np.ndarray:
             row = [acc + w * v for acc, v in zip(row, src)]
         out.append(row)
     return np.array(out, dtype=np.float64).reshape(x.shape)
+
+
+def step_jacobian(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, cfg) -> np.ndarray:
+    """Dense Jacobian of one Euler step of ``train`` with respect to the previous state.
+
+    (1 - d dt) I + dt diag(sech^2(z)) u ((alpha - 1) I + K) on the
+    column-stacked state, with K = (Ao + I) kron (Aa + I); z is recomputed
+    from the state, not read from a tape.
+    """
+    n = x.size
+    kron = np.kron(ao + np.eye(ao.shape[0]), aa + np.eye(aa.shape[0]))
+    op = cfg.u * ((cfg.alpha - 1.0) * np.eye(n) + kron)
+    z = op @ x.ravel(order="F")
+    sech2 = (1.0 / np.cosh(z)) ** 2
+    return (1.0 - cfg.d * cfg.dt) * np.eye(n) + cfg.dt * (sech2[:, None] * op)
+
+
+def jacobian_chain(tape, cfg) -> np.ndarray:
+    """Dense product J_M ... J_1 of the step Jacobians along a tape's states."""
+    product = np.eye(tape.states[0].size)
+    for t in range(1, cfg.steps + 1):
+        product = step_jacobian(tape.states[t - 1], tape.aa, tape.ao, cfg) @ product
+    return product

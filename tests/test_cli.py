@@ -146,6 +146,20 @@ BAD_INPUTS = [
     ("gread-fb-runaway", ["simulate", "--kernel", "gread-fb", "--graph", "cycle.json",
                           "--dt", "0.05", "--steps", "12000", "--out", "out"], 2,
      "numerical failure: state norm above 1e+50 at step 4656"),
+    # the initial state passes the same check as every later one
+    ("init-beyond-magnitude-limit", ["simulate", "--init", "huge.csv", "--steps", "0",
+                                     "--out", "out"], 2,
+     "numerical failure: state norm above 1e+50 at step 0"),
+    ("init-beyond-magnitude-limit-with-steps", ["simulate", "--init", "huge.csv", "--steps", "5",
+                                                "--out", "out"], 2,
+     "numerical failure: state norm above 1e+50 at step 0"),
+    # a NaN step size is a validation error, not divergence
+    ("train-nan-step-size", ["train", "--dt", "nan", "--out", "out"], 1,
+     "error: step size must be finite and positive, got nan"),
+    ("train-negative-noise", ["train", "--noise", "-1", "--out", "out"], 1,
+     "error: noise must be finite and nonnegative, got -1.0"),
+    ("gradcheck-zero-difference-step", ["gradcheck", "--h", "0", "--out", "out.json"], 1,
+     "error: difference step h must be finite and positive, got 0.0"),
 ]
 
 

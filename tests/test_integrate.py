@@ -77,6 +77,21 @@ class TestEuler:
         with pytest.raises(NumericalError, match=r"^stage norm above 1e\+50 at step 1$"):
             rk4_integrate(KernelSetup(lambda s: s, np.array([[sign * 1e50]])), 2.0, 3)
 
+    @pytest.mark.parametrize("start, message", [
+        (1e308, r"^state norm above 1e\+50 at step 0$"),
+        (-1e51, r"^state norm above 1e\+50 at step 0$"),
+        (math.nan, r"^non-finite state at step 0$"),
+    ])
+    def test_the_initial_state_passes_the_step_check(self, start, message):
+        def never_called(s):
+            raise AssertionError("a rejected start evaluated the right-hand side")
+
+        setup = KernelSetup(never_called, np.array([[0.0], [start]]))
+        for integrate in (euler_integrate, rk4_integrate):
+            for steps in (0, 5):
+                with pytest.raises(NumericalError, match=message):
+                    integrate(setup, 0.1, steps)
+
     def test_subsampled_recording_is_bit_exact(self):
         setup = kernel_setup("bimp", toy_graph(), toy_initial_state(), b=toy_initial_state())
         dense = euler_integrate(setup, 0.05, 12, record_every=1)
@@ -152,8 +167,9 @@ class TestRk4:
             seen_finite.append(bool(np.isfinite(s).all()))
             return np.full_like(s, 1e308)
 
-        with pytest.raises(NumericalError, match="step 1"):
-            rk4_integrate(KernelSetup(huge, np.array([[1e308]])), 2.0, 3)
+        # the first stage, 1 + (dt / 2) * 1e308, overflows
+        with pytest.raises(NumericalError, match="^non-finite stage at step 1$"):
+            rk4_integrate(KernelSetup(huge, np.array([[1.0]])), 4.0, 3)
         assert seen_finite == [True]
 
 

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from odyn.train import (
     save_history_csv,
     train_sgd,
 )
+import oracles
 from oracles import dense_adjacency
 
 
@@ -46,6 +48,16 @@ class TestConfig:
             TrainConfig(lr=0.1, epochs=1, steps=1, dt=0.5, d=2.0, alpha=1.0)
         with pytest.raises(ValueError, match="learning rate"):
             TrainConfig(lr=-0.1, epochs=1, steps=1, dt=0.1, d=1.0, alpha=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, message", [
+        ("lr", "learning rate"), ("dt", "step size"), ("d", "damping d"),
+        ("alpha", "self-reinforcement alpha"),
+    ])
+    def test_non_finite_hyperparameters_are_rejected(self, field, message, bad):
+        good = dict(lr=0.1, epochs=1, steps=1, dt=0.1, d=1.0, alpha=1.0)
+        with pytest.raises(ValueError, match=f"^{message} must be finite .*, got {bad}$"):
+            TrainConfig(**{**good, field: bad})
 
     def test_attention_pinned_to_critical_value(self):
         cfg = TrainConfig(lr=0.1, epochs=1, steps=1, dt=0.1, d=0.8, alpha=1.0)
@@ -229,6 +241,12 @@ class TestFiniteDifference:
         fd = finite_difference_grad(x_in, w, target, aa, ao, cfg, h=1e-5)
         assert fd[0, 0] == pytest.approx(6.0, abs=1e-8)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf])
+    def test_step_must_be_finite_and_positive(self, h):
+        cfg, aa, ao, x_in, w, target = small_fixture(8, steps=1)
+        with pytest.raises(ValueError, match="difference step h must be finite and positive"):
+            finite_difference_grad(x_in, w, target, aa, ao, cfg, h=h)
+
     def test_error_shrinks_quadratically_with_h(self):
         cfg, aa, ao, x_in, w, target = small_fixture(8, steps=3)
         _, tape = forward_unroll(x_in, w, aa, ao, cfg)
@@ -267,9 +285,7 @@ class TestJacobianChain:
         # damped identity factor
         cfg, aa, ao, x_in, w, _ = small_fixture(9, steps=1)
         _, tape = forward_unroll(x_in, w, aa, ao, cfg)
-        from odyn.train import step_jacobian
-
-        j = step_jacobian(tape.states[0], aa, ao, cfg)
+        j = oracles.step_jacobian(tape.states[0], aa, ao, cfg)
         base = (1.0 - cfg.d * cfg.dt) * np.eye(j.shape[0])
         drift = np.max(np.sum(np.abs(j - base), axis=1))
         assert drift <= cfg.dt * cfg.u * (abs(cfg.alpha - 1.0) + 4.0) + 1e-12
@@ -283,6 +299,36 @@ class TestJacobianChain:
         w = rng.uniform(-1, 1, (3, 3))
         _, tape = forward_unroll(x_in, w, aa, ao, cfg)
         assert jacobian_chain_norm(tape, cfg) >= 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 8), st.integers(1, 4), st.integers(0, 16), st.integers(0, 2**32 - 1),
+        st.sampled_from([0.05, 0.1]), st.floats(0.5, 1.5), st.floats(0.0, 2.0),
+    )
+    def test_reverse_sweep_matches_the_dense_product(self, na, no, steps, seed, dt, d, alpha):
+        cfg, aa, ao, x_in, w, _ = small_fixture(
+            seed, na=na, no=no, steps=steps, dt=dt, d=d, alpha=alpha
+        )
+        _, tape = forward_unroll(x_in, w, aa, ao, cfg)
+        dense = np.max(np.sum(np.abs(oracles.jacobian_chain(tape, cfg)), axis=1))
+        assert jacobian_chain_norm(tape, cfg) == pytest.approx(dense, rel=1e-12)
+
+    def test_chain_norm_makes_no_encoding_gradient_call(self, monkeypatch):
+        # the benchmark counts reverse updates through encoding_grad; the
+        # chain norm sweeps the reverse step on its own
+        cfg, aa, ao, x_in, w, _ = small_fixture(4, steps=5)
+        _, tape = forward_unroll(x_in, w, aa, ao, cfg)
+        calls = collections.Counter()
+        adjoint = train.coupling_adjoint
+
+        def counted(*args):
+            calls["coupling_adjoint"] += 1
+            return adjoint(*args)
+
+        monkeypatch.setattr(train, "coupling_adjoint", counted)
+        monkeypatch.setattr(train, "encoding_grad", None)
+        jacobian_chain_norm(tape, cfg)
+        assert calls["coupling_adjoint"] == cfg.steps
 
 
 class TestSbmTask:
@@ -306,6 +352,11 @@ class TestSbmTask:
     def test_probability_validation(self):
         with pytest.raises(ValueError, match="p_in"):
             make_sbm_task(3, 1.5, 0.0, noise=0.0, seed=0)
+
+    @pytest.mark.parametrize("noise", [-1.0, -1e-300, math.nan, math.inf])
+    def test_noise_must_be_finite_and_nonnegative(self, noise):
+        with pytest.raises(ValueError, match="noise must be finite and nonnegative"):
+            make_sbm_task(3, 1.0, 0.0, noise=noise, seed=0)
 
     @pytest.mark.parametrize("seed", [0, 1, 3, 17])
     @pytest.mark.parametrize("p_in, p_out", [(0.8, 0.05), (0.3, 0.3), (1.0, 0.0), (0.05, 0.6)])
@@ -363,7 +414,8 @@ class TestTrainSgd:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="diverged at epoch 0") as info:
                 train_sgd(huge, cfg)
-        assert "non-finite state" in str(info.value.__cause__)
+        # the encoded start is already beyond the integrator's magnitude limit
+        assert str(info.value.__cause__) == "state norm above 1e+50 at step 0"
 
     def test_training_never_builds_a_dense_agent_coupling(self, monkeypatch):
         product = Graph.__matmul__
