@@ -395,6 +395,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except MemoryError as e:
+        # numpy refuses an allocation beyond the machine at once, e.g. a
+        # graph file whose node count no array can hold
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 def entrypoint() -> None:

@@ -152,16 +152,20 @@ def _shortest(a: np.ndarray, exponent: np.ndarray):
 
 def _source(digits: np.ndarray) -> np.ndarray:
     """Each value's 24-byte source row, for ``digits`` in [1e16, 1e17)."""
+    # split into the lead digit and four groups of four, each from a
+    # contiguous operand: strided group columns are about twice as slow
     high = digits // _INT10[8]
+    low = digits - high * _INT10[8]
     lead = high // _INT10[8]
+    mid = high - lead * _INT10[8]
+    mid_high, low_high = mid // _INT10[4], low // _INT10[4]
     groups = np.empty((digits.size, 6), dtype=np.int64)
     groups[:, 0] = _CONSTANTS
     groups[:, 1] = lead
-    groups[:, 3] = high - lead * _INT10[8]
-    groups[:, 5] = digits - high * _INT10[8]
-    # the upper and lower four of each group of eight digits
-    groups[:, 2::2] = groups[:, 3::2] // _INT10[4]
-    groups[:, 3::2] -= groups[:, 2::2] * _INT10[4]
+    groups[:, 2] = mid_high
+    groups[:, 3] = mid - mid_high * _INT10[4]
+    groups[:, 4] = low_high
+    groups[:, 5] = low - low_high * _INT10[4]
     return _quads().take(groups).view(np.uint8)
 
 

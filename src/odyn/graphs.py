@@ -17,6 +17,7 @@ File formats:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -59,12 +60,20 @@ class Graph:
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """A X for an ``(n,)`` or ``(n, o)`` state; a row without edges gives 0.
 
-        Each output cell is ``0.0 + w_0 x_0 + w_1 x_1 + ...``, summed left to
-        right over the row's edges in target order, signed zeros included.
-        The terms are gathered level by level from the padded layout of
-        :func:`_product_plan` and reduced over the levels in one call.
+        A stack of states, ``x.ndim >= 3``, is acted on along axis -2, as
+        numpy's matmul treats a dense A; each item keeps the bits of its own
+        product.  Each output cell is ``0.0 + w_0 x_0 + w_1 x_1 + ...``,
+        summed left to right over the row's edges in target order, signed
+        zeros included.  The terms are gathered level by level from the
+        padded layout of :func:`_product_plan` and reduced over the levels
+        in one call.
         """
         x = np.asarray(x, dtype=np.float64)
+        if x.ndim >= 3 and x.shape[-2] == self.n:
+            # the stack as one (n, items * o) state: each column sums on its own
+            stacked = np.moveaxis(x, -2, 0)
+            out = self @ stacked.reshape(self.n, math.prod(stacked.shape[1:]))
+            return np.moveaxis(out.reshape(stacked.shape), 0, -2)
         if x.ndim not in (1, 2) or x.shape[0] != self.n:
             raise ValueError(f"graph on {self.n} nodes cannot act on shape {x.shape}")
         plan = self._plans.get(x.shape[1:])
@@ -178,7 +187,7 @@ def _product_plan(g: Graph, tail: tuple[int, ...]):
 def from_edge_list(edges, n: int) -> Graph:
     """Build a :class:`Graph` from ``(src, dst, weight)`` triples.
 
-    Indices must lie in ``[0, n)``, weights must be finite and
+    Indices must be integers in ``[0, n)``, weights must be finite and
     nonnegative, and a ``(src, dst)`` pair may appear at most once.
     """
     if n < 0:
@@ -188,13 +197,18 @@ def from_edge_list(edges, n: int) -> Graph:
         e = e.reshape(0, 3)
     if e.ndim != 2 or e.shape[1] != 3:
         raise ValueError(f"edges must be (src, dst, weight) triples, got shape {e.shape}")
-    # indices truncate toward zero, as int() does
-    src, dst, w = np.trunc(e[:, 0]), np.trunc(e[:, 1]), e[:, 2]
+    src, dst, w = e[:, 0], e[:, 1], e[:, 2]
+    # NaN and inf are no integers either
+    whole = np.isfinite(src) & np.isfinite(dst) & (src == np.trunc(src)) & (dst == np.trunc(dst))
     in_range = (src >= 0) & (src < n) & (dst >= 0) & (dst < n)
     finite = np.isfinite(w)
-    bad = ~in_range | ~finite | (w < 0)
+    bad = ~whole | ~in_range | ~finite | (w < 0)
     if bad.any():
         k = int(np.argmax(bad))
+        if not whole[k]:
+            raise ValueError(
+                f"edge ({src[k]:g}, {dst[k]:g}) has a node index that is not an integer"
+            )
         s, d = int(src[k]), int(dst[k])
         if not in_range[k]:
             raise ValueError(f"edge ({s}, {d}) out of range for n={n}")

@@ -160,19 +160,35 @@ BAD_INPUTS = [
      "error: noise must be finite and nonnegative, got -1.0"),
     ("gradcheck-zero-difference-step", ["gradcheck", "--h", "0", "--out", "out.json"], 1,
      "error: difference step h must be finite and positive, got 0.0"),
+    # a node index is an integer, never truncated
+    ("graph-fractional-node-index", ["simulate", "--graph", "fractional-index.json",
+                                     "--out", "out"], 1,
+     "error: edge (0.5, 1) has a node index that is not an integer"),
+    # 10^12 nodes need 8 TB per index array, an allocation refused at once
+    ("graph-node-count-beyond-memory", ["simulate", "--graph", "huge-n.json", "--out", "out"], 1,
+     "error: Unable to allocate"),
 ]
+
+# Linux refuses an allocation beyond its memory at once unless it is set to
+# overcommit always (mode 1); elsewhere the huge-n row is not run
+OVERCOMMIT = Path("/proc/sys/vm/overcommit_memory")
+REFUSES_HUGE_ALLOCATIONS = OVERCOMMIT.is_file() and OVERCOMMIT.read_text().strip() in ("0", "2")
 
 
 @pytest.mark.parametrize(
     "argv, code, prefix", [case[1:] for case in BAD_INPUTS], ids=[case[0] for case in BAD_INPUTS]
 )
 def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefix):
+    if "huge-n.json" in argv and not REFUSES_HUGE_ALLOCATIONS:
+        pytest.skip("this kernel may grant an 8 TB allocation and fail later")
+    (tmp_path / "huge-n.json").write_text(json.dumps({"n": 10**12, "edges": [[0, 1, 1.0]]}))
     (tmp_path / "noedges.json").write_text(json.dumps({"n": 3}))
     (tmp_path / "textn.json").write_text(json.dumps({"n": "3", "edges": []}))
     for name, edges in (("pairs", [[0, 1], [1, 2], [2, 0]]), ("text-index", [[0, "a", 1.0]]),
                         ("duplicate", [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0], [0, 1, 0.5]]),
                         ("sink", [[0, 1, 1.0]]), ("cycle", [[0, 1, 1], [1, 2, 1], [2, 0, 1]]),
-                        ("nan-weight", [[0, 1, math.nan], [1, 2, 1.0], [2, 0, 1.0]])):
+                        ("nan-weight", [[0, 1, math.nan], [1, 2, 1.0], [2, 0, 1.0]]),
+                        ("fractional-index", [[0.5, 1, 1], [1, 2, 1], [2, 0, 1]])):
         (tmp_path / f"{name}.json").write_text(json.dumps({"n": 3, "edges": edges}))
     save_matrix_csv(np.full((3, 3), 1e307), tmp_path / "huge.csv")
     (tmp_path / "one.json").write_text(json.dumps({"n": 1, "edges": []}))

@@ -77,10 +77,16 @@ def skewed_graphs(draw):
                            zip(edges, rng.uniform(0.0, 2.0, len(edges)))], n)
 
 
-def signed_states(g, data):
-    """``(n,)`` or ``(n, 1..8)`` states over many magnitudes, with zeros of both signs."""
+def signed_states(g, data, stack=()):
+    """``(n,)`` or ``(n, 1..8)`` states over many magnitudes, with zeros of both signs.
+
+    With ``stack`` dimensions, a ``(*stack, n, 1..8)`` stack of such states.
+    """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    shape = (g.n,) if data.draw(st.booleans()) else (g.n, data.draw(st.integers(1, 8)))
+    if not stack and data.draw(st.booleans()):
+        shape = (g.n,)
+    else:
+        shape = (*stack, g.n, data.draw(st.integers(1, 8)))
     x = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
     kind = rng.uniform(size=shape)
     x[kind < 0.1], x[(kind >= 0.1) & (kind < 0.15)] = -0.0, 0.0
@@ -206,9 +212,13 @@ class TestVectorizedBuild:
         with pytest.raises(ValueError, match=r"^negative weight -1\.0 on edge \(0, 1\)$"):
             from_edge_list([(0, 1, -1.0), (1, 2, math.inf)], 3)
 
-    def test_fractional_indices_truncate_like_int(self):
-        g = from_edge_list([(1.9, 0.2, 1.0)], 2)
-        assert g.to_edge_list() == [(1, 0, 1.0)]
+    def test_node_indices_that_are_not_integers_are_rejected(self):
+        for index, text in ((1.9, "1.9"), (math.nan, "nan"), (math.inf, "inf")):
+            message = rf"^edge \(0, {text}\) has a node index that is not an integer$"
+            with pytest.raises(ValueError, match=message):
+                from_edge_list([(0, 1, 1.0), (0.0, index, 1.0)], 2)
+        # a whole number of any type reads as that index
+        assert from_edge_list([(1.0, True, 2.0)], 2).to_edge_list() == [(1, 1, 2.0)]
 
 
 class TestSegmentSumProduct:
@@ -318,6 +328,19 @@ class TestProductSummationOrder:
         assert out.shape == x.shape and out.dtype == np.float64
         assert np.array_equal(out, expected)
         assert np.array_equal(np.signbit(out), np.signbit(expected))
+
+    @settings(max_examples=100)
+    @given(st.one_of(graphs(), skewed_graphs()), st.data())
+    def test_a_stack_of_states_matches_the_product_of_each_item(self, g, data):
+        # a stack acts along axis -2, as numpy's matmul does with a dense A
+        lead = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=2))
+        stack = signed_states(g, data, tuple(lead))
+        out = g @ stack
+        assert out.shape == stack.shape and out.dtype == np.float64
+        for index in np.ndindex(*lead):
+            item = g @ stack[index]
+            assert np.array_equal(out[index], item)
+            assert np.array_equal(np.signbit(out[index]), np.signbit(item))
 
     @given(skewed_graphs(), st.data())
     def test_a_skewed_graph_takes_one_block_per_degree_class(self, g, data):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,21 @@ class TestCsvExports:
                     lines.append(f"{t!r},{i},{j},{float(x[i, j])!r}")
         save_trajectory_csv(traj, tmp_path / "traj.csv")
         assert (tmp_path / "traj.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_the_writer_working_set_is_bounded_per_chunk_row(self, tmp_path):
+        # one snapshot of 20 chunks, square enough that its node and option
+        # tables stay small: the writer holds one chunk at a time (about
+        # 600 bytes per chunk row at 4096 rows), so its peak does not grow
+        # with the snapshot
+        x = np.tanh(np.random.default_rng(0).standard_normal((20 * CHUNK_ROWS // 256, 256)))
+        traj = Trajectory(times=[0.0], states=[x])
+        tracemalloc.start()
+        try:
+            save_trajectory_csv(traj, tmp_path / "traj.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * CHUNK_ROWS
 
     def test_metrics_csv(self, tmp_path):
         traj = euler_integrate(

@@ -8,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odyn import kernels, train
-from odyn.attention import build_communication_attention, init_attention_weights
+from odyn.attention import (
+    build_communication_attention,
+    build_option_attention,
+    init_attention_weights,
+)
 from odyn.errors import NumericalError
 from odyn.fixtures import random_row_stochastic
 from odyn.graphs import Graph, from_edge_list
@@ -310,6 +314,24 @@ class TestJacobianChain:
             seed, na=na, no=no, steps=steps, dt=dt, d=d, alpha=alpha
         )
         _, tape = forward_unroll(x_in, w, aa, ao, cfg)
+        dense = np.max(np.sum(np.abs(oracles.jacobian_chain(tape, cfg)), axis=1))
+        assert jacobian_chain_norm(tape, cfg) == pytest.approx(dense, rel=1e-12)
+
+    def test_chain_norm_on_an_attention_graph_tape(self):
+        # train_sgd's tapes hold the agent attention as a Graph, whose
+        # product takes the reverse sweep's stack of cotangents
+        task = make_sbm_task(4, 0.6, 0.2, noise=0.3, seed=5)
+        cfg = TrainConfig(lr=0.0, epochs=0, steps=12, dt=0.1, d=1.0, alpha=1.0, seed=5)
+        w = np.random.default_rng(5).uniform(-0.5, 0.5, (2, 2))
+        x0 = task.x_in @ w
+        aa = build_communication_attention(
+            x0, init_attention_weights(train.ATTENTION_DIM, 2, seed=5), task.graph
+        )
+        ao = build_option_attention(
+            x0, init_attention_weights(train.ATTENTION_DIM, task.graph.n, seed=6)
+        )
+        assert isinstance(aa, Graph)
+        _, tape = forward_unroll(task.x_in, w, aa, ao, cfg)
         dense = np.max(np.sum(np.abs(oracles.jacobian_chain(tape, cfg)), axis=1))
         assert jacobian_chain_norm(tape, cfg) == pytest.approx(dense, rel=1e-12)
 
