@@ -69,16 +69,19 @@ class Graph:
         in one call.
         """
         x = np.asarray(x, dtype=np.float64)
+        stack, key = None, x.shape[1:]
         if x.ndim >= 3 and x.shape[-2] == self.n:
-            # the stack as one (n, items * o) state: each column sums on its own
-            stacked = np.moveaxis(x, -2, 0)
-            out = self @ stacked.reshape(self.n, math.prod(stacked.shape[1:]))
-            return np.moveaxis(out.reshape(stacked.shape), 0, -2)
-        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+            # the stack as one (n, items * o) state: each column sums on its
+            # own, so the plan keyed by the stack's shape keeps its weights
+            # unexpanded and does not grow with the stack
+            stack = np.moveaxis(x, -2, 0)
+            key = stack.shape[1:]
+            x = stack.reshape(self.n, math.prod(key))
+        elif x.ndim not in (1, 2) or x.shape[0] != self.n:
             raise ValueError(f"graph on {self.n} nodes cannot act on shape {x.shape}")
-        plan = self._plans.get(x.shape[1:])
+        plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[x.shape[1:]] = _product_plan(self, x.shape[1:])
+            plan = self._plans[key] = _product_plan(self, x.shape[1:], expand=len(key) <= 1)
         blocks, padded, order = plan
         if padded:
             x = np.concatenate([x, np.zeros((1, *x.shape[1:]))])
@@ -86,7 +89,8 @@ class Graph:
             sums = _level_sum(x, *blocks[0])
         else:
             sums = np.concatenate([_level_sum(x, *block) for block in blocks])
-        return sums if order is None else sums.take(order, axis=0)
+        out = sums if order is None else sums.take(order, axis=0)
+        return out if stack is None else np.moveaxis(out.reshape(stack.shape), 0, -2)
 
     @cached_property
     def T(self) -> Graph:
@@ -133,7 +137,7 @@ def _level_sum(x: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> np.nd
     return np.add.reduce(terms, axis=0, initial=0.0)
 
 
-def _product_plan(g: Graph, tail: tuple[int, ...]):
+def _product_plan(g: Graph, tail: tuple[int, ...], expand: bool):
     """The padded level-major layout of ``g @ X`` for states of shape ``(n, *tail)``.
 
     Returns ``(blocks, padded, order)``.  When ``n * maxdeg <= 2 * edges``
@@ -143,9 +147,12 @@ def _product_plan(g: Graph, tail: tuple[int, ...]):
     rows whose terms take about ``_BLOCK_BYTES``, one block per run:
     ``targets[k, m]`` is the k-th target of the block's row m, or the zero
     row ``n`` past the row's last edge, and ``weights[k, m]`` its weight,
-    0 in padded cells.  ``order`` takes the concatenated block sums back to
-    row order, or is None when they are in it already (one group and no
-    guard row).  ``padded`` tells whether any cell reads row ``n``.
+    0 in padded cells.  With ``expand`` the weights are repeated across the
+    state's columns, shape ``targets.shape + tail``; without, they keep one
+    column, shape ``targets.shape + (1,)``, and broadcast over a 2-d
+    state.  ``order`` takes the concatenated block sums back to row order,
+    or is None when they are in it already (one group and no guard row).
+    ``padded`` tells whether any cell reads row ``n``.
     """
     width = int(np.prod(tail))
     degree = np.diff(g.offsets)
@@ -174,9 +181,12 @@ def _product_plan(g: Graph, tail: tuple[int, ...]):
             targets[level, column] = g.targets[edge]
             weights[level, column] = g.weights[edge]
             padded |= column.size < targets.size
-            # expanded across the state's columns: a broadcast multiply is slower
-            expanded = np.repeat(weights[:, :, None], width, axis=2)
-            blocks.append((targets, expanded.reshape(targets.shape + tail)))
+            if expand:
+                # a broadcast multiply is slower on narrow states
+                expanded = np.repeat(weights[:, :, None], width, axis=2)
+                blocks.append((targets, expanded.reshape(targets.shape + tail)))
+            else:
+                blocks.append((targets, weights[:, :, None]))
             order[rows] = start + np.arange(len(rows))
             start += count
     # a guard row shifts every later row, so it needs the inverse order too
@@ -209,11 +219,11 @@ def from_edge_list(edges, n: int) -> Graph:
             raise ValueError(
                 f"edge ({src[k]:g}, {dst[k]:g}) has a node index that is not an integer"
             )
-        s, d = int(src[k]), int(dst[k])
         if not in_range[k]:
-            raise ValueError(f"edge ({s}, {d}) out of range for n={n}")
+            # up to 15 digits, so a huge index prints short and a 7-digit one whole
+            raise ValueError(f"edge ({src[k]:.15g}, {dst[k]:.15g}) out of range for n={n}")
         kind = "negative" if finite[k] else "non-finite"
-        raise ValueError(f"{kind} weight {float(w[k])} on edge ({s}, {d})")
+        raise ValueError(f"{kind} weight {float(w[k])} on edge ({int(src[k])}, {int(dst[k])})")
     g = _sorted_graph(n, src.astype(np.int64), dst.astype(np.int64), w)
     dup = (g.rows[1:] == g.rows[:-1]) & (g.targets[1:] == g.targets[:-1])
     if dup.any():

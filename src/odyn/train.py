@@ -326,7 +326,9 @@ def make_sbm_task(
 
     Features are the one-hot block label plus Gaussian noise; the target
     is the clean one-hot label.  Identical seeds reproduce the dataset
-    byte for byte.
+    byte for byte.  The edges cost one uniform draw per node pair, so
+    O(n^2) time, but only O(n + edges) memory: the pairs are drawn at
+    most ``_SBM_RUN_PAIRS`` at a time.
     """
     if n_per_block < 1:
         raise ValueError(f"n_per_block must be at least 1, got {n_per_block}")
@@ -337,15 +339,52 @@ def make_sbm_task(
         raise ValueError(f"noise must be finite and nonnegative, got {noise}")
     rng = np.random.default_rng(seed)
     n = 2 * n_per_block
-    labels = np.repeat([0, 1], n_per_block)
-    # one uniform per pair i < j, drawn in the row-major order of the pairs
-    i, j = np.triu_indices(n, 1)
-    hit = rng.uniform(size=i.size) < np.where(labels[i] == labels[j], p_in, p_out)
-    i, j = i[hit], j[hit]
+    i, j = _sbm_pairs(rng, n_per_block, p_in, p_out)
     graph = from_edge_list(np.column_stack([np.r_[i, j], np.r_[j, i], np.ones(2 * i.size)]), n)
-    onehot = np.eye(2)[labels]
+    onehot = np.eye(2)[np.repeat([0, 1], n_per_block)]
     x_in = onehot + noise * rng.standard_normal((n, 2))
     return SbmTask(graph=graph, x_in=x_in, target=onehot.astype(np.float64))
+
+
+# Pairs whose uniforms make_sbm_task draws at once: 0.5 MB of doubles
+_SBM_RUN_PAIRS = 1 << 16
+
+
+def _sbm_pairs(
+    rng: np.random.Generator, n_per_block: int, p_in: float, p_out: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j that the SBM links, one uniform per pair from ``rng``.
+
+    The pairs are numbered in row-major order, row i starting at
+    i (2n - i - 1) / 2, and drawn in runs of at most ``_SBM_RUN_PAIRS``;
+    k draws of one double give the bits of one draw of k, so the stream
+    is that of a single draw over all pairs.  Pair k links when its
+    uniform is below its block's probability.  The thresholds are
+    constant on segments of pairs: a row i of block 0 meets
+    n_per_block - 1 - i pairs in its own block and then n_per_block in
+    the other; block 1's rows meet only pairs in their own block, one
+    segment for all of them.
+    """
+    n = 2 * n_per_block
+    rows = np.arange(n, dtype=np.int64)
+    row_starts = rows * (2 * n - rows - 1) // 2
+    own = np.arange(n_per_block - 1, -1, -1, dtype=np.int64)
+    lengths = np.r_[np.column_stack([own, np.full(n_per_block, n_per_block)]).ravel(), own.sum()]
+    values = np.r_[np.tile([p_in, p_out], n_per_block), p_in]
+    bounds = np.r_[0, np.cumsum(lengths)]
+    total = int(bounds[-1])
+    hits = []
+    for start in range(0, total, _SBM_RUN_PAIRS):
+        stop = min(start + _SBM_RUN_PAIRS, total)
+        # the segments that overlap [start, stop), each clipped to it
+        first = np.searchsorted(bounds, start, side="right") - 1
+        last = np.searchsorted(bounds, stop)
+        counts = np.diff(np.clip(bounds[first:last + 1], start, stop))
+        threshold = np.repeat(values[first:last], counts)
+        hits.append(start + np.flatnonzero(rng.uniform(size=stop - start) < threshold))
+    k = np.concatenate(hits)
+    i = np.searchsorted(row_starts, k, side="right") - 1
+    return i, k - row_starts[i] + i + 1
 
 
 def accuracy(x_final: np.ndarray, target: np.ndarray) -> float:

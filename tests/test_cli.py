@@ -164,6 +164,9 @@ BAD_INPUTS = [
     ("graph-fractional-node-index", ["simulate", "--graph", "fractional-index.json",
                                      "--out", "out"], 1,
      "error: edge (0.5, 1) has a node index that is not an integer"),
+    # a finite index beyond n is printed short, not digit by digit
+    ("graph-huge-node-index", ["simulate", "--graph", "huge-index.json", "--out", "out"], 1,
+     "error: edge (1e+300, 1) out of range for n=3"),
     # 10^12 nodes need 8 TB per index array, an allocation refused at once
     ("graph-node-count-beyond-memory", ["simulate", "--graph", "huge-n.json", "--out", "out"], 1,
      "error: Unable to allocate"),
@@ -188,7 +191,8 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
                         ("duplicate", [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0], [0, 1, 0.5]]),
                         ("sink", [[0, 1, 1.0]]), ("cycle", [[0, 1, 1], [1, 2, 1], [2, 0, 1]]),
                         ("nan-weight", [[0, 1, math.nan], [1, 2, 1.0], [2, 0, 1.0]]),
-                        ("fractional-index", [[0.5, 1, 1], [1, 2, 1], [2, 0, 1]])):
+                        ("fractional-index", [[0.5, 1, 1], [1, 2, 1], [2, 0, 1]]),
+                        ("huge-index", [[1e300, 1, 1]])):
         (tmp_path / f"{name}.json").write_text(json.dumps({"n": 3, "edges": edges}))
     save_matrix_csv(np.full((3, 3), 1e307), tmp_path / "huge.csv")
     (tmp_path / "one.json").write_text(json.dumps({"n": 1, "edges": []}))

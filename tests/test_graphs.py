@@ -205,6 +205,12 @@ class TestVectorizedBuild:
         with pytest.raises(ValueError, match=r"^duplicate edge \(0, 1\)$"):
             from_edge_list([(1, 2, 1.0), (0, 1, 0.5), (1, 0, 1.0), (0, 1, 0.25)], 3)
 
+    def test_an_out_of_range_index_prints_short(self):
+        with pytest.raises(ValueError, match=r"^edge \(0, 1234567\) out of range for n=3$"):
+            from_edge_list([(0, 1234567, 1.0)], 3)
+        with pytest.raises(ValueError, match=r"^edge \(1e\+300, -1\) out of range for n=3$"):
+            from_edge_list([(1e300, -1, 1.0)], 3)
+
     def test_non_finite_weights_are_rejected(self):
         for weight, text in ((math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")):
             with pytest.raises(ValueError, match=rf"^non-finite weight {text} on edge \(1, 2\)$"):

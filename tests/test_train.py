@@ -1,6 +1,7 @@
 import collections
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -335,6 +336,35 @@ class TestJacobianChain:
         dense = np.max(np.sum(np.abs(oracles.jacobian_chain(tape, cfg)), axis=1))
         assert jacobian_chain_norm(tape, cfg) == pytest.approx(dense, rel=1e-12)
 
+    def test_chain_norm_leaves_no_plan_that_grows_with_the_stack(self, monkeypatch):
+        # the sweep multiplies a stack of 400 cotangents, 800 columns, by
+        # aa.T; a plan that repeated each weight across them would take 22 MB
+        task = make_sbm_task(100, 0.1, 0.02, noise=0.3, seed=5)
+        cfg = TrainConfig(lr=0.0, epochs=0, steps=2, dt=0.1, d=1.0, alpha=1.0, seed=5)
+        w = np.random.default_rng(5).uniform(-0.5, 0.5, (2, 2))
+        x0 = task.x_in @ w
+        aa = build_communication_attention(
+            x0, init_attention_weights(train.ATTENTION_DIM, 2, seed=5), task.graph
+        )
+        ao = build_option_attention(
+            x0, init_attention_weights(train.ATTENTION_DIM, task.graph.n, seed=6)
+        )
+        _, tape = forward_unroll(task.x_in, w, aa, ao, cfg)
+        norm = jacobian_chain_norm(tape, cfg)
+
+        def plan_bytes(*plans):
+            return sum(t.nbytes + wt.nbytes for blocks, _, _ in plans for t, wt in blocks)
+
+        for g in (aa, aa.T):
+            g @ x0
+            assert plan_bytes(*g._plans.values()) <= 3 * plan_bytes(g._plans[(2,)])
+
+        def oracle_product(g, x):
+            return np.moveaxis(oracles.graph_product(g, np.moveaxis(x, -2, 0)), 0, -2)
+
+        monkeypatch.setattr(Graph, "__matmul__", oracle_product)
+        assert jacobian_chain_norm(tape, cfg) == norm
+
     def test_chain_norm_makes_no_encoding_gradient_call(self, monkeypatch):
         # the benchmark counts reverse updates through encoding_grad; the
         # chain norm sweeps the reverse step on its own
@@ -380,10 +410,18 @@ class TestSbmTask:
         with pytest.raises(ValueError, match="noise must be finite and nonnegative"):
             make_sbm_task(3, 1.0, 0.0, noise=noise, seed=0)
 
-    @pytest.mark.parametrize("seed", [0, 1, 3, 17])
-    @pytest.mark.parametrize("p_in, p_out", [(0.8, 0.05), (0.3, 0.3), (1.0, 0.0), (0.05, 0.6)])
-    def test_same_dataset_as_one_draw_per_pair_in_a_loop(self, seed, p_in, p_out):
-        n_per_block, noise = 15, 0.1
+    @pytest.mark.parametrize("n_per_block, seed, p_in, p_out", [
+        *((15, seed, p_in, p_out) for p_in, p_out in ((0.8, 0.05), (0.3, 0.3), (1.0, 0.0),
+                                                      (0.05, 0.6)) for seed in (0, 1, 3, 17)),
+        # 179,700 pairs, drawn in three runs
+        (300, 5, 0.03, 0.004),
+        (300, 6, 0.01, 0.05),
+        (1, 0, 0.5, 0.5),
+        (1, 2, 1.0, 0.0),
+        (1, 4, 0.0, 1.0),
+    ])
+    def test_same_dataset_as_one_draw_per_pair_in_a_loop(self, n_per_block, seed, p_in, p_out):
+        noise = 0.1
         rng = np.random.default_rng(seed)
         n = 2 * n_per_block
         labels = np.repeat([0, 1], n_per_block)
@@ -398,6 +436,18 @@ class TestSbmTask:
         for field in ("offsets", "targets", "weights"):
             np.testing.assert_array_equal(getattr(task.graph, field), getattr(expected, field))
         np.testing.assert_array_equal(task.x_in, x_in)
+
+    def test_set_up_memory_grows_with_the_edges_not_the_pairs(self):
+        # 1,999,000 pairs and 67,974 edges: arrays over every pair would
+        # take about 80 MB
+        make_sbm_task(1, 0.5, 0.5, noise=0.1, seed=0)
+        tracemalloc.start()
+        try:
+            make_sbm_task(1000, 0.03, 0.004, noise=0.1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestTrainSgd:
