@@ -18,9 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Graph
-from .kernels import rhs_reduced_1d
+from .graphs import Graph, repr_rows
+from .kernels import BimpParams, check_finite, rhs_reduced_1d
 from .spectral import symmetric_eigendecomposition
+
+NEWTON_SEEDS = 41  # reduced_equilibria's Newton starts, evenly spaced on [-2, 2]
+NEWTON_ITERS = 50
+DEDUP_TOL = 1e-8  # roots closer than this are one
+ZERO_TOL = 1e-10  # an |eigenvalue| that grandpp_closed_form counts as zero
 
 
 def dirichlet_energy(x: np.ndarray, g: Graph) -> float:
@@ -58,15 +63,8 @@ class BifurcationPoint:
     equilibria: tuple[tuple[float, bool], ...]
 
 
-def reduced_equilibria(
-    u: float,
-    d: float,
-    alpha: float,
-    b: float = 0.0,
-    seed_points: int = 41,
-    newton_iters: int = 50,
-    dedup_tol: float = 1e-8,
-) -> tuple[tuple[float, bool], ...]:
+def reduced_equilibria(u: float, d: float, alpha: float,
+                       b: float = 0.0) -> tuple[tuple[float, bool], ...]:
     """All equilibria of dy/dt = -d y + tanh(u (alpha+3) y) + b with stability.
 
     Newton runs from a seed grid over [-2, 2]; seeds that fail to converge
@@ -85,10 +83,10 @@ def reduced_equilibria(
         return -d + c * sech2
 
     roots: list[float] = []
-    for y in np.linspace(-2.0, 2.0, seed_points):
+    for y in np.linspace(-2.0, 2.0, NEWTON_SEEDS):
         y = float(y)
         converged = False
-        for _ in range(newton_iters):
+        for _ in range(NEWTON_ITERS):
             fy = f(y)
             if abs(fy) < 1e-13:
                 converged = True
@@ -103,7 +101,7 @@ def reduced_equilibria(
             if abs(step) < 1e-14:
                 converged = abs(f(y)) < 1e-10
                 break
-        if converged and all(abs(y - r) > dedup_tol for r in roots):
+        if converged and all(abs(y - r) > DEDUP_TOL for r in roots):
             roots.append(y)
     roots.sort()
     return tuple((r, fprime(r) < 0.0) for r in roots)
@@ -112,14 +110,16 @@ def reduced_equilibria(
 def bifurcation_sweep(
     u_range: tuple[float, float, int], d: float, alpha: float, b: float = 0.0
 ) -> list[BifurcationPoint]:
-    """Equilibrium structure over a grid of attention values."""
+    """Equilibrium structure over a grid of finite attention values of either
+    sign; d must be positive, and alpha and b pass the saturated kernel's checks."""
     lo, hi, points = u_range
+    check_finite(f"the width of the attention range [{lo}, {hi}]", hi - lo)
     if not lo < hi:
         raise ValueError(f"need lo < hi, got lo={lo}, hi={hi}")
     if points < 2:
         raise ValueError("need at least two sweep points")
-    if d <= 0:
-        raise ValueError("damping must be positive")
+    check_finite("damping d", d, "positive")
+    BimpParams(d=d, alpha=alpha, b=b)
     return [
         BifurcationPoint(u=float(u), equilibria=reduced_equilibria(float(u), d, alpha, b))
         for u in np.linspace(lo, hi, points)
@@ -128,11 +128,8 @@ def bifurcation_sweep(
 
 def bifurcation_csv(points: list[BifurcationPoint]) -> str:
     """CSV text with header ``u,y,stable`` (stable encoded as 1/0)."""
-    lines = ["u,y,stable"]
-    for p in points:
-        for y, stable in p.equilibria:
-            lines.append(f"{p.u!r},{y!r},{int(stable)}")
-    return "\n".join(lines) + "\n"
+    rows = ((p.u, y, int(stable)) for p in points for y, stable in p.equilibria)
+    return repr_rows(rows, "u,y,stable")
 
 
 @dataclass(frozen=True)
@@ -164,9 +161,7 @@ class ClosedFormSolution:
         return self.eigenvectors @ modal
 
 
-def grandpp_closed_form(
-    l: np.ndarray, x0: np.ndarray, b: np.ndarray, zero_tol: float = 1e-10
-) -> ClosedFormSolution:
+def grandpp_closed_form(l: np.ndarray, x0: np.ndarray, b: np.ndarray) -> ClosedFormSolution:
     """Fit the modal solution of dX/dt = -L X + B from the initial state.
 
     Requires symmetric positive-semidefinite ``l`` whose zero eigenvalue is
@@ -179,11 +174,11 @@ def grandpp_closed_form(
     if x0.shape != b.shape or x0.shape[0] != l.shape[0]:
         raise ValueError("state, source, and operator shapes are inconsistent")
     eigenvalues, eigenvectors = symmetric_eigendecomposition(l)
-    if eigenvalues[0] < -zero_tol:
+    if eigenvalues[0] < -ZERO_TOL:
         raise ValueError("operator must be positive semidefinite")
-    if abs(eigenvalues[0]) > zero_tol:
+    if abs(eigenvalues[0]) > ZERO_TOL:
         raise ValueError("operator has no zero eigenvalue")
-    if eigenvalues.shape[0] > 1 and eigenvalues[1] <= zero_tol:
+    if eigenvalues.shape[0] > 1 and eigenvalues[1] <= ZERO_TOL:
         raise ValueError("zero eigenvalue is repeated (graph is disconnected)")
     input_coeffs = eigenvectors.T @ b
     state_coeffs = eigenvectors.T @ x0

@@ -264,10 +264,12 @@ def cmd_gradcheck(opts) -> int:
 
 
 def cmd_train(opts) -> int:
+    # a bad hyperparameter fails before the task's O(n^2) draws
+    cfg = _train_config(opts)
     task = make_sbm_task(
         opts["n_per_block"], opts["p_in"], opts["p_out"], noise=opts["noise"], seed=opts["seed"]
     )
-    w, history = train_sgd(task, _train_config(opts))
+    w, history = train_sgd(task, cfg)
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
     save_history_csv(history, out / "history.csv")

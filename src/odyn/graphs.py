@@ -257,10 +257,15 @@ def load_graph_json(path) -> Graph:
         raise ValueError(f"graph file {path}: {e}") from None
 
 
+def repr_rows(rows, header: str | None = None) -> str:
+    """CSV text of rows of Python ints and floats, each written as its ``repr``
+    (numpy 2 writes an ``np.float64`` x as ``np.float64(x)``)."""
+    lines = [",".join(map(repr, row)) for row in rows]
+    return "\n".join(lines if header is None else [header, *lines]) + "\n"
+
+
 def save_matrix_csv(m: np.ndarray, path) -> None:
-    m = np.atleast_2d(np.asarray(m, dtype=np.float64))
-    lines = [",".join(repr(float(v)) for v in row) for row in m]
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(repr_rows(np.atleast_2d(np.asarray(m, dtype=np.float64)).tolist()))
 
 
 def load_matrix_csv(path) -> np.ndarray:

@@ -43,7 +43,8 @@ import numpy as np
 
 from .errors import NumericalError
 from .floatrepr import repr_cells
-from .kernels import KernelSetup
+from .graphs import repr_rows
+from .kernels import KernelSetup, check_finite
 
 
 @dataclass
@@ -87,9 +88,10 @@ def _check_state(state: np.ndarray, step: int, what: str = "state") -> None:
         raise NumericalError(f"{what} norm above {MAGNITUDE_LIMIT:g} at step {step}")
 
 
-def _guard_step(dt: float, steps: int, damping: float | None) -> None:
-    if dt <= 0:
-        raise ValueError("step size must be positive")
+def check_step(dt: float, steps: int, damping: float | None) -> None:
+    """Reject a step size that is not finite and positive, a negative step
+    count, or a step at or beyond the bound dt < 1/d of ``damping`` d."""
+    check_finite("step size", dt, "positive")
     if steps < 0:
         raise ValueError("step count must be nonnegative")
     if damping is not None and dt * damping >= 1.0:
@@ -118,7 +120,7 @@ def _runge_kutta(
     energy_fn: Callable[[np.ndarray], float] | None,
     diameter_fn: Callable[[np.ndarray], float] | None,
 ) -> Trajectory:
-    _guard_step(dt, steps, setup.damping)
+    check_step(dt, steps, setup.damping)
     if record_every < 1:
         raise ValueError("record_every must be at least 1")
     rhs, position = setup.rhs, setup.position
@@ -221,7 +223,5 @@ def _byte_rows(strings: list[str]) -> np.ndarray:
 
 def save_metrics_csv(traj: Trajectory, path) -> None:
     """Metric CSV with header ``t,dirichlet,diameter``."""
-    lines = ["t,dirichlet,diameter"]
-    for t, e, d in zip(traj.times, traj.energy, traj.diameter):
-        lines.append(f"{t!r},{e!r},{d!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = zip(traj.times, traj.energy, traj.diameter)
+    Path(path).write_text(repr_rows(rows, "t,dirichlet,diameter"))

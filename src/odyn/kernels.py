@@ -101,6 +101,14 @@ def nod_validity(s: SaturationKind) -> NodValidity:
     return NodValidity(True)
 
 
+def check_finite(name: str, value: float, sign: str = "") -> None:
+    """Reject a NaN or infinite ``value``, or one of the wrong ``sign``
+    ("nonnegative" or "positive"): the one statement of each range rule."""
+    inside = value > 0.0 if sign == "positive" else value >= 0.0 if sign else value > -math.inf
+    if not (inside and value < math.inf):
+        raise ValueError(f"{name} must be finite{' and ' + sign if sign else ''}, got {value}")
+
+
 def critical_attention(d: float, alpha: float) -> float:
     """The attention d / (alpha + 3) at which the neutral equilibrium loses stability."""
     return d / (alpha + 3.0)
@@ -132,14 +140,11 @@ class BimpParams:
     saturation: SaturationKind = TANH
 
     def __post_init__(self):
-        if self.d < 0:
-            raise ValueError("damping d must be nonnegative")
-        if self.alpha < 0:
-            raise ValueError("self-reinforcement alpha must be nonnegative")
+        check_finite("damping d", self.d, "nonnegative")
+        check_finite("self-reinforcement alpha", self.alpha, "nonnegative")
         if self.u is None:
             object.__setattr__(self, "u", critical_attention(self.d, self.alpha))
-        if not self.u > 0:
-            raise ValueError("attention u must be positive")
+        check_finite("attention u", self.u, "positive")
         b = np.asarray(self.b, dtype=np.float64)
         if not np.all(np.isfinite(b)):
             raise ValueError("input matrix b must be finite")
@@ -298,7 +303,9 @@ def _gread_f(g, x0):
 
 
 def _gread_fb(g, x0, *, alpha, beta):
-    """Reaction-diffusion dX/dt = -alpha L X + beta (L X + X)."""
+    """Reaction-diffusion dX/dt = -alpha L X + beta (L X + X), either sign of each."""
+    check_finite("diffusion alpha", alpha)
+    check_finite("reaction beta", beta)
     _check_rows(g, x0)
     l = sparse_laplacian(g)
 

@@ -15,6 +15,8 @@ import numpy as np
 
 from .errors import NumericalError
 
+RESTART_SEED = 0  # power_iteration's random restart
+SYM_TOL = 1e-10  # the largest |M - M^T| entry symmetric_eigendecomposition accepts
 
 def vec(m: np.ndarray) -> np.ndarray:
     """Column-stacking vectorization."""
@@ -78,13 +80,8 @@ class SpectralResult:
     residual: float
 
 
-def power_iteration(
-    apply_fn,
-    dim: int,
-    tol: float = 1e-10,
-    max_iter: int = 10000,
-    seed: int = 0,
-) -> SpectralResult:
+def power_iteration(apply_fn, dim: int, tol: float = 1e-10,
+                    max_iter: int = 10000) -> SpectralResult:
     """Leading eigenpair by power iteration with a Rayleigh quotient.
 
     Starts from the deterministic direction 1/sqrt(dim) and falls back to
@@ -116,7 +113,7 @@ def power_iteration(
 
     lam, v, iters, residual, annihilated = run(np.ones(dim), max_iter)
     if residual > tol or annihilated:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(RESTART_SEED)
         lam2, v2, extra, residual2, annihilated2 = run(rng.standard_normal(dim), max_iter)
         iters += extra
         if not annihilated2:
@@ -130,14 +127,12 @@ def power_iteration(
     return SpectralResult(eigenvalue=lam, eigenvector=v, iterations=iters, residual=residual)
 
 
-def symmetric_eigendecomposition(
-    m: np.ndarray, sym_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
+def symmetric_eigendecomposition(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
-    if np.max(np.abs(m - m.T), initial=0.0) > sym_tol:
+    if np.max(np.abs(m - m.T), initial=0.0) > SYM_TOL:
         raise ValueError("matrix is not symmetric within tolerance")
     eigenvalues, eigenvectors = np.linalg.eigh(m)
     return eigenvalues, eigenvectors

@@ -22,6 +22,7 @@ PALETTE = (
 
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 62, 16, 34, 46
+TICKS = 5  # per axis, at most
 
 
 @dataclass
@@ -32,13 +33,13 @@ class Series:
     mode: str = "line"  # "line" or "points"
 
 
-def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[float]:
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10 ** math.floor(math.log10(span / count))
+    step = 10 ** math.floor(math.log10(span / TICKS))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= count:
+        if span / (step * mult) <= TICKS:
             step *= mult
             break
     first = math.ceil(lo / step) * step

@@ -25,11 +25,12 @@ from .attention import (
     init_attention_weights,
 )
 from .errors import NumericalError
-from .graphs import Graph, from_edge_list
-from .integrate import euler_integrate
+from .graphs import Graph, from_edge_list, repr_rows
+from .integrate import check_step, euler_integrate
 from .kernels import (
     BimpParams,
     KernelSetup,
+    check_finite,
     coupling_adjoint,
     critical_attention,
     rhs_bimp,
@@ -44,7 +45,8 @@ class TrainConfig:
     """Hyperparameters of one unrolled run.
 
     ``steps`` is the unroll depth M; the attention value is pinned to
-    :func:`critical_attention`.  Euler stability requires dt * d < 1.
+    :func:`critical_attention`.  d, alpha, dt and steps pass the checks of
+    every forward pass, :class:`BimpParams` and :func:`check_step`, at once.
     """
 
     lr: float
@@ -56,25 +58,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # each test is negated so that NaN fails it
-        if not 0.0 <= self.lr < np.inf:
-            raise ValueError(f"learning rate must be finite and nonnegative, got {self.lr}")
+        check_finite("learning rate", self.lr, "nonnegative")
         if self.epochs < 0:
             raise ValueError("epoch count must be nonnegative")
-        if self.steps < 0:
-            raise ValueError("unroll depth must be nonnegative")
-        if not 0.0 < self.dt < np.inf:
-            raise ValueError(f"step size must be finite and positive, got {self.dt}")
-        if not 0.0 <= self.d < np.inf:
-            raise ValueError(f"damping d must be finite and nonnegative, got {self.d}")
-        if not 0.0 <= self.alpha < np.inf:
-            raise ValueError(
-                f"self-reinforcement alpha must be finite and nonnegative, got {self.alpha}"
-            )
-        if self.dt * self.d >= 1.0:
-            raise ValueError(
-                f"step size {self.dt} is not below 1/d = {1.0 / self.d}"
-            )
+        BimpParams(d=self.d, alpha=self.alpha, b=0.0)
+        check_step(self.dt, self.steps, self.d)
 
     @property
     def u(self) -> float:
@@ -186,8 +174,7 @@ def finite_difference_grad(
     h: float = 1e-5,
 ) -> np.ndarray:
     """Entrywise central differences of the loss with respect to W."""
-    if not 0.0 < h < np.inf:
-        raise ValueError(f"difference step h must be finite and positive, got {h}")
+    check_finite("difference step h", h, "positive")
     w = np.array(w, dtype=np.float64)
     grad = np.zeros_like(w)
     for idx in np.ndindex(*w.shape):
@@ -328,15 +315,23 @@ def make_sbm_task(
     is the clean one-hot label.  Identical seeds reproduce the dataset
     byte for byte.  The edges cost one uniform draw per node pair, so
     O(n^2) time, but only O(n + edges) memory: the pairs are drawn at
-    most ``_SBM_RUN_PAIRS`` at a time.
+    most ``_SBM_RUN_PAIRS`` at a time.  A task whose expected edge list,
+    2 (p_in n_b (n_b - 1) + p_out n_b^2) directed edges for n_b nodes per
+    block, cannot be allocated is refused before the first draw.
     """
     if n_per_block < 1:
         raise ValueError(f"n_per_block must be at least 1, got {n_per_block}")
     for name, p in (("p_in", p_in), ("p_out", p_out)):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"{name} must lie in [0, 1], got {p}")
-    if not 0.0 <= noise < np.inf:
-        raise ValueError(f"noise must be finite and nonnegative, got {noise}")
+    check_finite("noise", noise, "nonnegative")
+    edges = 2.0 * (p_in * n_per_block * (n_per_block - 1) + p_out * n_per_block * n_per_block)
+    try:
+        # numpy refuses at once an array the machine cannot grant; one that
+        # is granted but never written takes no memory
+        np.empty((int(edges), 3))
+    except (MemoryError, ValueError, OverflowError):
+        raise ValueError(f"the SBM task expects {edges:.3g} edges, more than can be allocated")
     rng = np.random.default_rng(seed)
     n = 2 * n_per_block
     i, j = _sbm_pairs(rng, n_per_block, p_in, p_out)
@@ -431,7 +426,5 @@ def train_sgd(task: SbmTask, cfg: TrainConfig) -> tuple[np.ndarray, list[tuple[f
 
 def save_history_csv(history: list[tuple[float, float]], path) -> None:
     """CSV with header ``epoch,loss,accuracy``."""
-    lines = ["epoch,loss,accuracy"]
-    for epoch, (loss, acc) in enumerate(history):
-        lines.append(f"{epoch},{loss!r},{acc!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = ((epoch, loss, acc) for epoch, (loss, acc) in enumerate(history))
+    Path(path).write_text(repr_rows(rows, "epoch,loss,accuracy"))

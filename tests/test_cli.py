@@ -1,17 +1,20 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import odyn
-from odyn.cli import DEFAULTS, main
+from odyn.cli import DEFAULTS, ONE_KERNEL_VERBS, OPTIONS, main
 from odyn.fixtures import toy_graph, toy_initial_state
 from odyn.graphs import from_edge_list, save_matrix_csv
+from odyn.kernels import KERNEL_TAGS, kernel_reads
 from oracles import save_graph_json
 
 
@@ -105,10 +108,10 @@ BAD_INPUTS = [
     # the reduced kernel checks its parameters as bimp does
     ("reduced-negative-attention", ["simulate", "--kernel", "reduced", "--graph", "one.json",
                                     "--init", "one.csv", "--u", "-0.5", "--out", "out"], 1,
-     "error: attention u must be positive"),
+     "error: attention u must be finite and positive, got -0.5"),
     ("reduced-negative-damping", ["simulate", "--kernel", "reduced", "--graph", "one.json",
                                   "--init", "one.csv", "--d", "-1", "--out", "out"], 1,
-     "error: damping d must be nonnegative"),
+     "error: damping d must be finite and nonnegative, got -1.0"),
     # only bimp has a saturation to select
     ("reduced-non-tanh-saturation", ["simulate", "--kernel", "reduced", "--graph", "one.json",
                                      "--init", "one.csv", "--u", "0.4", "--saturation",
@@ -158,6 +161,13 @@ BAD_INPUTS = [
      "error: step size must be finite and positive, got nan"),
     ("train-negative-noise", ["train", "--noise", "-1", "--out", "out"], 1,
      "error: noise must be finite and nonnegative, got -1.0"),
+    # the sweep's reduced kernel takes the saturated kernel's alpha rule
+    ("bifurcation-negative-alpha", ["bifurcation", "--alpha", "-5", "--out", "out.csv"], 1,
+     "error: self-reinforcement alpha must be finite and nonnegative, got -5.0"),
+    # finite ends whose distance overflows would make the grid NaN
+    ("bifurcation-range-beyond-float", ["bifurcation", "--u-min=-1e308", "--u-max", "1e308",
+                                        "--out", "out.csv"], 1,
+     "error: the width of the attention range [-1e+308, 1e+308] must be finite, got inf"),
     ("gradcheck-zero-difference-step", ["gradcheck", "--h", "0", "--out", "out.json"], 1,
      "error: difference step h must be finite and positive, got 0.0"),
     # a node index is an integer, never truncated
@@ -203,17 +213,80 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
     (tmp_path / "two-pairs.json").write_text(json.dumps(two_pairs))
     save_matrix_csv(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5], [-1.0, 2.0]]),
                     tmp_path / "four.csv")
-    env = dict(os.environ)
-    src = str(Path(odyn.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "odyn.cli", *argv],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix)
+
+
+def _child_env():
+    env = dict(os.environ)
+    src = str(Path(odyn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_an_sbm_task_beyond_memory_is_refused_before_its_draws(tmp_path):
+    # about 1.7e12 directed edges: drawing them would fill the host, so the
+    # child runs under a 1 GiB address-space limit and a 10 s timeout, with
+    # one BLAS thread, whose buffers fit that limit on a host of any size
+    limit = 1 << 30
+    env = {**_child_env(), "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "odyn.cli", "train", "--n-per-block", "1000000", "--out", "out"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=10,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (proc.returncode, proc.stderr.splitlines()) == (
+        1, ["error: the SBM task expects 1.7e+12 edges, more than can be allocated"])
+
+
+GRAPH_KERNELS = tuple(tag for tag in KERNEL_TAGS if tag != "reduced")
+# the smallest run of each verb
+TINY = {"simulate": ["--steps", "2"], "toy": ["--steps", "2"], "energy": ["--steps", "2"],
+        "bifurcation": ["--points", "3"],
+        "gradcheck": ["--n-agents", "2", "--n-options", "2", "--features", "2"],
+        "train": ["--n-per-block", "2", "--epochs", "1"]}
+
+
+def _non_finite_cases():
+    """Every float flag of every verb, as nan, inf and -inf, under each kernel that reads it."""
+    for o in OPTIONS:
+        if o.type is not float:
+            continue
+        for verb in o.verbs:
+            runs = [[]]
+            if verb in ONE_KERNEL_VERBS:
+                # the integrator reads dt under every kernel
+                runs = [["--kernel", tag] for tag in GRAPH_KERNELS
+                        if o.dest == "dt" or o.dest in kernel_reads(tag)]
+                if o.dest in ("d", "alpha"):
+                    # a given u skips the critical attention d / (alpha + 3)
+                    runs.append(["--kernel", "bimp", "--u", "0.3"])
+            for run in runs:
+                for value in ("nan", "inf", "-inf"):
+                    # "--flag=-inf", since argparse reads a lone "-inf" as a flag
+                    argv = [verb, *run, f"--{o.flag}={value}"]
+                    yield pytest.param(argv, id=" ".join(argv))
+
+
+@pytest.mark.parametrize("argv", list(_non_finite_cases()))
+def test_a_non_finite_float_flag_is_a_validation_error(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main([*argv, *TINY[argv[0]], "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert [line for line in err if line.startswith(("error:", "numerical failure:"))] == err[-1:]
+    assert err[-1].startswith("error:")
+    assert not caught
+    # toy writes each run's files as it goes; no other verb writes on failure
+    assert argv[0] == "toy" or not out.exists()
 
 
 # The kernel options each row reads (README, "Command line"); --seed is
