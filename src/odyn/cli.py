@@ -25,7 +25,13 @@ from .analysis import bifurcation_csv, bifurcation_sweep, dirichlet_energy, opin
 from .errors import NumericalError
 from .fixtures import random_row_stochastic, toy_graph, toy_initial_state
 from .graphs import load_graph_json, load_matrix_csv, save_matrix_csv
-from .integrate import euler_integrate, rk4_integrate, save_metrics_csv, save_trajectory_csv
+from .integrate import (
+    check_step,
+    euler_integrate,
+    rk4_integrate,
+    save_metrics_csv,
+    save_trajectory_csv,
+)
 from .kernels import KERNEL_TAGS, SATURATIONS, kernel_reads, kernel_setup, saturation_kind
 from .svg import Series, write_chart
 from .train import TrainConfig, gradient_check, make_sbm_task, save_history_csv, train_sgd
@@ -147,15 +153,18 @@ def _resolve_b(opts, x0):
     return load_matrix_csv(opts["b_file"])
 
 
-def _integrate(opts, g, x0, tag=None, only_read=False):
-    """Integrate one kernel; with ``only_read`` it is handed only the options it reads."""
+def _kernel_setup(opts, g, x0, tag=None, only_read=False):
+    """Set one kernel up; with ``only_read`` it is handed only the options it reads."""
     tag = tag or opts["kernel"]
     # the verb may lack a flag, as toy lacks --beta
     options = {name: opts[name] for name in ("d", "alpha", "u", "beta", "seed") if name in opts}
     options.update(b=_resolve_b(opts, x0), saturation=saturation_kind(opts["saturation"]))
     if only_read:
         options = {name: value for name, value in options.items() if name in kernel_reads(tag)}
-    setup = kernel_setup(tag, g, x0, **options)
+    return kernel_setup(tag, g, x0, **options)
+
+
+def _integrate(opts, g, tag, setup):
     integrator = rk4_integrate if opts["method"] == "rk4" else euler_integrate
     # the scalar reduced kernel has no graph-indexed state to take an
     # energy over
@@ -194,7 +203,7 @@ def _train_config(opts) -> TrainConfig:
 
 def cmd_simulate(opts) -> int:
     g, x0 = _load_graph_and_state(opts)
-    traj = _integrate(opts, g, x0)
+    traj = _integrate(opts, g, opts["kernel"], _kernel_setup(opts, g, x0))
     out, tag = Path(opts["out"]), opts["kernel"]
     out.mkdir(parents=True, exist_ok=True)
     save_trajectory_csv(traj, out / f"{tag}.csv")
@@ -205,17 +214,22 @@ def cmd_simulate(opts) -> int:
 
 def cmd_toy(opts) -> int:
     g, x0 = _load_graph_and_state(opts)
-    out = Path(opts["out"])
-    out.mkdir(parents=True, exist_ok=True)
     runs = (
         ("laplacian", "grand-l", "zero"),
         ("laplacian-source", "grand++-l", "init"),
         ("graphcon-tran", "graphcon-tran", "zero"),
         ("bimp", "bimp", "init"),
     )
-    for tag, name, b_mode in runs:
-        # one option set drives four kernels; each takes only what it reads
-        traj = _integrate({**opts, "b_mode": b_mode}, g, x0, tag=tag, only_read=True)
+    # one option set drives four kernels; each takes only what it reads, and
+    # all four, with their step sizes, are checked before anything is written
+    setups = [_kernel_setup({**opts, "b_mode": b_mode}, g, x0, tag=tag, only_read=True)
+              for tag, _, b_mode in runs]
+    for setup in setups:
+        check_step(opts["dt"], opts["steps"], setup.damping)
+    out = Path(opts["out"])
+    for (tag, name, _), setup in zip(runs, setups):
+        traj = _integrate(opts, g, tag, setup)
+        out.mkdir(parents=True, exist_ok=True)
         save_trajectory_csv(traj, out / f"{name}.csv")
         save_metrics_csv(traj, out / f"{name}-metrics.csv")
         print(
@@ -234,7 +248,7 @@ def cmd_bifurcation(opts) -> int:
 
 def cmd_energy(opts) -> int:
     g, x0 = _load_graph_and_state(opts)
-    traj = _integrate(opts, g, x0)
+    traj = _integrate(opts, g, opts["kernel"], _kernel_setup(opts, g, x0))
     out = Path(opts["out"])
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{opts['kernel']}-metrics.csv"

@@ -16,8 +16,9 @@ File formats:
 """
 from __future__ import annotations
 
-import json
+import itertools
 import math
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -247,14 +248,69 @@ def sparse_laplacian(g: Graph) -> Graph:
                          np.r_[-g.weights[~loop], diag])
 
 
+# Graph file grammar, matched by the C regex engine; possessive repeats
+# keep no backtracking state, so a match allocates nothing per edge.
+_W = rb"[ \t\n\r]*+"
+_INTEGER = rb"(-?+(?:0|[1-9][0-9]*+))"
+_NUMBER = rb"(?:-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+|NaN|-?+Infinity)"
+_EDGE = rb"\[" + _W + _NUMBER + (_W + b"," + _W + _NUMBER) * 2 + _W + rb"\]"
+# the object up to the '[' of its edge list, "n" before or after it
+_HEAD = re.compile(_W + rb"\{" + _W + rb'(?:"n"' + _W + b":" + _W + _INTEGER + _W + b"," + _W
+                   + rb')?+"edges"' + _W + b":" + _W + rb"\[")
+_TAIL = re.compile(rb"\]" + _W + rb"(?:," + _W + rb'"n"' + _W + b":" + _W + _INTEGER + _W
+                   + rb")?+\}" + _W)
+_EDGES = re.compile(_W + rb"(?:" + _EDGE + _W + rb"(?:," + _W + _EDGE + _W + rb")*+)?+")
+# JSON reads the integer -0 as 0, where numpy reads -0.0
+_NEGATIVE_ZERO = re.compile(rb"(?<![^,])-0(?![^,])")
+# The numbers are parsed this many bytes of the file at a time, so that the
+# copies made for the parser stay small beside the parsed values.
+_CHUNK_BYTES = 1 << 18
+
+
 def load_graph_json(path) -> Graph:
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict) or not {"n", "edges"} <= payload.keys():
-        raise ValueError(f"graph file {path} must hold an object with keys 'n' and 'edges'")
-    try:
-        return from_edge_list(payload["edges"], payload["n"])
-    except TypeError as e:
-        raise ValueError(f"graph file {path}: {e}") from None
+    """Read a graph file: a JSON object with exactly the members ``"n"``, an
+    integer, and ``"edges"``, a list of ``[src, dst, weight]`` lists of JSON
+    numbers, ``NaN``, ``Infinity`` and ``-Infinity`` included, in either
+    order and with any JSON whitespace.
+
+    Each number gets the double that Python's ``json`` reads.  The file is
+    matched against this grammar and its numbers parsed by numpy straight
+    from its bytes, with no Python object per edge or number.  Any other
+    content raises ``ValueError`` naming the file; :func:`from_edge_list`
+    checks the values.
+    """
+    # the file's bytes are freed before the graph is built
+    return from_edge_list(*_read_edge_file(path))
+
+
+def _read_edge_file(path) -> tuple[np.ndarray, int]:
+    data = Path(path).read_bytes()
+    head = _HEAD.match(data)
+    # the last ']' closes the edge list: nothing after it holds one
+    close = data.rfind(b"]")
+    tail = _TAIL.fullmatch(data, close) if head and close >= head.end() else None
+    if tail is None or (head[1] is None) == (tail[1] is None):
+        raise ValueError(f'graph file {path} must hold a JSON object with exactly the members '
+                         f'"n" (an integer) and "edges" (a list of [src, dst, weight] lists)')
+    n = int(head[1] or tail[1])
+    start = head.end()
+    valid = _EDGES.match(data, start, close).end()
+    if valid != close:
+        raise ValueError(f"graph file {path}: the edge list breaks off at byte {valid}; each "
+                         f"edge must be a [src, dst, weight] list of JSON numbers")
+    values = np.empty(3 * data.count(b"[", start, close))
+    done = 0
+    while start < close:
+        # a chunk of whole edges; the next starts after the comma that follows
+        cut = data.find(b"]", start + _CHUNK_BYTES, close) + 1 or close
+        text = data[start:cut].translate(None, b"[] \t\n\r")
+        if b"-0" in text:
+            text = _NEGATIVE_ZERO.sub(b"0", text)
+        chunk = np.fromstring(text, sep=",")
+        values[done:done + chunk.size] = chunk
+        done += chunk.size
+        start = data.find(b",", cut, close) + 1 or close
+    return values.reshape(-1, 3), n
 
 
 def repr_rows(rows, header: str | None = None) -> str:
@@ -269,11 +325,18 @@ def save_matrix_csv(m: np.ndarray, path) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if line:
-            rows.append([float(tok) for tok in line.split(",")])
-    if not rows:
-        raise ValueError(f"empty matrix file: {path}")
-    return np.array(rows, dtype=np.float64)
+    """Read a matrix file: one row per line, values separated by commas with
+    optional spaces or tabs around them, each a decimal number as ``float``
+    reads it; blank lines are skipped.  numpy's ``loadtxt`` parses the
+    rows, with no Python object per number.  Any other content raises
+    ``ValueError`` naming the file."""
+    with open(path) as f:
+        rows = (line for line in f if not line.isspace())
+        try:
+            first = next(rows, None)
+            if first is not None:
+                return np.loadtxt(itertools.chain([first], rows), delimiter=",",
+                                  comments=None, ndmin=2)
+        except ValueError as e:
+            raise ValueError(f"matrix file {path}: {e}") from None
+    raise ValueError(f"empty matrix file: {path}")

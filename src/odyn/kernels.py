@@ -117,7 +117,10 @@ def critical_attention(d: float, alpha: float) -> float:
 def coupling(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, alpha: float) -> np.ndarray:
     """Joint coupling alpha X + Aa X + X Ao^T + Aa X Ao^T."""
     mixed = aa @ x
-    return alpha * x + mixed + x @ ao.T + mixed @ ao.T
+    # OpenBLAS multiplies by a C-contiguous copy of Ao^T about twice as fast
+    # as by the transposed view, with the same bits
+    ao_t = np.ascontiguousarray(ao.T)
+    return alpha * x + mixed + x @ ao_t + mixed @ ao_t
 
 
 def coupling_adjoint(h: np.ndarray, aa: np.ndarray, ao: np.ndarray, alpha: float) -> np.ndarray:

@@ -1,14 +1,16 @@
-"""Dense and file-writing helpers that only the tests read.
+"""Dense and file-handling helpers that only the tests read.
 
 The package couples agents through sparse graphs; these dense forms are
-the small-n oracles its sparse paths are checked against.
+the small-n oracles its sparse paths are checked against, and
+``load_graph_json`` is the ``json`` reader its graph reader is checked
+against.
 """
 import json
 from pathlib import Path
 
 import numpy as np
 
-from odyn.graphs import Graph
+from odyn.graphs import Graph, from_edge_list
 
 
 def row_normalize(m: np.ndarray) -> np.ndarray:
@@ -46,6 +48,17 @@ def laplacian(g: Graph) -> np.ndarray:
 def save_graph_json(g: Graph, path) -> None:
     payload = {"n": g.n, "edges": [[s, d, w] for s, d, w in g.to_edge_list()]}
     Path(path).write_text(json.dumps(payload))
+
+
+def load_graph_json(path) -> Graph:
+    """A graph file read through ``json.loads``, one Python object per number."""
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict) or not {"n", "edges"} <= payload.keys():
+        raise ValueError(f"graph file {path} must hold an object with keys 'n' and 'edges'")
+    try:
+        return from_edge_list(payload["edges"], payload["n"])
+    except TypeError as e:
+        raise ValueError(f"graph file {path}: {e}") from None
 
 
 def rhs_linear_opinion(x: np.ndarray, a: np.ndarray, d_vec: np.ndarray) -> np.ndarray:

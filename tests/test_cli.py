@@ -177,6 +177,22 @@ BAD_INPUTS = [
     # a finite index beyond n is printed short, not digit by digit
     ("graph-huge-node-index", ["simulate", "--graph", "huge-index.json", "--out", "out"], 1,
      "error: edge (1e+300, 1) out of range for n=3"),
+    # a graph file holds numbers only, and exactly the members n and edges
+    ("graph-string-weight", ["simulate", "--graph", "string-weight.json", "--out", "out"], 1,
+     "error: graph file string-weight.json: the edge list breaks off at byte"),
+    ("graph-boolean-weight", ["simulate", "--graph", "boolean-weight.json", "--out", "out"], 1,
+     "error: graph file boolean-weight.json: the edge list breaks off at byte"),
+    ("graph-extra-key", ["simulate", "--graph", "extra-key.json", "--out", "out"], 1,
+     "error: graph file extra-key.json must hold a JSON object with exactly the members"),
+    ("graph-quad-edge", ["simulate", "--graph", "quad.json", "--out", "out"], 1,
+     "error: graph file quad.json: the edge list breaks off at byte"),
+    ("empty-init-file", ["simulate", "--init", "empty.csv", "--out", "out"], 1,
+     "error: empty matrix file: empty.csv"),
+    ("ragged-init-file", ["simulate", "--init", "ragged.csv", "--out", "out"], 1,
+     "error: matrix file ragged.csv: the number of columns changed from 3 to 2 at row 2"),
+    # toy sets all four kernels up before its first run writes
+    ("toy-non-finite-attention", ["toy", "--u=inf", "--steps", "2", "--out", "out"], 1,
+     "error: attention u must be finite and positive, got inf"),
     # 10^12 nodes need 8 TB per index array, an allocation refused at once
     ("graph-node-count-beyond-memory", ["simulate", "--graph", "huge-n.json", "--out", "out"], 1,
      "error: Unable to allocate"),
@@ -202,8 +218,15 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
                         ("sink", [[0, 1, 1.0]]), ("cycle", [[0, 1, 1], [1, 2, 1], [2, 0, 1]]),
                         ("nan-weight", [[0, 1, math.nan], [1, 2, 1.0], [2, 0, 1.0]]),
                         ("fractional-index", [[0.5, 1, 1], [1, 2, 1], [2, 0, 1]]),
-                        ("huge-index", [[1e300, 1, 1]])):
+                        ("huge-index", [[1e300, 1, 1]]),
+                        ("string-weight", [[0, 1, "2"], [1, 2, 1], [2, 0, 1]]),
+                        ("boolean-weight", [[0, 1, True], [1, 2, 1], [2, 0, 1]]),
+                        ("quad", [[0, 1, 1, 1], [1, 2, 1, 1], [2, 0, 1, 1]])):
         (tmp_path / f"{name}.json").write_text(json.dumps({"n": 3, "edges": edges}))
+    (tmp_path / "extra-key.json").write_text(
+        json.dumps({"n": 3, "edges": [[0, 1, 1], [1, 2, 1], [2, 0, 1]], "name": "cycle"}))
+    (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "ragged.csv").write_text("1,0,0\n0,1\n0,0,1\n")
     save_matrix_csv(np.full((3, 3), 1e307), tmp_path / "huge.csv")
     (tmp_path / "one.json").write_text(json.dumps({"n": 1, "edges": []}))
     save_matrix_csv(np.array([[0.3]]), tmp_path / "one.csv")
@@ -221,6 +244,9 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(prefix)
+    # a validation error writes nothing
+    if code == 1 and "--out" in argv:
+        assert not (tmp_path / argv[argv.index("--out") + 1]).exists()
 
 
 def _child_env():
@@ -285,8 +311,7 @@ def test_a_non_finite_float_flag_is_a_validation_error(tmp_path, capsys, argv):
     assert [line for line in err if line.startswith(("error:", "numerical failure:"))] == err[-1:]
     assert err[-1].startswith("error:")
     assert not caught
-    # toy writes each run's files as it goes; no other verb writes on failure
-    assert argv[0] == "toy" or not out.exists()
+    assert not out.exists()
 
 
 # The kernel options each row reads (README, "Command line"); --seed is
