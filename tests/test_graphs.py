@@ -4,12 +4,14 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import odyn.graphs
 from odyn.attention import build_communication_attention, init_attention_weights
 from odyn.fixtures import toy_adjacency, toy_graph
 from odyn.graphs import (
@@ -608,10 +610,12 @@ class TestFileFormats:
         assert read_graph(load_graph_json, path) == read_graph(oracle_load_graph_json, path)
 
     @settings(max_examples=150, deadline=None)
-    @given(graph_texts())
-    def test_graph_files_read_as_the_json_oracle_reads_them(self, tmp_path_factory, text):
+    @given(graph_texts(), st.sampled_from([1, 7, 40, odyn.graphs._CHUNK_BYTES]))
+    def test_graph_files_read_as_the_json_oracle_reads_them(self, tmp_path_factory, text, chunk):
+        # small chunks put chunk boundaries between most edges
         path = write(tmp_path_factory, "g.json", text)
-        assert read_graph(load_graph_json, path) == read_graph(oracle_load_graph_json, path)
+        with mock.patch.object(odyn.graphs, "_CHUNK_BYTES", chunk):
+            assert read_graph(load_graph_json, path) == read_graph(oracle_load_graph_json, path)
 
     @settings(max_examples=200, deadline=None)
     @given(graph_texts(weights=st.floats(0.0, 1.0), min_edges=1, max_n=9), st.data())
