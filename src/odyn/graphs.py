@@ -249,7 +249,8 @@ def sparse_laplacian(g: Graph) -> Graph:
 
 
 # Graph file grammar, matched by the C regex engine; possessive repeats
-# keep no backtracking state, so a match allocates nothing per edge.
+# (Python 3.11 and later) keep no backtracking state, so a match allocates
+# nothing per edge.
 _W = rb"[ \t\n\r]*+"
 _INTEGER = rb"(-?+(?:0|[1-9][0-9]*+))"
 _NUMBER = rb"(?:-?+(?:0|[1-9][0-9]*+)(?:\.[0-9]++)?+(?:[eE][+-]?+[0-9]++)?+|NaN|-?+Infinity)"
@@ -262,9 +263,6 @@ _TAIL = re.compile(rb"\]" + _W + rb"(?:," + _W + rb'"n"' + _W + b":" + _W + _INT
 _EDGES = re.compile(_W + rb"(?:" + _EDGE + _W + rb"(?:," + _W + _EDGE + _W + rb")*+)?+")
 # JSON reads the integer -0 as 0, where numpy reads -0.0
 _NEGATIVE_ZERO = re.compile(rb"(?<![^,])-0(?![^,])")
-# The numbers are parsed this many bytes of the file at a time, so that the
-# copies made for the parser stay small beside the parsed values.
-_CHUNK_BYTES = 1 << 18
 
 
 def load_graph_json(path) -> Graph:
@@ -298,19 +296,10 @@ def _read_edge_file(path) -> tuple[np.ndarray, int]:
     if valid != close:
         raise ValueError(f"graph file {path}: the edge list breaks off at byte {valid}; each "
                          f"edge must be a [src, dst, weight] list of JSON numbers")
-    values = np.empty(3 * data.count(b"[", start, close))
-    done = 0
-    while start < close:
-        # a chunk of whole edges; the next starts after the comma that follows
-        cut = data.find(b"]", start + _CHUNK_BYTES, close) + 1 or close
-        text = data[start:cut].translate(None, b"[] \t\n\r")
-        if b"-0" in text:
-            text = _NEGATIVE_ZERO.sub(b"0", text)
-        chunk = np.fromstring(text, sep=",")
-        values[done:done + chunk.size] = chunk
-        done += chunk.size
-        start = data.find(b",", cut, close) + 1 or close
-    return values.reshape(-1, 3), n
+    text = data[start:close].translate(None, b"[] \t\n\r")
+    if b"-0" in text:
+        text = _NEGATIVE_ZERO.sub(b"0", text)
+    return np.fromstring(text, sep=",").reshape(-1, 3), n
 
 
 def repr_rows(rows, header: str | None = None) -> str:
@@ -329,7 +318,7 @@ def load_matrix_csv(path) -> np.ndarray:
     optional spaces or tabs around them, each a decimal number as ``float``
     reads it; blank lines are skipped.  numpy's ``loadtxt`` parses the
     rows, with no Python object per number.  Any other content raises
-    ``ValueError`` naming the file."""
+    ``ValueError`` naming the file, but no row of it."""
     with open(path) as f:
         rows = (line for line in f if not line.isspace())
         try:
@@ -338,5 +327,8 @@ def load_matrix_csv(path) -> np.ndarray:
                 return np.loadtxt(itertools.chain([first], rows), delimiter=",",
                                   comments=None, ndmin=2)
         except ValueError as e:
-            raise ValueError(f"matrix file {path}: {e}") from None
+            # numpy counts rows without the blank lines, so its row number
+            # may name the wrong line of the file
+            reason = str(e).rpartition(" at row ")[0] or e
+            raise ValueError(f"matrix file {path}: {reason}") from None
     raise ValueError(f"empty matrix file: {path}")

