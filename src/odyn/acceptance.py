@@ -1,9 +1,9 @@
 """Executable acceptance suite: every release gate as a checkable function.
 
-Each criterion returns a :class:`CriterionResult` with a pass flag and a
-human-readable detail line, its runtime budget in seconds, plus the
-measured value and its threshold where the gate is a single number;
-:func:`run_all` executes the full battery.
+Each criterion returns its named :class:`Check` records, a human-readable
+detail line and its runtime budget in seconds; :func:`_timed` adds the
+budget as one more check, and a :class:`CriterionResult` passes when
+every check holds.  :func:`run_all` executes the full battery.
 The pytest wrapper asserts each result (for critical-consensus, which
 fails by design, its verdict and measurement) and the command-line
 ``verify`` subcommand serializes them to JSON.
@@ -11,8 +11,10 @@ fails by design, its verdict and measurement) and the command-line
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -50,16 +52,51 @@ from .train import (
     train_sgd,
 )
 
+RELATIONS = {"<": operator.lt, "<=": operator.le, "==": operator.eq,
+             ">=": operator.ge, ">": operator.gt}
+RUNTIME = "runtime seconds"
+
+
+@dataclass(frozen=True)
+class Check:
+    """One gate: ``measured relation threshold``, e.g. ``worst < 1e-3``."""
+
+    quantity: str
+    measured: float
+    relation: str
+    threshold: float
+
+    @property
+    def holds(self) -> bool:
+        return bool(RELATIONS[self.relation](self.measured, self.threshold))
+
 
 @dataclass
 class CriterionResult:
     name: str
-    passed: bool
     detail: str
     elapsed: float
-    measured: float | None = None
-    threshold: float | None = None
+    checks: tuple[Check, ...]
     budget: float | None = None
+
+    @property
+    def passed(self) -> bool:
+        """The one verdict rule: a criterion passes when every check holds."""
+        return all(c.holds for c in self.checks)
+
+    @property
+    def _gate(self) -> Check | None:
+        """The criterion's check when it has exactly one besides the runtime budget."""
+        gates = [c for c in self.checks if c.quantity != RUNTIME]
+        return gates[0] if len(gates) == 1 else None
+
+    @property
+    def measured(self) -> float | None:
+        return None if self._gate is None else self._gate.measured
+
+    @property
+    def threshold(self) -> float | None:
+        return None if self._gate is None else self._gate.threshold
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -69,12 +106,12 @@ class CriterionResult:
 def _timed(fn):
     def wrapper() -> CriterionResult:
         start = time.perf_counter()
-        name, passed, detail, budget, *measurement = fn()
+        name, checks, detail, budget = fn()
         elapsed = time.perf_counter() - start
-        if budget is not None and elapsed >= budget:
-            passed = False
-            detail += f"; exceeded runtime budget {budget}s"
-        return CriterionResult(name, passed, detail, elapsed, *measurement, budget=budget)
+        if budget is not None:
+            checks = [*checks, Check(RUNTIME, elapsed, "<", budget)]
+        detail += "".join(f"; failed: {c.quantity}" for c in checks if not c.holds)
+        return CriterionResult(name, detail, elapsed, tuple(checks), budget)
 
     wrapper.__name__ = fn.__name__
     return wrapper
@@ -106,26 +143,23 @@ def criterion_toy_figure():
         for i in range(len(traj_source.times))
     ]
     start = _nearest_index(traj_source.times, 1.0)
-    ratio_decreasing = all(
-        ratios[i + 1] <= ratios[i] + 1e-12 for i in range(start, len(ratios) - 1)
-    ) and ratios[-1] < ratios[0]
+    rises = sum(ratios[i + 1] > ratios[i] + 1e-12 for i in range(start, len(ratios) - 1))
 
-    checks = {
-        "laplacian terminal diameter < 1e-2": traj_lap.diameter[-1] < 1e-2,
-        "oscillator terminal < laplacian at t=5": traj_osc.diameter[-1] < lap_at_5,
-        "oscillator terminal diameter < 1e-2": traj_osc.diameter[-1] < 1e-2,
-        "source-kernel diameter/mean ratio decreasing": ratio_decreasing,
-        "saturated terminal diameter > 0.05": traj_sat.diameter[-1] > 0.05,
-    }
+    checks = [
+        Check("laplacian terminal diameter", traj_lap.diameter[-1], "<", 1e-2),
+        Check("oscillator terminal / laplacian diameter at t=5",
+              traj_osc.diameter[-1] / lap_at_5, "<", 1.0),
+        Check("oscillator terminal diameter", traj_osc.diameter[-1], "<", 1e-2),
+        Check("source-kernel diameter/mean ratio rises after t=1", rises, "==", 0),
+        Check("source-kernel diameter/mean ratio, end / start", ratios[-1] / ratios[0], "<", 1.0),
+        Check("saturated terminal diameter", traj_sat.diameter[-1], ">", 0.05),
+    ]
     detail = (
         f"diam(laplacian)={traj_lap.diameter[-1]:.2e} diam(oscillator)="
         f"{traj_osc.diameter[-1]:.2e} ratio {ratios[0]:.3f}->{ratios[-1]:.3f} "
         f"diam(saturated)={traj_sat.diameter[-1]:.3f}"
     )
-    failed = [k for k, ok in checks.items() if not ok]
-    if failed:
-        detail += "; failed: " + "; ".join(failed)
-    return "toy-figure", not failed, detail, 1.0
+    return "toy-figure", checks, detail, 1.0
 
 
 @_timed
@@ -139,49 +173,41 @@ def criterion_leading_eigenvalue():
         op = KroneckerOperator.from_adjacency(aa, ao)
         res = power_iteration(op.matvec, op.dim, tol=1e-10)
         worst = max(worst, abs(res.eigenvalue - 4.0))
-    return (
-        "leading-eigenvalue",
-        worst <= 1e-8,
-        f"worst |eigenvalue - 4| = {worst:.2e} over 10 random option couplings",
-        1.0,
-    )
+    checks = [Check("worst |eigenvalue - 4|", worst, "<=", 1e-8)]
+    detail = f"worst |eigenvalue - 4| = {worst:.2e} over 10 random option couplings"
+    return "leading-eigenvalue", checks, detail, 1.0
 
 
 @_timed
 def criterion_bifurcation_structure():
     """One equilibrium below the critical attention, three above, branches at +-0.9575."""
     d, alpha = 1.0, 1.0
-    ok = True
-    notes = []
+    below, above = [], []
     for u in np.linspace(0.05, 0.6, 112):
         eq = reduced_equilibria(float(u), d, alpha)
-        if u < 0.25 - 0.01 and len(eq) != 1:
-            ok = False
-            notes.append(f"{len(eq)} equilibria at u={u:.4f}")
+        if u < 0.25 - 0.01:
+            below.append(eq)
         if u > 0.25 + 0.01:
-            if len(eq) != 3:
-                ok = False
-                notes.append(f"{len(eq)} equilibria at u={u:.4f}")
-            else:
-                zero_stable = [s for y, s in eq if abs(y) < 1e-8]
-                if zero_stable != [False]:
-                    ok = False
-                    notes.append(f"origin not unstable at u={u:.4f}")
+            above.append(eq)
     eq_half = sorted(reduced_equilibria(0.5, d, alpha))
-    branches = [y for y, _ in eq_half]
-    branch_ok = (
-        len(eq_half) == 3
-        and abs(branches[0] + 0.9575) <= 1e-3
-        and abs(branches[2] - 0.9575) <= 1e-3
-        and [s for _, s in eq_half] == [True, False, True]
-    )
-    if not branch_ok:
-        ok = False
-        notes.append(f"equilibria at u=0.5: {eq_half}")
-    detail = f"stable branches at u=0.5: {branches[0]:.4f}, {branches[2]:.4f}" if len(branches) == 3 else ""
-    if notes:
-        detail += "; " + "; ".join(notes[:3])
-    return "bifurcation-structure", ok, detail, 1.0
+    stable = [s for _, s in eq_half]
+    lower, upper = (eq_half[0][0], eq_half[2][0]) if len(eq_half) == 3 else (math.inf, math.inf)
+    checks = [
+        Check("sweep points below u=0.24 without 1 equilibrium",
+              sum(len(eq) != 1 for eq in below), "==", 0),
+        Check("sweep points above u=0.26 without 3 equilibria",
+              sum(len(eq) != 3 for eq in above), "==", 0),
+        Check("sweep points above u=0.26 without an unstable origin",
+              sum([s for y, s in eq if abs(y) < 1e-8] != [False] for eq in above if len(eq) == 3),
+              "==", 0),
+        Check("equilibria at u=0.5 off stable, unstable, stable",
+              sum(s != e for s, e in zip_longest(stable, (True, False, True))), "==", 0),
+        Check("|lower branch + 0.9575| at u=0.5", abs(lower + 0.9575), "<=", 1e-3),
+        Check("|upper branch - 0.9575| at u=0.5", abs(upper - 0.9575), "<=", 1e-3),
+    ]
+    detail = (f"stable branches at u=0.5: {lower:.4f}, {upper:.4f}" if len(eq_half) == 3
+              else f"{len(eq_half)} equilibria at u=0.5")
+    return "bifurcation-structure", checks, detail, 1.0
 
 
 def critical_consensus_starts() -> list[np.ndarray]:
@@ -200,7 +226,6 @@ def criterion_critical_consensus():
     reach at T = 200 for unit damping; the criterion is kept strict and
     reports the measured norm.
     """
-    threshold = 1e-3
     starts = critical_consensus_starts()
     # The starts run as one system: the disjoint union of one demo graph per
     # start, so the agent coupling is block-diagonal and no start sees another.
@@ -210,15 +235,10 @@ def criterion_critical_consensus():
     setup = kernel_setup("bimp", g, np.concatenate(starts), d=1.0, alpha=1.0, seed=0)
     traj = euler_integrate(setup, 0.05, 4000, record_every=4000)
     worst = float(np.max(np.abs(traj.states[-1])))
-    return (
-        "critical-consensus",
-        worst < threshold,
-        f"worst |X(200)|_inf = {worst:.4f} over 20 random starts (threshold 1e-3; "
-        "the slow mode decays as 1/sqrt(t), see README)",
-        None,
-        worst,
-        threshold,
-    )
+    checks = [Check("worst |X(200)|_inf", worst, "<", 1e-3)]
+    detail = (f"worst |X(200)|_inf = {worst:.4f} over 20 random starts (threshold 1e-3; "
+              "the slow mode decays as 1/sqrt(t), see README)")
+    return "critical-consensus", checks, detail, None
 
 
 @_timed
@@ -240,14 +260,11 @@ def criterion_dissensus_input():
     gap_100 = min_row_gap(traj.states[_nearest_index(traj.times, 100.0)])
     gap_200 = min_row_gap(traj.states[-1])
     rel_change = abs(gap_200 - gap_100) / gap_100
-    ok = rel_change < 0.01 and gap_200 >= 0.01
-    return (
-        "dissensus-input",
-        ok,
-        f"min row gap {gap_100:.4f} at t=100, {gap_200:.4f} at t=200 "
-        f"(rel change {rel_change:.2e})",
-        None,
-    )
+    checks = [Check("min row gap rel change, t=100 to t=200", rel_change, "<", 0.01),
+              Check("min row gap at t=200", gap_200, ">=", 0.01)]
+    detail = (f"min row gap {gap_100:.4f} at t=100, {gap_200:.4f} at t=200 "
+              f"(rel change {rel_change:.2e})")
+    return "dissensus-input", checks, detail, None
 
 
 @_timed
@@ -271,17 +288,15 @@ def criterion_energy_stability():
     lap_end = traj_lap.energy[-1]
     ref = traj_sat.energy[100]
     band = [e / ref for e in traj_sat.energy[100:]]
-    ok = lap_end < 1e-6 and min(band) > 0.5 and max(band) < 2.0
+    checks = [Check("laplacian end energy", lap_end, "<", 1e-6),
+              Check("saturated energy / its step-100 value, min", min(band), ">", 0.5),
+              Check("saturated energy / its step-100 value, max", max(band), "<", 2.0)]
     # a converged consensus ends at the roundoff floor, whose digits move with
     # the summation order; the detail line reports the floor, not those digits
     lap_text = "< 1e-20" if lap_end < 1e-20 else f"{lap_end:.2e}"
-    return (
-        "energy-stability",
-        ok,
-        f"laplacian end energy {lap_text}; saturated band "
-        f"[{min(band):.3f}, {max(band):.3f}] of its step-100 value",
-        5.0,
-    )
+    detail = (f"laplacian end energy {lap_text}; saturated band "
+              f"[{min(band):.3f}, {max(band):.3f}] of its step-100 value")
+    return "energy-stability", checks, detail, 5.0
 
 
 @_timed
@@ -313,14 +328,12 @@ def criterion_gradient_suite():
     w = rng.uniform(-1, 1, (3, 3))
     _, tape = forward_unroll(x_in, w, aa, ao, cfg_deep)
     chain = jacobian_chain_norm(tape, cfg_deep)
-    ok = worst_rel < 1e-5 and worst_margin >= 0.0 and chain >= 1e-6
-    return (
-        "gradient-suite",
-        ok,
-        f"worst rel err {worst_rel:.2e}; worst bound margin {worst_margin:.3f}; "
-        f"depth-128 chain norm {chain:.2e}",
-        10.0,
-    )
+    checks = [Check("worst rel err", worst_rel, "<", 1e-5),
+              Check("worst bound margin", worst_margin, ">=", 0.0),
+              Check("depth-128 chain norm", chain, ">=", 1e-6)]
+    detail = (f"worst rel err {worst_rel:.2e}; worst bound margin {worst_margin:.3f}; "
+              f"depth-128 chain norm {chain:.2e}")
+    return "gradient-suite", checks, detail, 10.0
 
 
 @_timed
@@ -345,13 +358,10 @@ def criterion_closed_form():
     projections = np.array([v0 @ s for s in traj.states])
     slopes = np.polyfit(np.array(traj.times), projections, 1)[0]
     slope_err = float(np.max(np.abs(slopes - sol.zero_b)))
-    ok = worst <= 5e-3 and slope_err <= 1e-6
-    return (
-        "closed-form",
-        ok,
-        f"max |numeric - modal| = {worst:.2e}; kernel-mode slope error {slope_err:.2e}",
-        None,
-    )
+    checks = [Check("max |numeric - modal|", worst, "<=", 5e-3),
+              Check("kernel-mode slope error", slope_err, "<=", 1e-6)]
+    detail = f"max |numeric - modal| = {worst:.2e}; kernel-mode slope error {slope_err:.2e}"
+    return "closed-form", checks, detail, None
 
 
 @_timed
@@ -366,18 +376,16 @@ def criterion_scrambling_contraction():
     x0 = rng.standard_normal((n, 1))
     report = scrambling_check(mats, zeta=zeta, x0=x0)
     diam = np.array(report.diameters)
-    boundaries = diam[:: n - 1]
-    monotone = bool(np.all(np.diff(boundaries) <= 1e-12))
+    rises = int(np.count_nonzero(np.diff(diam[:: n - 1]) > 1e-12))
     positive = diam[diam > 1e-300]
     slope = float(np.polyfit(np.arange(len(positive)), np.log(positive), 1)[0])
-    ok = report.scrambling and monotone and slope < 0.0
-    return (
-        "scrambling-contraction",
-        ok,
-        f"delta={report.delta:.3f}; boundary-monotone={monotone}; "
-        f"log-diameter slope {slope:.4f}",
-        None,
-    )
+    # delta is 0 exactly when some window product is not scrambling
+    checks = [Check("delta", report.delta, ">", 0.0),
+              Check("window-boundary diameter rises", rises, "==", 0),
+              Check("log-diameter slope", slope, "<", 0.0)]
+    detail = (f"delta={report.delta:.3f}; boundary-monotone={rises == 0}; "
+              f"log-diameter slope {slope:.4f}")
+    return "scrambling-contraction", checks, detail, None
 
 
 @_timed
@@ -386,15 +394,12 @@ def criterion_saturation_validity():
     verdicts = {tag: nod_validity(s) for tag, s in SATURATIONS.items()}
     accepted = {tag for tag, v in verdicts.items() if v.valid}
     expected = {"tanh", "softsign", "arctan"}
-    rejected = {tag for tag in ("sigmoid", "relu", "gelu", "identity") if not verdicts[tag].valid}
-    ok = accepted == expected and len(rejected) == 4
-    return (
-        "saturation-validity",
-        ok,
-        f"accepted={sorted(accepted)}; rejected="
-        f"{sorted(set(verdicts) - accepted)}",
-        None,
-    )
+    misjudged = [t for t in ("sigmoid", "relu", "gelu", "identity") if verdicts[t].valid]
+    checks = [Check("saturations in accepted xor {arctan, softsign, tanh}",
+                    len(accepted ^ expected), "==", 0),
+              Check("accepted among sigmoid, relu, gelu, identity", len(misjudged), "==", 0)]
+    detail = f"accepted={sorted(accepted)}; rejected={sorted(set(verdicts) - accepted)}"
+    return "saturation-validity", checks, detail, None
 
 
 @_timed
@@ -423,12 +428,9 @@ def criterion_rhs_equivalence():
             float(np.max(np.abs(r_matrix - r_vec))),
             float(np.max(np.abs(r_vec - r_filter))),
         )
-    return (
-        "rhs-equivalence",
-        worst <= 1e-12,
-        f"worst pairwise difference {worst:.2e} over 100 fixtures",
-        None,
-    )
+    checks = [Check("worst pairwise difference", worst, "<=", 1e-12)]
+    detail = f"worst pairwise difference {worst:.2e} over 100 fixtures"
+    return "rhs-equivalence", checks, detail, None
 
 
 @_timed
@@ -438,13 +440,10 @@ def criterion_training_smoke():
     cfg = TrainConfig(lr=0.1, epochs=200, steps=8, dt=0.1, d=1.0, alpha=1.0, seed=1)
     _, history = train_sgd(task, cfg)
     terminal_acc = history[-1][1]
-    return (
-        "training-smoke",
-        terminal_acc >= 0.9,
-        f"terminal accuracy {terminal_acc:.4f} (loss {history[0][0]:.4f} -> "
-        f"{history[-1][0]:.4f})",
-        30.0,
-    )
+    checks = [Check("terminal accuracy", terminal_acc, ">=", 0.9)]
+    detail = (f"terminal accuracy {terminal_acc:.4f} (loss {history[0][0]:.4f} -> "
+              f"{history[-1][0]:.4f})")
+    return "training-smoke", checks, detail, 30.0
 
 
 ALL_CRITERIA = (

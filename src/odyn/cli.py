@@ -309,6 +309,11 @@ def cmd_verify(opts) -> int:
                 "measured": r.measured,
                 "threshold": r.threshold,
                 "budget_seconds": r.budget,
+                "checks": [
+                    {"quantity": c.quantity, "measured": c.measured, "relation": c.relation,
+                     "threshold": c.threshold, "holds": c.holds}
+                    for c in r.checks
+                ],
             }
             for r in results
         ],

@@ -102,16 +102,10 @@ class Graph:
         """The same edges with each row's weights scaled to sum to one."""
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("non-finite entries")
-        sums = _row_sums(self)
+        sums = degrees(self)
         if np.any(sums <= 0):
             raise ValueError(f"row {int(np.flatnonzero(sums <= 0)[0])} has no positive entry")
         return replace(self, weights=self.weights / sums[self.rows])
-
-
-def _row_sums(g: Graph) -> np.ndarray:
-    """``g @ np.ones(g.n)`` with its bits, without caching a product plan on ``g``."""
-    # bincount adds each row's weights from 0.0 in edge order, as the product does
-    return np.bincount(g.rows, weights=g.weights, minlength=g.n).astype(np.float64)
 
 
 def _sorted_graph(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> Graph:
@@ -203,6 +197,9 @@ def from_edge_list(edges, n: int) -> Graph:
     """
     if n < 0:
         raise ValueError("node count must be nonnegative")
+    if n >= 2**63:
+        # node indices are int64
+        raise ValueError("node count must be less than 2**63")
     e = np.asarray(edges, dtype=np.float64)
     if e.shape == (0,):
         e = e.reshape(0, 3)
@@ -234,8 +231,10 @@ def from_edge_list(edges, n: int) -> Graph:
 
 
 def degrees(g: Graph) -> np.ndarray:
-    """Out-degree vector d_i = sum_j A_ij."""
-    return _row_sums(g)
+    """Out-degree vector d_i = sum_j A_ij: ``g @ np.ones(g.n)`` with its bits,
+    without caching a product plan on ``g``."""
+    # bincount adds each row's weights from 0.0 in edge order, as the product does
+    return np.bincount(g.rows, weights=g.weights, minlength=g.n).astype(np.float64)
 
 
 def sparse_laplacian(g: Graph) -> Graph:

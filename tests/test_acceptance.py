@@ -11,30 +11,86 @@ oracle that integrates the reduced dynamics along the consensus mode.
 import math
 
 import numpy as np
+import pytest
 
 from odyn import acceptance
 from odyn.fixtures import random_row_stochastic, toy_adjacency, toy_graph
 from odyn.integrate import euler_integrate
 from odyn.kernels import kernel_setup
 
+# every check of the battery as (criterion, quantity, relation, threshold),
+# in order, so that no gate moves silently
+CHECKS = [
+    ("toy-figure", "laplacian terminal diameter", "<", 1e-2),
+    ("toy-figure", "oscillator terminal / laplacian diameter at t=5", "<", 1.0),
+    ("toy-figure", "oscillator terminal diameter", "<", 1e-2),
+    ("toy-figure", "source-kernel diameter/mean ratio rises after t=1", "==", 0),
+    ("toy-figure", "source-kernel diameter/mean ratio, end / start", "<", 1.0),
+    ("toy-figure", "saturated terminal diameter", ">", 0.05),
+    ("toy-figure", "runtime seconds", "<", 1.0),
+    ("leading-eigenvalue", "worst |eigenvalue - 4|", "<=", 1e-8),
+    ("leading-eigenvalue", "runtime seconds", "<", 1.0),
+    ("bifurcation-structure", "sweep points below u=0.24 without 1 equilibrium", "==", 0),
+    ("bifurcation-structure", "sweep points above u=0.26 without 3 equilibria", "==", 0),
+    ("bifurcation-structure", "sweep points above u=0.26 without an unstable origin", "==", 0),
+    ("bifurcation-structure", "equilibria at u=0.5 off stable, unstable, stable", "==", 0),
+    ("bifurcation-structure", "|lower branch + 0.9575| at u=0.5", "<=", 1e-3),
+    ("bifurcation-structure", "|upper branch - 0.9575| at u=0.5", "<=", 1e-3),
+    ("bifurcation-structure", "runtime seconds", "<", 1.0),
+    ("critical-consensus", "worst |X(200)|_inf", "<", 1e-3),
+    ("dissensus-input", "min row gap rel change, t=100 to t=200", "<", 0.01),
+    ("dissensus-input", "min row gap at t=200", ">=", 0.01),
+    ("energy-stability", "laplacian end energy", "<", 1e-6),
+    ("energy-stability", "saturated energy / its step-100 value, min", ">", 0.5),
+    ("energy-stability", "saturated energy / its step-100 value, max", "<", 2.0),
+    ("energy-stability", "runtime seconds", "<", 5.0),
+    ("gradient-suite", "worst rel err", "<", 1e-5),
+    ("gradient-suite", "worst bound margin", ">=", 0.0),
+    ("gradient-suite", "depth-128 chain norm", ">=", 1e-6),
+    ("gradient-suite", "runtime seconds", "<", 10.0),
+    ("closed-form", "max |numeric - modal|", "<=", 5e-3),
+    ("closed-form", "kernel-mode slope error", "<=", 1e-6),
+    ("scrambling-contraction", "delta", ">", 0.0),
+    ("scrambling-contraction", "window-boundary diameter rises", "==", 0),
+    ("scrambling-contraction", "log-diameter slope", "<", 0.0),
+    ("saturation-validity", "saturations in accepted xor {arctan, softsign, tanh}", "==", 0),
+    ("saturation-validity", "accepted among sigmoid, relu, gelu, identity", "==", 0),
+    ("rhs-equivalence", "worst pairwise difference", "<=", 1e-12),
+    ("training-smoke", "terminal accuracy", ">=", 0.9),
+    ("training-smoke", "runtime seconds", "<", 30.0),
+]
 
-def _run(criterion):
-    result = criterion()
+
+@pytest.fixture(scope="module")
+def results():
+    return {r.name: r for r in acceptance.run_all()}
+
+
+def test_every_check_keeps_its_threshold_and_the_verdict_is_all_checks(results):
+    got = [(r.name, c.quantity, c.relation, c.threshold)
+           for r in results.values() for c in r.checks]
+    assert got == CHECKS
+    for r in results.values():
+        assert r.passed == all(c.holds for c in r.checks), r.line()
+
+
+def _run(results, name):
+    result = results[name]
     print(result.line())
     assert result.passed, result.line()
     return result
 
 
-def test_acceptance_01_toy_figure():
-    _run(acceptance.criterion_toy_figure)
+def test_acceptance_01_toy_figure(results):
+    _run(results, "toy-figure")
 
 
-def test_acceptance_02_leading_eigenvalue():
-    _run(acceptance.criterion_leading_eigenvalue)
+def test_acceptance_02_leading_eigenvalue(results):
+    _run(results, "leading-eigenvalue")
 
 
-def test_acceptance_03_bifurcation_structure():
-    _run(acceptance.criterion_bifurcation_structure)
+def test_acceptance_03_bifurcation_structure(results):
+    _run(results, "bifurcation-structure")
 
 
 def _left_perron_vector(m):
@@ -61,8 +117,8 @@ def _consensus_mode_oracle(x0, d=1.0, dt=0.05, steps=4000):
     return abs(y)
 
 
-def test_acceptance_04_critical_consensus():
-    result = acceptance.criterion_critical_consensus()
+def test_acceptance_04_critical_consensus(results):
+    result = results["critical-consensus"]
     print(result.line())
     assert result.threshold == 1e-3, result.line()
     assert result.passed == (result.measured < result.threshold), result.line()
@@ -96,12 +152,12 @@ def test_critical_consensus_union_matches_the_starts_run_one_at_a_time(monkeypat
     assert abs(result.measured - np.max(np.abs(singles))) <= 1e-15
 
 
-def test_acceptance_05_dissensus_input():
-    _run(acceptance.criterion_dissensus_input)
+def test_acceptance_05_dissensus_input(results):
+    _run(results, "dissensus-input")
 
 
-def test_acceptance_06_energy_stability():
-    result = _run(acceptance.criterion_energy_stability)
+def test_acceptance_06_energy_stability(results):
+    result = _run(results, "energy-stability")
     # the Laplacian's end energy sits at the roundoff floor, so the line
     # reports the floor instead of digits that move with summation order
     assert result.detail == (
@@ -109,25 +165,25 @@ def test_acceptance_06_energy_stability():
     )
 
 
-def test_acceptance_07_gradient_suite():
-    _run(acceptance.criterion_gradient_suite)
+def test_acceptance_07_gradient_suite(results):
+    _run(results, "gradient-suite")
 
 
-def test_acceptance_08_closed_form():
-    _run(acceptance.criterion_closed_form)
+def test_acceptance_08_closed_form(results):
+    _run(results, "closed-form")
 
 
-def test_acceptance_09_scrambling_contraction():
-    _run(acceptance.criterion_scrambling_contraction)
+def test_acceptance_09_scrambling_contraction(results):
+    _run(results, "scrambling-contraction")
 
 
-def test_acceptance_10_saturation_validity():
-    _run(acceptance.criterion_saturation_validity)
+def test_acceptance_10_saturation_validity(results):
+    _run(results, "saturation-validity")
 
 
-def test_acceptance_11_rhs_equivalence():
-    _run(acceptance.criterion_rhs_equivalence)
+def test_acceptance_11_rhs_equivalence(results):
+    _run(results, "rhs-equivalence")
 
 
-def test_acceptance_12_training_smoke():
-    _run(acceptance.criterion_training_smoke)
+def test_acceptance_12_training_smoke(results):
+    _run(results, "training-smoke")

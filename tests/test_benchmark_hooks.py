@@ -54,3 +54,8 @@ def test_critical_consensus_counts_the_work_of_its_20_starts(tracing):
         acceptance.criterion_critical_consensus()
     assert sum(name == "kernels.rhs" for name, *_ in tracer.spans) == 4000
     assert tracer.counts["updates"] == 20 * 4000 * 9
+
+
+def test_the_battery_runs_the_criteria_the_tracer_names(tracing):
+    # a renamed criterion would leave its acceptance.<name>.s metric at zero
+    assert tuple(r.name for r in acceptance.run_all()) == tracing.CRITERIA

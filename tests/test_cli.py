@@ -196,6 +196,10 @@ BAD_INPUTS = [
     # 10^12 nodes need 8 TB per index array, an allocation refused at once
     ("graph-node-count-beyond-memory", ["simulate", "--graph", "huge-n.json", "--out", "out"], 1,
      "error: Unable to allocate"),
+    # node indices are int64
+    ("graph-node-count-beyond-int64", ["simulate", "--graph", "n-beyond-int64.json",
+                                       "--out", "out"], 1,
+     "error: node count must be less than 2**63"),
 ]
 
 # Linux refuses an allocation beyond its memory at once unless it is set to
@@ -211,6 +215,7 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
     if "huge-n.json" in argv and not REFUSES_HUGE_ALLOCATIONS:
         pytest.skip("this kernel may grant an 8 TB allocation and fail later")
     (tmp_path / "huge-n.json").write_text(json.dumps({"n": 10**12, "edges": [[0, 1, 1.0]]}))
+    (tmp_path / "n-beyond-int64.json").write_text(json.dumps({"n": 10**23, "edges": []}))
     (tmp_path / "noedges.json").write_text(json.dumps({"n": 3}))
     (tmp_path / "textn.json").write_text(json.dumps({"n": "3", "edges": []}))
     for name, edges in (("pairs", [[0, 1], [1, 2], [2, 0]]), ("text-index", [[0, "a", 1.0]]),
@@ -554,6 +559,19 @@ class TestVerify:
         for r in report:
             for key in ("measured", "threshold", "budget_seconds"):
                 assert r[key] is None or type(r[key]) in (int, float), (r["name"], key)
+            for c in r["checks"]:
+                assert list(c) == ["quantity", "measured", "relation", "threshold", "holds"]
+                assert type(c["quantity"]) is str and type(c["holds"]) is bool
+                assert type(c["measured"]) in (int, float) and type(c["threshold"]) in (int, float)
+                assert c["relation"] in ("<", "<=", "==", ">=", ">")
+            assert r["passed"] == all(c["holds"] for c in r["checks"])
+            # measured and threshold are those of the one check besides the runtime budget
+            gates = [c for c in r["checks"] if c["quantity"] != "runtime seconds"]
+            single = gates[0] if len(gates) == 1 else {"measured": None, "threshold": None}
+            assert (r["measured"], r["threshold"]) == (single["measured"], single["threshold"])
+            budget = [c["threshold"] for c in r["checks"] if c["quantity"] == "runtime seconds"]
+            assert budget == ([] if r["budget_seconds"] is None else [r["budget_seconds"]])
         critical = next(r for r in report if r["name"] == "critical-consensus")
-        assert critical["threshold"] == 1e-3
+        assert (critical["measured"], critical["threshold"]) == (0.08226893359259696, 1e-3)
         assert critical["passed"] == (critical["measured"] < critical["threshold"])
+        assert critical["detail"].endswith("; failed: worst |X(200)|_inf")

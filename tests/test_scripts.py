@@ -9,15 +9,9 @@ import pytest
 import odyn
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-TOY_RUNS = ("grand-l", "grand++-l", "graphcon-tran", "bimp")
 ENERGY_TAGS = ("laplacian", "laplacian-source", "graphcon-tran", "bimp")
 
 CASES = [
-    ("toy_figure.py", [],
-     [f"{name}{suffix}" for name in TOY_RUNS
-      for suffix in (".csv", ".svg", "-metrics.csv", "-metrics.svg")]),
-    ("bifurcation_diagram.py", [],
-     [f"{label}.{ext}" for label in ("pitchfork", "unfolded") for ext in ("csv", "svg")]),
     ("energy_depth.py", ["--steps", "20"],
      [f"{tag}-metrics.csv" for tag in ENERGY_TAGS] + ["energy-depth.svg"]),
 ]
