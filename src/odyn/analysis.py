@@ -32,16 +32,45 @@ def dirichlet_energy(x: np.ndarray, g: Graph) -> float:
     """Mean squared feature difference over the directed edges of ``g``.
 
     E(X) = (1/n) sum_i sum_{j in N(i)} ||x_i - x_j||_2^2
+
+    The terms are summed with the bits of ``np.sum`` over the whole
+    (edges, o) array of squared differences, but gathered one leaf of
+    :func:`_energy_sum` at a time.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] != g.n:
         raise ValueError(f"state must have {g.n} rows, got {x.shape}")
-    if g.edge_count == 0:
+    if x.size == 0 or g.edge_count == 0:
         return 0.0
-    diffs = x.take(g.rows, axis=0)
-    diffs -= x.take(g.targets, axis=0)
+    return float(_energy_sum(x, g, 0, g.edge_count * x.shape[1]) / g.n)
+
+
+# Terms that dirichlet_energy gathers at once, in two 256 KB arrays; no
+# fewer than 128, the block that numpy sums without a split
+_ENERGY_LEAF = 1 << 15
+
+
+def _energy_sum(x: np.ndarray, g: Graph, start: int, stop: int) -> np.floating:
+    """``np.sum`` of the terms ``start:stop`` of the raveled squared differences.
+
+    numpy sums a contiguous float64 array pairwise: it splits n terms at
+    n / 2 rounded down to a multiple of 8, down to blocks of at most 128.
+    This takes the same splits down to leaves of at most ``_ENERGY_LEAF``
+    terms and sums each leaf with ``np.sum``, so every addition is the one
+    numpy makes over the whole array.  A leaf gathers only the edges its
+    terms belong to; it may start or end inside an edge's row of o terms.
+    """
+    count = stop - start
+    if count > _ENERGY_LEAF:
+        half = count // 2
+        half -= half % 8
+        return _energy_sum(x, g, start, start + half) + _energy_sum(x, g, start + half, stop)
+    o = x.shape[1]
+    first, last = start // o, -(-stop // o)
+    diffs = x.take(g.rows[first:last], axis=0)
+    diffs -= x.take(g.targets[first:last], axis=0)
     diffs *= diffs
-    return float(np.sum(diffs) / g.n)
+    return np.sum(diffs.ravel()[start - first * o:stop - first * o])
 
 
 def opinion_diameter(x: np.ndarray) -> float:

@@ -321,6 +321,8 @@ def cmd_verify(opts) -> int:
     )
     _emit(opts["out"], payload + "\n")
     return 0 if all(r.passed for r in results) else 3
+
+
 def _read_csv(path):
     lines = Path(path).read_text().splitlines()
     if not lines:

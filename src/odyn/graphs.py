@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -32,21 +32,24 @@ class Graph:
 
     ``offsets`` has length ``n + 1``; row ``i`` owns the slice
     ``targets[offsets[i]:offsets[i + 1]]`` with matching ``weights``;
-    ``rows`` holds each edge's source row.  Instances are immutable and
-    safe to share.
+    ``rows`` holds each edge's source row, derived from ``offsets`` unless
+    given (``dataclasses.replace`` of the weights alone passes it on).
+    Instances are immutable and safe to share.
     """
 
     n: int
     offsets: np.ndarray
     targets: np.ndarray
     weights: np.ndarray
+    rows: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "shape", (self.n, self.n))
-        object.__setattr__(self, "rows", np.repeat(np.arange(self.n), np.diff(self.offsets)))
+        if self.rows is None:
+            object.__setattr__(self, "rows", np.repeat(np.arange(self.n), np.diff(self.offsets)))
         for arr in (self.offsets, self.targets, self.weights, self.rows):
             arr.flags.writeable = False
-        # state shape past the node axis -> _product_plan(self, that shape)
+        # plan key of Graph._plan -> _product_plan(self, that key)
         object.__setattr__(self, "_plans", {})
 
     @property
@@ -70,28 +73,27 @@ class Graph:
         in one call.
         """
         x = np.asarray(x, dtype=np.float64)
-        stack, key = None, x.shape[1:]
-        if x.ndim >= 3 and x.shape[-2] == self.n:
+        return _apply(self._plan(x.shape), x)
+
+    def _plan(self, shape: tuple[int, ...]):
+        """The product plan for states of ``shape``, built once per graph."""
+        if len(shape) >= 3 and shape[-2] == self.n:
             # the stack as one (n, items * o) state: each column sums on its
             # own, so the plan keyed by the stack's shape keeps its weights
             # unexpanded and does not grow with the stack
-            stack = np.moveaxis(x, -2, 0)
-            key = stack.shape[1:]
-            x = stack.reshape(self.n, math.prod(key))
-        elif x.ndim not in (1, 2) or x.shape[0] != self.n:
-            raise ValueError(f"graph on {self.n} nodes cannot act on shape {x.shape}")
+            key = (*shape[:-2], shape[-1])
+        elif len(shape) in (1, 2) and shape[0] == self.n:
+            key = shape[1:]
+        else:
+            raise ValueError(f"graph on {self.n} nodes cannot act on shape {shape}")
         plan = self._plans.get(key)
         if plan is None:
-            plan = self._plans[key] = _product_plan(self, x.shape[1:], expand=len(key) <= 1)
-        blocks, padded, order = plan
-        if padded:
-            x = np.concatenate([x, np.zeros((1, *x.shape[1:]))])
-        if len(blocks) == 1:
-            sums = _level_sum(x, *blocks[0])
-        else:
-            sums = np.concatenate([_level_sum(x, *block) for block in blocks])
-        out = sums if order is None else sums.take(order, axis=0)
-        return out if stack is None else np.moveaxis(out.reshape(stack.shape), 0, -2)
+            plan = self._plans[key] = _product_plan(self, key, expand=len(key) <= 1)
+        return plan
+
+    def _bound(self, shape: tuple[int, ...]) -> _BoundProduct:
+        """``self @ x`` for states of ``shape`` only, its plan resolved now."""
+        return _BoundProduct(self, tuple(shape))
 
     @cached_property
     def T(self) -> Graph:
@@ -108,6 +110,28 @@ class Graph:
         return replace(self, weights=self.weights / sums[self.rows])
 
 
+class _BoundProduct:
+    """A graph's product on states of one shape, with the plan looked up once.
+
+    A kernel or a sweep binds its coupling when it is set up, so each step
+    runs :func:`_apply`, the graph's own product, with no lookup; ``T`` is
+    the transpose's product on the same shape, bound when first read.
+    """
+
+    def __init__(self, g: Graph, shape: tuple[int, ...]):
+        self.graph, self.shape, self.plan = g, shape, g._plan(shape)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != self.shape:
+            raise ValueError(f"product bound to shape {self.shape} cannot act on shape {x.shape}")
+        return _apply(self.plan, x)
+
+    @cached_property
+    def T(self) -> _BoundProduct:
+        return _BoundProduct(self.graph.T, self.shape)
+
+
 def _sorted_graph(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> Graph:
     """The graph of entries ``(rows[k], cols[k], weights[k])``, sorted by row then column."""
     # one stable sort on the combined key keeps equal entries in input order, as lexsort does
@@ -119,8 +143,33 @@ def _sorted_graph(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarra
 # A block's gathered terms stay within about this many bytes, so that its
 # gather, multiply and reduce run in cache: on a 3000-node graph of
 # out-degree 16 at 8 columns (3 MB of terms) three blocks made the product
-# 1.2x faster than one (2 cores, numpy 2.4.6), and smaller classes stay whole.
+# 1.2x faster than one (2 cores, numpy 2.4.6), and smaller groups stay whole.
 _BLOCK_BYTES = 1 << 20
+
+# A group of rows costs as much as gathering about this many bytes of terms:
+# its gather, multiply and reduce calls and its share of the concatenation
+# and reorder took 2-6 us, against 0.14-0.31 ns per byte of terms, on
+# 200- to 3000-node graphs at 2 and 3 columns (18-25 KB; 2 cores, numpy
+# 2.4.6).  On the 1000-node attention graph of train, 20-32 KB all give
+# three groups.
+_GROUP_BYTES = 24 << 10
+
+
+def _apply(plan, x: np.ndarray) -> np.ndarray:
+    """``A x`` by the :func:`_product_plan` built for ``x``'s shape."""
+    if x.ndim >= 3:
+        # the stack as one (n, items * o) state, each column summed on its own
+        stack = np.moveaxis(x, -2, 0)
+        out = _apply(plan, stack.reshape(stack.shape[0], math.prod(stack.shape[1:])))
+        return np.moveaxis(out.reshape(stack.shape), 0, -2)
+    blocks, padded, order = plan
+    if padded:
+        x = np.concatenate([x, np.zeros((1, *x.shape[1:]))])
+    if len(blocks) == 1:
+        sums = _level_sum(x, *blocks[0])
+    else:
+        sums = np.concatenate([_level_sum(x, *block) for block in blocks])
+    return sums if order is None else sums.take(order, axis=0)
 
 
 def _level_sum(x: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -132,32 +181,58 @@ def _level_sum(x: np.ndarray, targets: np.ndarray, weights: np.ndarray) -> np.nd
     return np.add.reduce(terms, axis=0, initial=0.0)
 
 
+def _degree_groups(degree: np.ndarray, width: int) -> list[np.ndarray]:
+    """The rows, cut into groups of consecutive degrees at the least cost.
+
+    The rows are stably sorted by degree and cut into contiguous runs.  A
+    group pads each of its rows to its deepest; it costs its padded cells,
+    at ``8 * width`` bytes of terms each, plus ``_GROUP_BYTES``.  Only
+    groups with at most two cells per edge are allowed, as every group of
+    one degree is.  No cut falls between two rows of one degree, which
+    would add a group and save no cell.  A single group keeps the rows in
+    their own order.
+    """
+    values, counts = np.unique(degree, return_counts=True)
+    # rows and edges of the rows with a degree below values[k]
+    rows = np.r_[0, np.cumsum(counts)]
+    edges = np.r_[0, np.cumsum(counts * values)]
+    cost = np.zeros(len(values) + 1)
+    first = np.zeros(len(values) + 1, dtype=np.int64)
+    for k in range(1, len(values) + 1):
+        # the group of degrees values[i:k] for each i < k, padded to values[k - 1]
+        cells = (rows[k] - rows[:k]) * values[k - 1]
+        total = np.where(cells <= 2 * (edges[k] - edges[:k]),
+                         cost[:k] + 8.0 * width * cells, np.inf)
+        first[k] = np.argmin(total)
+        cost[k] = total[first[k]] + _GROUP_BYTES
+    cuts, k = [], len(values)
+    while first[k] > 0:
+        k = first[k]
+        cuts.append(rows[k])
+    if not cuts:
+        return [np.arange(len(degree))]
+    return np.split(np.argsort(degree, kind="stable"), cuts[::-1])
+
+
 def _product_plan(g: Graph, tail: tuple[int, ...], expand: bool):
     """The padded level-major layout of ``g @ X`` for states of shape ``(n, *tail)``.
 
-    Returns ``(blocks, padded, order)``.  When ``n * maxdeg <= 2 * edges``
-    the rows keep their own order as one group; otherwise they are stably
-    sorted by ``floor(log2(degree))``, one group per class, each padded by
-    less than 2x.  Each group is split into near-equal runs of at least two
-    rows whose terms take about ``_BLOCK_BYTES``, one block per run:
-    ``targets[k, m]`` is the k-th target of the block's row m, or the zero
-    row ``n`` past the row's last edge, and ``weights[k, m]`` its weight,
-    0 in padded cells.  With ``expand`` the weights are repeated across the
-    state's columns, shape ``targets.shape + tail``; without, they keep one
-    column, shape ``targets.shape + (1,)``, and broadcast over a 2-d
-    state.  ``order`` takes the concatenated block sums back to row order,
-    or is None when they are in it already (one group and no guard row).
-    ``padded`` tells whether any cell reads row ``n``.
+    Returns ``(blocks, padded, order)``.  The rows fall into the groups of
+    :func:`_degree_groups`.  Each group is split into near-equal runs of at
+    least two rows whose terms take about ``_BLOCK_BYTES``, one block per
+    run: ``targets[k, m]`` is the k-th target of the block's row m, or the
+    zero row ``n`` past the row's last edge, and ``weights[k, m]`` its
+    weight, 0 in padded cells.  With ``expand`` the weights are repeated
+    across the state's columns, shape ``targets.shape + tail``; without,
+    they keep one column, shape ``targets.shape + (1,)``, and broadcast over
+    a 2-d state of ``prod(tail)`` columns.  ``order`` takes the concatenated
+    block sums back to row order, or is None when they are in it already
+    (one group and no guard row).  ``padded`` tells whether any cell reads
+    row ``n``.
     """
-    width = int(np.prod(tail))
+    width = math.prod(tail)
     degree = np.diff(g.offsets)
-    if g.n * int(degree.max(initial=0)) <= 2 * g.edge_count:
-        groups = [np.arange(g.n)]
-    else:
-        # frexp's exponent is floor(log2(d)) + 1, and 0 for a row without edges
-        exponent = np.frexp(degree)[1]
-        perm = np.argsort(exponent, kind="stable")
-        groups = np.split(perm, np.flatnonzero(np.diff(exponent[perm])) + 1)
+    groups = _degree_groups(degree, width)
     blocks, padded, order, start = [], False, np.empty(g.n, dtype=np.int64), 0
     for group in groups:
         row_bytes = 8 * max(width, 1) * max(int(degree[group].max(initial=0)), 1)

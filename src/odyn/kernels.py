@@ -118,7 +118,8 @@ def coupling(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, alpha: float) -> np.
     """Joint coupling alpha X + Aa X + X Ao^T + Aa X Ao^T."""
     mixed = aa @ x
     # OpenBLAS multiplies by a C-contiguous copy of Ao^T about twice as fast
-    # as by the transposed view, with the same bits
+    # as by the transposed view, with the same bits; an ``ao`` bound by
+    # _bind_option_coupling is that copy's transpose, so nothing is copied
     ao_t = np.ascontiguousarray(ao.T)
     return alpha * x + mixed + x @ ao_t + mixed @ ao_t
 
@@ -247,10 +248,16 @@ def _source(b: np.ndarray | None, x0: np.ndarray) -> np.ndarray:
     return b
 
 
+def _bind_option_coupling(ao: np.ndarray) -> np.ndarray:
+    """``ao`` laid out so that :func:`coupling` finds ``ao.T`` C-contiguous
+    and multiplies by it with no copy per call: the same values and bits."""
+    return np.ascontiguousarray(ao.T).T
+
+
 def _bimp(g, x0, *, d, alpha, u, b, saturation, seed):
     _check_rows(g, x0)
-    aa = g.row_normalized()
-    ao = random_row_stochastic(x0.shape[1], np.random.default_rng(seed))
+    aa = g.row_normalized()._bound(x0.shape)
+    ao = _bind_option_coupling(random_row_stochastic(x0.shape[1], np.random.default_rng(seed)))
     params = BimpParams(d=d, alpha=alpha, b=_source(b, x0), u=u, saturation=saturation)
     return KernelSetup(lambda s: rhs_bimp(s, aa, ao, params), x0, damping=d)
 
@@ -276,7 +283,7 @@ def _laplacian(g, x0):
     (Gershgorin; see the integrate module docstring).
     """
     _check_rows(g, x0)
-    l = sparse_laplacian(g)
+    l = sparse_laplacian(g)._bound(x0.shape)
     return KernelSetup(lambda s: -(l @ s), x0, damping=float(degrees(g).max(initial=0.0)))
 
 
@@ -293,7 +300,7 @@ def _graphcon_tran(g, x0):
     state ``(2, n, o)`` that stacks position X over velocity Y.
     """
     _check_rows(g, x0)
-    aa = g.row_normalized()
+    aa = g.row_normalized()._bound(x0.shape)
     return KernelSetup(lambda s: np.stack([s[1], (aa @ s[0] - s[0]) - s[1]]),
                        np.stack([x0, np.zeros_like(x0)]), damping=1.0, position=lambda s: s[0])
 
@@ -301,7 +308,7 @@ def _graphcon_tran(g, x0):
 def _gread_f(g, x0):
     """Reaction-diffusion dX/dt = -L X + X o (1 - X)."""
     _check_rows(g, x0)
-    l = sparse_laplacian(g)
+    l = sparse_laplacian(g)._bound(x0.shape)
     return KernelSetup(lambda s: -(l @ s) + s * (1.0 - s), x0)
 
 
@@ -310,7 +317,7 @@ def _gread_fb(g, x0, *, alpha, beta):
     check_finite("diffusion alpha", alpha)
     check_finite("reaction beta", beta)
     _check_rows(g, x0)
-    l = sparse_laplacian(g)
+    l = sparse_laplacian(g)._bound(x0.shape)
 
     def rhs(x: np.ndarray) -> np.ndarray:
         lx = l @ x

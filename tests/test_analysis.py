@@ -1,10 +1,13 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from odyn import analysis
 from odyn.analysis import (
     bifurcation_csv,
     bifurcation_sweep,
@@ -76,6 +79,40 @@ class TestDirichletEnergy:
         diffs = x[g.rows] - x[g.targets]
         expected = float(np.sum(diffs * diffs) / g.n) if g.edge_count else 0.0
         assert dirichlet_energy(x, g) == expected
+
+    @settings(max_examples=50)
+    @given(st.integers(1, 9), st.sampled_from([128, 200, analysis._ENERGY_LEAF]), st.data())
+    def test_blocked_sum_has_the_bits_of_one_sum_over_the_whole_gather(self, o, leaf, data):
+        # edge counts around the leaf boundaries, none included
+        edges = max(0, data.draw(st.integers(0, 4)) * leaf // o + data.draw(st.integers(-3, 3)))
+        n = math.isqrt(edges) + data.draw(st.integers(1, 5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pairs = rng.choice(n * n, edges, replace=False)
+        g = from_edge_list(np.column_stack([pairs // n, pairs % n, np.ones(edges)]), n)
+        # subnormal to huge: some squares underflow to 0 and some overflow to inf
+        x = rng.standard_normal((n, o)) * 10.0 ** rng.integers(-320, 200, (n, o))
+        with np.errstate(over="ignore"), mock.patch.object(analysis, "_ENERGY_LEAF", leaf):
+            diffs = x[g.rows] - x[g.targets]
+            expected = float(np.sum(diffs * diffs) / n) if edges else 0.0
+            assert dirichlet_energy(x, g) == expected
+
+    def test_the_energy_gathers_one_leaf_at_a_time(self):
+        # 3,000 nodes of out-degree 16 at 8 options: the whole gather is two
+        # 3 MB arrays
+        n, d = 3000, 16
+        targets = (np.arange(n)[:, None] + 1 + 7 * np.arange(d)) % n
+        g = from_edge_list(np.column_stack([np.repeat(np.arange(n), d), targets.ravel(),
+                                            np.ones(n * d)]), n)
+        x = np.random.default_rng(3).standard_normal((n, 8))
+        tracemalloc.start()
+        try:
+            energy = dirichlet_energy(x, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        diffs = x[g.rows] - x[g.targets]
+        assert energy == float(np.sum(diffs * diffs) / n)
 
     @settings(max_examples=40)
     @given(st.integers(2, 6), st.integers(0, 2**32 - 1))

@@ -6,8 +6,10 @@ or a caller that stops calling through it, silently loses a counter.
 """
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from odyn import acceptance
@@ -45,6 +47,23 @@ def test_training_calls_through_the_patched_names(tracing, tmp_path):
     assert calls["train.encoding_grad"] == 2
     assert calls["kernels.rhs"] == 3 * 8
     assert tracer.counts["updates"] == (3 * 8 + 2 * 8) * 6 * 2
+
+
+def test_simulate_counts_one_rhs_call_per_step(tracing, tmp_path):
+    # the kernel binds its coupling at set-up; the tracer still sees each
+    # Euler step as one setup.rhs call on the (n, o) state
+    n, o, steps = 5, 3, 7
+    edges = [[i, (i + 1) % n, 1.0] for i in range(n)] + [[i, (i + 2) % n, 0.5] for i in range(n)]
+    (tmp_path / "g.json").write_text(json.dumps({"n": n, "edges": edges}))
+    rows = np.random.default_rng(0).uniform(-1.0, 1.0, (n, o))
+    (tmp_path / "x.csv").write_text("\n".join(",".join(map(repr, r)) for r in rows.tolist()))
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        assert main(["simulate", "--graph", str(tmp_path / "g.json"), "--init",
+                     str(tmp_path / "x.csv"), "--steps", str(steps),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert sum(name == "kernels.rhs" for name, *_ in tracer.spans) == steps
+    assert tracer.counts["updates"] == steps * n * o
 
 
 def test_critical_consensus_counts_the_work_of_its_20_starts(tracing):

@@ -1,9 +1,11 @@
+import itertools
 import json
 import math
 import re
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from odyn.attention import build_communication_attention, init_attention_weights
+from odyn import graphs as graphs_module
 from odyn.fixtures import toy_adjacency, toy_graph
 from odyn.graphs import (
     _sorted_graph,
@@ -66,9 +69,10 @@ def states(g, data):
 def skewed_graphs(draw):
     """One hub row of degree 9 or more among rows of degree 0 to 2.
 
-    Then n * maxdeg > 2 * edges, so the product sorts the rows into one
-    block per power-of-two degree class, and the hub's block holds that
-    row alone.
+    Then n * maxdeg > 2 * edges, so no one group of the product plan holds
+    every row.  Within two cells per edge, the hub shares its group with at
+    most one other row, and at width one a hub alone gets a padded second
+    row.
     """
     n = draw(st.integers(12, 40))
     hub = draw(st.integers(0, n - 1))
@@ -102,6 +106,24 @@ def plan_blocks(g, x):
     """The ``(targets, weights)`` blocks of ``g``'s product plan for ``x``'s shape."""
     g @ x
     return g._plans[x.shape[1:]][0]
+
+
+def cheapest_cut_cost(degree, width, group_bytes):
+    """The least plan cost over every cut of the sorted distinct degrees into
+    runs of at most two cells per edge, by enumeration."""
+    values, counts = (a.tolist() for a in np.unique(degree, return_counts=True))
+    best = math.inf
+    for cut in itertools.product((False, True), repeat=max(len(values) - 1, 0)):
+        bounds = [0, *(k + 1 for k, c in enumerate(cut) if c), len(values)]
+        cost = 0
+        for lo, hi in zip(bounds, bounds[1:]):
+            rows = sum(counts[lo:hi])
+            cells = rows * values[hi - 1] if hi > lo else 0
+            if cells > 2 * sum(v * c for v, c in zip(values[lo:hi], counts[lo:hi])):
+                cost = math.inf
+            cost += 8 * width * cells + group_bytes
+        best = min(best, cost)
+    return best
 
 
 TOY_EDGES = [
@@ -318,6 +340,22 @@ class TestSegmentSumProduct:
         g.row_normalized()
         assert g._plans == {}
 
+    def test_row_normalized_shares_the_source_rows(self):
+        g = from_edge_list([(0, 1, 1.0), (1, 2, 2.0), (2, 0, 0.5), (2, 2, 1.5)], 3)
+        assert g.row_normalized().rows is g.rows
+
+    @given(st.one_of(graphs(), skewed_graphs()), st.data())
+    def test_a_bound_product_is_the_graph_product_on_its_shape(self, g, data):
+        lead = data.draw(st.lists(st.integers(0, 3), max_size=2))
+        x = signed_states(g, data, tuple(lead))
+        bound = g._bound(x.shape)
+        for product, expected in ((bound, g @ x), (bound.T, g.T @ x)):
+            out = product @ x
+            assert np.array_equal(out, expected)
+            assert np.array_equal(np.signbit(out), np.signbit(expected))
+        with pytest.raises(ValueError, match="cannot act on shape"):
+            bound @ np.zeros((*x.shape, 1))
+
     def test_row_normalized_errors(self):
         with pytest.raises(ValueError, match="^non-finite entries$"):
             g = from_edge_list([(0, 1, 1.0), (1, 0, 1.0)], 2)
@@ -353,24 +391,69 @@ class TestProductSummationOrder:
             assert np.array_equal(out[index], item)
             assert np.array_equal(np.signbit(out[index]), np.signbit(item))
 
+    @settings(max_examples=100)
+    @given(st.one_of(graphs(), graphs().map(sparse_laplacian), skewed_graphs()),
+           st.integers(1, 8), st.sampled_from([0, 64, graphs_module._GROUP_BYTES]), st.data())
+    def test_the_groups_are_the_cheapest_cut_of_the_degree_sorted_rows(self, g, width,
+                                                                       group_bytes, data):
+        degree = np.diff(g.offsets)
+        with mock.patch.object(graphs_module, "_GROUP_BYTES", group_bytes):
+            groups = graphs_module._degree_groups(degree, width)
+            plan = graphs_module._product_plan(g, (width,), expand=True)
+        np.testing.assert_array_equal(np.sort(np.concatenate(groups)), np.arange(g.n))
+        deepest = [int(degree[group].max(initial=0)) for group in groups]
+        for group, levels, below in zip(groups, deepest, [-1, *deepest]):
+            assert degree[group].min(initial=levels) > below
+            assert len(group) * levels <= 2 * degree[group].sum()
+        cost = sum(8 * width * len(group) * levels + group_bytes
+                   for group, levels in zip(groups, deepest))
+        assert cost == cheapest_cut_cost(degree, width, group_bytes)
+        if len(groups) == 1:
+            np.testing.assert_array_equal(groups[0], np.arange(g.n))
+        # a graph this small takes one block per group, padded to its deepest row
+        assert [targets.shape[0] for targets, _ in plan[0]] == deepest
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        x = rng.standard_normal((g.n, width)) * 10.0 ** rng.integers(-8, 9, (g.n, width))
+        np.testing.assert_array_equal(graphs_module._apply(plan, x), graph_product(g, x))
+
     @given(skewed_graphs(), st.data())
-    def test_a_skewed_graph_takes_one_block_per_degree_class(self, g, data):
+    def test_at_no_cost_per_group_each_degree_takes_its_own_block(self, g, data):
+        # padding costs cells and a group nothing, so no two degrees share a
+        # group; at width one a group of one row gets a padded second row
         x = signed_states(g, data)
         degree = np.diff(g.offsets)
         assert g.n * degree.max() > 2 * g.edge_count
-        classes = np.unique(np.floor(np.log2(degree[degree > 0])))
-        assert len(plan_blocks(g, x)) == len(classes) + (degree == 0).any()
-        np.testing.assert_array_equal(g @ x, graph_product(g, x))
+        with mock.patch.object(graphs_module, "_GROUP_BYTES", 0):
+            plan = graphs_module._product_plan(g, x.shape[1:], expand=True)
+        assert len(plan[0]) == len(np.unique(degree))
+        np.testing.assert_array_equal(graphs_module._apply(plan, x), graph_product(g, x))
 
     def test_a_lone_deep_row_at_width_one_sums_in_order(self):
         # 1 + 2**-53 rounds back to 1, so an ordered sum stays at 1.0
-        # where a pairwise one would collect the small terms first
+        # where a pairwise one would collect the small terms first; the deep
+        # row takes more than two cells per edge beside any empty row, so it
+        # is alone, with a padded second row
         n = 12
-        g = from_edge_list([(0, t, 1.0) for t in range(n)] + [(1, 2, 1.0)], n)
+        g = from_edge_list([(0, t, 1.0) for t in range(n)], n)
         x = np.r_[1.0, np.full(n - 1, 2.0**-53)]
         for state in (x, x[:, None]):
-            assert len(plan_blocks(g, state)) == 3
+            assert [t.shape for t, _ in plan_blocks(g, state)] == [(0, n - 1), (n, 2)]
             out = g @ state
+            assert out.ravel()[0] == 1.0
+            np.testing.assert_array_equal(out, graph_product(g, state))
+
+    def test_a_guard_row_shifts_the_rows_of_later_groups(self):
+        # at no cost per group, the rows of degree 2 and 12 are each alone;
+        # at width one both get a padded second row, and the first one moves
+        # the deep row's sum to the block after it
+        n = 12
+        g = from_edge_list([(0, t, 1.0) for t in range(n)] + [(1, 2, 1.0), (1, 3, 1.0)], n)
+        x = np.r_[1.0, np.full(n - 1, 2.0**-53)]
+        for state in (x, x[:, None]):
+            with mock.patch.object(graphs_module, "_GROUP_BYTES", 0):
+                plan = graphs_module._product_plan(g, state.shape[1:], expand=True)
+            assert [t.shape for t, _ in plan[0]] == [(0, n - 2), (2, 2), (n, 2)]
+            out = graphs_module._apply(plan, state)
             assert out.ravel()[0] == 1.0
             np.testing.assert_array_equal(out, graph_product(g, state))
 
@@ -418,6 +501,11 @@ class TestProductPlanMemory:
         assert cells <= 2 * g.edge_count + guards
         for targets, weights in blocks:
             assert weights.shape == targets.shape + x.shape[1:]
+        return cells
+
+    @given(st.one_of(graphs(), skewed_graphs()), st.data())
+    def test_drawn_graphs(self, g, data):
+        self.assert_bounded(g, signed_states(g, data))
 
     def test_a_star_of_ten_thousand_nodes(self):
         n = 10**4
@@ -434,7 +522,8 @@ class TestProductPlanMemory:
         aa = build_communication_attention(x0, init_attention_weights(ATTENTION_DIM, 2, seed=0),
                                            task.graph)
         for g in (aa, aa.T):
-            self.assert_bounded(g, x0)
+            # one group padded to the deepest row held 33,000 cells
+            assert self.assert_bounded(g, x0) <= 21000
             np.testing.assert_array_equal(g @ x0, graph_product(g, x0))
 
 

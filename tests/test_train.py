@@ -359,10 +359,20 @@ class TestJacobianChain:
             g @ x0
             assert plan_bytes(*g._plans.values()) <= 3 * plan_bytes(g._plans[(2,)])
 
-        def oracle_product(g, x):
-            return np.moveaxis(oracles.graph_product(g, np.moveaxis(x, -2, 0)), 0, -2)
+        class OracleProduct:
+            """The edge-order oracle in place of the product the sweep binds."""
 
-        monkeypatch.setattr(Graph, "__matmul__", oracle_product)
+            def __init__(self, g):
+                self.g = g
+
+            def __matmul__(self, x):
+                return np.moveaxis(oracles.graph_product(self.g, np.moveaxis(x, -2, 0)), 0, -2)
+
+            @property
+            def T(self):
+                return OracleProduct(self.g.T)
+
+        monkeypatch.setattr(Graph, "_bound", lambda g, shape: OracleProduct(g))
         assert jacobian_chain_norm(tape, cfg) == norm
 
     def test_chain_norm_makes_no_encoding_gradient_call(self, monkeypatch):
