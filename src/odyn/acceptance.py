@@ -26,6 +26,7 @@ from .analysis import (
     scrambling_check,
 )
 from .fixtures import (
+    _gradient_problem,
     random_row_stochastic,
     toy_adjacency,
     toy_graph,
@@ -313,12 +314,7 @@ def criterion_gradient_suite():
         d = float(rng.uniform(0.5, 1.5))
         alpha = float(rng.uniform(0.0, 2.0))
         cfg = TrainConfig(lr=0.0, epochs=0, steps=m, dt=dt, d=d, alpha=alpha, seed=k)
-        aa = random_row_stochastic(na, rng, zero_diagonal=False)
-        ao = random_row_stochastic(no, rng, zero_diagonal=False)
-        x_in = rng.uniform(-1, 1, (na, f))
-        w = rng.uniform(-1, 1, (f, no)) / np.sqrt(f)
-        target = rng.uniform(-1, 1, (na, no))
-        rep = gradient_check(x_in, w, aa, ao, target, cfg, h=1e-5)
+        rep = gradient_check(*_gradient_problem(rng, na, no, f), cfg, h=1e-5)
         worst_rel = max(worst_rel, rep.rel_error)
         worst_margin = min(worst_margin, rep.bound - rep.inf_norm)
     cfg_deep = TrainConfig(lr=0.0, epochs=0, steps=128, dt=0.05, d=1.0, alpha=1.0, seed=0)

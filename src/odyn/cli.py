@@ -23,7 +23,7 @@ import numpy as np
 from . import acceptance
 from .analysis import bifurcation_csv, bifurcation_sweep, dirichlet_energy, opinion_diameter
 from .errors import NumericalError
-from .fixtures import random_row_stochastic, toy_graph, toy_initial_state
+from .fixtures import _gradient_problem, toy_graph, toy_initial_state
 from .graphs import load_graph_json, load_matrix_csv, save_matrix_csv
 from .integrate import (
     check_step,
@@ -262,13 +262,8 @@ def cmd_gradcheck(opts) -> int:
     for flag, size in zip(("n-agents", "n-options", "features"), (na, no, f)):
         if size < 1:
             raise CliError(f"--{flag} must be at least 1, got {size}")
-    rng = np.random.default_rng(opts["seed"])
-    aa = random_row_stochastic(na, rng, zero_diagonal=False)
-    ao = random_row_stochastic(no, rng, zero_diagonal=False)
-    x_in = rng.uniform(-1, 1, (na, f))
-    w = rng.uniform(-1, 1, (f, no)) / np.sqrt(f)
-    target = rng.uniform(-1, 1, (na, no))
-    report = gradient_check(x_in, w, aa, ao, target, _train_config(opts), h=opts["h"])
+    problem = _gradient_problem(np.random.default_rng(opts["seed"]), na, no, f)
+    report = gradient_check(*problem, _train_config(opts), h=opts["h"])
     _emit(opts["out"], report.to_json() + "\n")
     if report.rel_error >= 1e-5:
         raise NumericalError(
@@ -324,11 +319,20 @@ def cmd_verify(opts) -> int:
 
 
 def _read_csv(path):
-    lines = Path(path).read_text().splitlines()
-    if not lines:
+    """The header and the nonblank rows of a CSV file, each as long as the header."""
+    text = Path(path).read_text()
+    if not text:
         raise CliError(f"empty CSV: {path}")
-    header = lines[0].split(",")
-    rows = [line.split(",") for line in lines[1:] if line.strip()]
+    first, *lines = text.split("\n")
+    header, rows = first.split(","), []
+    for number, line in enumerate(lines, 2):
+        if not line.strip():
+            continue
+        row = line.split(",")
+        if len(row) != len(header):
+            raise CliError(f"CSV file {path}, line {number}: {len(row)} values, "
+                           f"where the header has {len(header)}")
+        rows.append(row)
     return header, rows
 
 

@@ -1,4 +1,5 @@
-"""Shared small fixtures: the 3-agent demo system and random stochastic matrices."""
+"""Shared small fixtures: the 3-agent demo system, random stochastic matrices
+and the random problem of the gradient check."""
 from __future__ import annotations
 
 import numpy as np
@@ -51,3 +52,20 @@ def random_row_stochastic(
     if zero_diagonal:
         np.fill_diagonal(m, 0.0)
     return m / m.sum(axis=1, keepdims=True)
+
+
+def _gradient_problem(rng: np.random.Generator, na: int, no: int, f: int):
+    """A random gradient-check problem on ``na`` agents, ``no`` options and
+    ``f`` features, as ``(x_in, w, aa, ao, target)``, the argument order of
+    :func:`odyn.train.gradient_check`.
+
+    ``rng`` draws, in this order: the dense row-stochastic couplings Aa and
+    Ao, the features uniform on [-1, 1], the encoder uniform on [-1, 1]
+    over sqrt(f), and the target uniform on [-1, 1].
+    """
+    aa = random_row_stochastic(na, rng, zero_diagonal=False)
+    ao = random_row_stochastic(no, rng, zero_diagonal=False)
+    x_in = rng.uniform(-1, 1, (na, f))
+    w = rng.uniform(-1, 1, (f, no)) / np.sqrt(f)
+    target = rng.uniform(-1, 1, (na, no))
+    return x_in, w, aa, ao, target

@@ -34,7 +34,8 @@ class Graph:
     ``targets[offsets[i]:offsets[i + 1]]`` with matching ``weights``;
     ``rows`` holds each edge's source row, derived from ``offsets`` unless
     given (``dataclasses.replace`` of the weights alone passes it on).
-    Instances are immutable and safe to share.
+    Instances are immutable and safe to share; each keeps one product plan
+    per state shape, built by its first product on that shape.
     """
 
     n: int
@@ -49,7 +50,7 @@ class Graph:
             object.__setattr__(self, "rows", np.repeat(np.arange(self.n), np.diff(self.offsets)))
         for arr in (self.offsets, self.targets, self.weights, self.rows):
             arr.flags.writeable = False
-        # plan key of Graph._plan -> _product_plan(self, that key)
+        # state shape -> the _product_plan of the first product on it
         object.__setattr__(self, "_plans", {})
 
     @property
@@ -69,31 +70,24 @@ class Graph:
         product.  Each output cell is ``0.0 + w_0 x_0 + w_1 x_1 + ...``,
         summed left to right over the row's edges in target order, signed
         zeros included.  The terms are gathered level by level from the
-        padded layout of :func:`_product_plan` and reduced over the levels
-        in one call.
+        padded layout of :func:`_product_plan`, built by the first product
+        on ``x``'s shape and kept, and reduced over the levels in one call.
         """
         x = np.asarray(x, dtype=np.float64)
-        return _apply(self._plan(x.shape), x)
-
-    def _plan(self, shape: tuple[int, ...]):
-        """The product plan for states of ``shape``, built once per graph."""
-        if len(shape) >= 3 and shape[-2] == self.n:
-            # the stack as one (n, items * o) state: each column sums on its
-            # own, so the plan keyed by the stack's shape keeps its weights
-            # unexpanded and does not grow with the stack
-            key = (*shape[:-2], shape[-1])
-        elif len(shape) in (1, 2) and shape[0] == self.n:
-            key = shape[1:]
-        else:
-            raise ValueError(f"graph on {self.n} nodes cannot act on shape {shape}")
-        plan = self._plans.get(key)
+        plan = self._plans.get(x.shape)
         if plan is None:
-            plan = self._plans[key] = _product_plan(self, key, expand=len(key) <= 1)
-        return plan
-
-    def _bound(self, shape: tuple[int, ...]) -> _BoundProduct:
-        """``self @ x`` for states of ``shape`` only, its plan resolved now."""
-        return _BoundProduct(self, tuple(shape))
+            shape = x.shape
+            if len(shape) >= 3 and shape[-2] == self.n:
+                # the stack as one (n, items * o) state: each column sums on
+                # its own, so the plan keeps its weights unexpanded and does
+                # not grow with the stack
+                tail = (*shape[:-2], shape[-1])
+            elif len(shape) in (1, 2) and shape[0] == self.n:
+                tail = shape[1:]
+            else:
+                raise ValueError(f"graph on {self.n} nodes cannot act on shape {shape}")
+            plan = self._plans[shape] = _product_plan(self, tail, expand=len(tail) <= 1)
+        return _apply(plan, x)
 
     @cached_property
     def T(self) -> Graph:
@@ -108,28 +102,6 @@ class Graph:
         if np.any(sums <= 0):
             raise ValueError(f"row {int(np.flatnonzero(sums <= 0)[0])} has no positive entry")
         return replace(self, weights=self.weights / sums[self.rows])
-
-
-class _BoundProduct:
-    """A graph's product on states of one shape, with the plan looked up once.
-
-    A kernel or a sweep binds its coupling when it is set up, so each step
-    runs :func:`_apply`, the graph's own product, with no lookup; ``T`` is
-    the transpose's product on the same shape, bound when first read.
-    """
-
-    def __init__(self, g: Graph, shape: tuple[int, ...]):
-        self.graph, self.shape, self.plan = g, shape, g._plan(shape)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != self.shape:
-            raise ValueError(f"product bound to shape {self.shape} cannot act on shape {x.shape}")
-        return _apply(self.plan, x)
-
-    @cached_property
-    def T(self) -> _BoundProduct:
-        return _BoundProduct(self.graph.T, self.shape)
 
 
 def _sorted_graph(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> Graph:

@@ -256,7 +256,7 @@ def _bind_option_coupling(ao: np.ndarray) -> np.ndarray:
 
 def _bimp(g, x0, *, d, alpha, u, b, saturation, seed):
     _check_rows(g, x0)
-    aa = g.row_normalized()._bound(x0.shape)
+    aa = g.row_normalized()
     ao = _bind_option_coupling(random_row_stochastic(x0.shape[1], np.random.default_rng(seed)))
     params = BimpParams(d=d, alpha=alpha, b=_source(b, x0), u=u, saturation=saturation)
     return KernelSetup(lambda s: rhs_bimp(s, aa, ao, params), x0, damping=d)
@@ -283,7 +283,7 @@ def _laplacian(g, x0):
     (Gershgorin; see the integrate module docstring).
     """
     _check_rows(g, x0)
-    l = sparse_laplacian(g)._bound(x0.shape)
+    l = sparse_laplacian(g)
     return KernelSetup(lambda s: -(l @ s), x0, damping=float(degrees(g).max(initial=0.0)))
 
 
@@ -300,7 +300,7 @@ def _graphcon_tran(g, x0):
     state ``(2, n, o)`` that stacks position X over velocity Y.
     """
     _check_rows(g, x0)
-    aa = g.row_normalized()._bound(x0.shape)
+    aa = g.row_normalized()
     return KernelSetup(lambda s: np.stack([s[1], (aa @ s[0] - s[0]) - s[1]]),
                        np.stack([x0, np.zeros_like(x0)]), damping=1.0, position=lambda s: s[0])
 
@@ -308,7 +308,7 @@ def _graphcon_tran(g, x0):
 def _gread_f(g, x0):
     """Reaction-diffusion dX/dt = -L X + X o (1 - X)."""
     _check_rows(g, x0)
-    l = sparse_laplacian(g)._bound(x0.shape)
+    l = sparse_laplacian(g)
     return KernelSetup(lambda s: -(l @ s) + s * (1.0 - s), x0)
 
 
@@ -317,7 +317,7 @@ def _gread_fb(g, x0, *, alpha, beta):
     check_finite("diffusion alpha", alpha)
     check_finite("reaction beta", beta)
     _check_rows(g, x0)
-    l = sparse_laplacian(g)._bound(x0.shape)
+    l = sparse_laplacian(g)
 
     def rhs(x: np.ndarray) -> np.ndarray:
         lx = l @ x

@@ -108,9 +108,8 @@ def forward_unroll(
         raise ValueError(f"option coupling must be {o}x{o}, got {ao.shape}")
     params = BimpParams(d=cfg.d, alpha=cfg.alpha, b=x0, u=cfg.u)
     preacts: list[np.ndarray] = []
-    bound_aa, bound_ao = _bind(aa, x0.shape), _bind_option_coupling(ao)
-    setup = KernelSetup(lambda x: rhs_bimp(x, bound_aa, bound_ao, params, preacts), x0,
-                        damping=cfg.d)
+    bound_ao = _bind_option_coupling(ao)
+    setup = KernelSetup(lambda x: rhs_bimp(x, aa, bound_ao, params, preacts), x0, damping=cfg.d)
     traj = euler_integrate(setup, cfg.dt, cfg.steps)
     tape = Tape(x_in=x_in, states=traj.states, preacts=preacts, aa=aa, ao=ao)
     return traj.states[-1], tape
@@ -126,20 +125,13 @@ def mse_loss(x_final: np.ndarray, target: np.ndarray) -> float:
     return float(np.sum(r * r) / (2.0 * x_final.size))
 
 
-def _bind(aa: Graph | np.ndarray, shape: tuple[int, ...]):
-    """A :class:`Graph` coupling with its product for states of ``shape``
-    resolved once per run, or a dense one as it is."""
-    return aa._bound(shape) if isinstance(aa, Graph) else aa
-
-
-def _reverse_step(grad: np.ndarray, preact: np.ndarray, aa, ao: np.ndarray,
-                  cfg: TrainConfig) -> np.ndarray:
+def _reverse_step(grad: np.ndarray, preact: np.ndarray, aa: Graph | np.ndarray,
+                  ao: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """Pull the cotangent of X_t back through the Euler step to X_{t-1}.
 
     ``grad`` is one (n, o) cotangent or a stack of them along a leading
-    axis, ``aa`` the agent coupling bound to its shape, and ``preact`` the
-    step's taped Z_{t-1}, which gives sech^2; so the step makes one adjoint
-    coupling product and no forward one.
+    axis, and ``preact`` the step's taped Z_{t-1}, which gives sech^2; so
+    the step makes one adjoint coupling product and no forward one.
     """
     h = cfg.dt * grad * (1.0 / np.cosh(preact)) ** 2
     return (1.0 - cfg.d * cfg.dt) * grad + cfg.u * coupling_adjoint(h, aa, ao, cfg.alpha)
@@ -162,10 +154,9 @@ def encoding_grad(tape: Tape, target: np.ndarray, cfg: TrainConfig) -> np.ndarra
     n_elems = x_final.size
     grad_state = (x_final - target) / n_elems
     grad_x0 = np.zeros_like(grad_state)
-    aa = _bind(tape.aa, grad_state.shape)
     for t in range(cfg.steps, 0, -1):
         grad_x0 += cfg.dt * grad_state
-        grad_state = _reverse_step(grad_state, tape.preacts[t - 1], aa, tape.ao, cfg)
+        grad_state = _reverse_step(grad_state, tape.preacts[t - 1], tape.aa, tape.ao, cfg)
     return grad_x0 + grad_state
 
 
@@ -302,9 +293,8 @@ def jacobian_chain_norm(tape: Tape, cfg: TrainConfig) -> float:
     """
     n, o = tape.states[0].shape
     rows = np.eye(n * o).reshape(n * o, n, o)
-    aa = _bind(tape.aa, rows.shape)
     for t in range(cfg.steps, 0, -1):
-        rows = _reverse_step(rows, tape.preacts[t - 1], aa, tape.ao, cfg)
+        rows = _reverse_step(rows, tape.preacts[t - 1], tape.aa, tape.ao, cfg)
     return float(np.max(np.sum(np.abs(rows), axis=(1, 2))))
 
 

@@ -49,9 +49,19 @@ def test_training_calls_through_the_patched_names(tracing, tmp_path):
     assert tracer.counts["updates"] == (3 * 8 + 2 * 8) * 6 * 2
 
 
+def test_training_hands_the_kernel_one_agent_coupling(tracing, tmp_path):
+    # every unroll multiplies by the same attention graph, so the tracer's
+    # nonzero cache, keyed by the coupling object, keeps one entry
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        assert main(["train", "--epochs", "5", "--n-per-block", "3",
+                     "--out", str(tmp_path)]) == 0
+    assert sum(name == "train.forward_unroll" for name, *_ in tracer.spans) == 6
+    assert len(tracer._nnz) == 1
+
+
 def test_simulate_counts_one_rhs_call_per_step(tracing, tmp_path):
-    # the kernel binds its coupling at set-up; the tracer still sees each
-    # Euler step as one setup.rhs call on the (n, o) state
+    # the tracer sees each Euler step as one setup.rhs call on the (n, o) state
     n, o, steps = 5, 3, 7
     edges = [[i, (i + 1) % n, 1.0] for i in range(n)] + [[i, (i + 2) % n, 0.5] for i in range(n)]
     (tmp_path / "g.json").write_text(json.dumps({"n": n, "edges": edges}))

@@ -190,6 +190,12 @@ BAD_INPUTS = [
      "error: empty matrix file: empty.csv"),
     ("ragged-init-file", ["simulate", "--init", "ragged.csv", "--out", "out"], 1,
      "error: matrix file ragged.csv: the number of columns changed from 3 to 2"),
+    # plot checks every row's length before it makes the output directory;
+    # a line number counts blank lines too
+    ("plot-short-row", ["plot", "--in", "short-row.csv", "--out", "out/short-row.svg"], 1,
+     "error: CSV file short-row.csv, line 4: 2 values, where the header has 3"),
+    ("plot-long-row", ["plot", "--in", "long-row.csv", "--out", "out/long-row.svg"], 1,
+     "error: CSV file long-row.csv, line 3: 5 values, where the header has 4"),
     # toy sets all four kernels up before its first run writes
     ("toy-non-finite-attention", ["toy", "--u=inf", "--steps", "2", "--out", "out"], 1,
      "error: attention u must be finite and positive, got inf"),
@@ -232,6 +238,8 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
         json.dumps({"n": 3, "edges": [[0, 1, 1], [1, 2, 1], [2, 0, 1]], "name": "cycle"}))
     (tmp_path / "empty.csv").write_text("")
     (tmp_path / "ragged.csv").write_text("1,0,0\n\n0,1\n0,0,1\n")
+    (tmp_path / "short-row.csv").write_text("t,dirichlet,diameter\n0.0,1.0,2.0\n\n0.1,0.9\n")
+    (tmp_path / "long-row.csv").write_text("t,node,option,value\n0.0,0,0,1.0\n0.0,0,1,0.5,9\n")
     save_matrix_csv(np.full((3, 3), 1e307), tmp_path / "huge.csv")
     (tmp_path / "one.json").write_text(json.dumps({"n": 1, "edges": []}))
     save_matrix_csv(np.array([[0.3]]), tmp_path / "one.csv")
@@ -533,6 +541,12 @@ class TestPlot:
         svg = tmp_path / "plot" / "bimp.svg"
         assert main(["plot", "--in", str(out / "bimp.csv"), "--out", str(svg)]) == 0
         assert svg.read_text().startswith("<svg")
+
+    def test_a_ragged_row_fails_before_the_output_directory_is_made(self, tmp_path):
+        bad = tmp_path / "m.csv"
+        bad.write_text("t,dirichlet,diameter\n0.0,1.0,2.0\n0.1,0.9\n")
+        assert main(["plot", "--in", str(bad), "--out", str(tmp_path / "plot" / "m.svg")]) == 1
+        assert not (tmp_path / "plot").exists()
 
     def test_unknown_schema_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from odyn.attention import build_communication_attention, init_attention_weights
 from odyn import graphs as graphs_module
+from odyn.cli import main
 from odyn.fixtures import toy_adjacency, toy_graph
 from odyn.graphs import (
     _sorted_graph,
@@ -105,7 +106,7 @@ def signed_states(g, data, stack=()):
 def plan_blocks(g, x):
     """The ``(targets, weights)`` blocks of ``g``'s product plan for ``x``'s shape."""
     g @ x
-    return g._plans[x.shape[1:]][0]
+    return g._plans[x.shape][0]
 
 
 def cheapest_cut_cost(degree, width, group_bytes):
@@ -345,16 +346,40 @@ class TestSegmentSumProduct:
         assert g.row_normalized().rows is g.rows
 
     @given(st.one_of(graphs(), skewed_graphs()), st.data())
-    def test_a_bound_product_is_the_graph_product_on_its_shape(self, g, data):
+    def test_a_repeated_product_reuses_its_plan_with_its_bits(self, g, data):
         lead = data.draw(st.lists(st.integers(0, 3), max_size=2))
         x = signed_states(g, data, tuple(lead))
-        bound = g._bound(x.shape)
-        for product, expected in ((bound, g @ x), (bound.T, g.T @ x)):
-            out = product @ x
-            assert np.array_equal(out, expected)
-            assert np.array_equal(np.signbit(out), np.signbit(expected))
+        for product in (g, g.T):
+            first = product @ x
+            plan = product._plans[x.shape]
+            again = product @ x
+            assert product._plans[x.shape] is plan
+            assert np.array_equal(again, first)
+            assert np.array_equal(np.signbit(again), np.signbit(first))
+        # the node axis one row too long: no stack or state of this graph
+        wrong = list(x.shape)
+        wrong[0 if x.ndim == 1 else -2] += 1
         with pytest.raises(ValueError, match="cannot act on shape"):
-            bound @ np.zeros((*x.shape, 1))
+            g @ np.zeros(wrong)
+        assert list(g._plans) == [x.shape]
+
+    def test_training_builds_one_plan_per_graph_and_state_shape(self, tmp_path):
+        # the attention graph and its transpose, each at the (n, o) state,
+        # however many unrolls and reverse sweeps run
+        built = []
+        product_plan = graphs_module._product_plan
+
+        def counted(g, tail, expand):
+            built.append((g, tail))
+            return product_plan(g, tail, expand)
+
+        with mock.patch.object(graphs_module, "_product_plan", counted):
+            assert main(["train", "--epochs", "3", "--n-per-block", "3",
+                         "--out", str(tmp_path)]) == 0
+        assert [tail for _, tail in built] == [(2,), (2,)]
+        aa, aa_t = (g for g, _ in built)
+        assert aa_t is aa.T
+        assert list(aa._plans) == list(aa_t._plans) == [(6, 2)]
 
     def test_row_normalized_errors(self):
         with pytest.raises(ValueError, match="^non-finite entries$"):
@@ -479,7 +504,7 @@ class TestProductSummationOrder:
         g = from_edge_list(edges, 1000)
         x = rng.standard_normal((1000, 8))
         blocks = plan_blocks(g, x)
-        assert len(blocks) == 2 and g._plans[(8,)][2] is None
+        assert len(blocks) == 2 and g._plans[x.shape][2] is None
         np.testing.assert_array_equal(g @ x, graph_product(g, x))
 
     def test_negative_zero_terms_sum_to_positive_zero(self):

@@ -15,7 +15,7 @@ from odyn.attention import (
     init_attention_weights,
 )
 from odyn.errors import NumericalError
-from odyn.fixtures import random_row_stochastic
+from odyn.fixtures import _gradient_problem, random_row_stochastic
 from odyn.graphs import Graph, from_edge_list
 from odyn.kernels import coupling, coupling_adjoint
 from odyn.train import (
@@ -37,13 +37,8 @@ from oracles import dense_adjacency
 
 
 def small_fixture(seed, na=6, no=3, f=3, steps=4, dt=0.05, d=1.0, alpha=1.0):
-    rng = np.random.default_rng(seed)
     cfg = TrainConfig(lr=0.0, epochs=0, steps=steps, dt=dt, d=d, alpha=alpha, seed=seed)
-    aa = random_row_stochastic(na, rng, zero_diagonal=False)
-    ao = random_row_stochastic(no, rng, zero_diagonal=False)
-    x_in = rng.uniform(-1, 1, (na, f))
-    w = rng.uniform(-1, 1, (f, no)) / np.sqrt(f)
-    target = rng.uniform(-1, 1, (na, no))
+    x_in, w, aa, ao, target = _gradient_problem(np.random.default_rng(seed), na, no, f)
     return cfg, aa, ao, x_in, w, target
 
 
@@ -357,22 +352,12 @@ class TestJacobianChain:
 
         for g in (aa, aa.T):
             g @ x0
-            assert plan_bytes(*g._plans.values()) <= 3 * plan_bytes(g._plans[(2,)])
+            assert plan_bytes(*g._plans.values()) <= 3 * plan_bytes(g._plans[x0.shape])
 
-        class OracleProduct:
-            """The edge-order oracle in place of the product the sweep binds."""
+        def oracle_product(g, x):
+            return np.moveaxis(oracles.graph_product(g, np.moveaxis(x, -2, 0)), 0, -2)
 
-            def __init__(self, g):
-                self.g = g
-
-            def __matmul__(self, x):
-                return np.moveaxis(oracles.graph_product(self.g, np.moveaxis(x, -2, 0)), 0, -2)
-
-            @property
-            def T(self):
-                return OracleProduct(self.g.T)
-
-        monkeypatch.setattr(Graph, "_bound", lambda g, shape: OracleProduct(g))
+        monkeypatch.setattr(Graph, "__matmul__", oracle_product)
         assert jacobian_chain_norm(tape, cfg) == norm
 
     def test_chain_norm_makes_no_encoding_gradient_call(self, monkeypatch):
