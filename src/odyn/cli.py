@@ -319,12 +319,15 @@ def cmd_verify(opts) -> int:
 
 
 def _read_csv(path):
-    """The header and the nonblank rows of a CSV file, each as long as the header."""
+    """The header and nonblank rows of a plot CSV file, each row as long as the header."""
     text = Path(path).read_text()
     if not text:
         raise CliError(f"empty CSV: {path}")
     first, *lines = text.split("\n")
     header, rows = first.split(","), []
+    if tuple(header) not in PLOT_SCHEMAS:
+        raise CliError(f"unrecognized CSV schema: {first}")
+    numbers = PLOT_SCHEMAS[tuple(header)][2]
     for number, line in enumerate(lines, 2):
         if not line.strip():
             continue
@@ -332,13 +335,22 @@ def _read_csv(path):
         if len(row) != len(header):
             raise CliError(f"CSV file {path}, line {number}: {len(row)} values, "
                            f"where the header has {len(header)}")
+        for k in numbers:
+            try:
+                row[k] = float(row[k])
+            except ValueError:
+                raise CliError(f"CSV file {path}, line {number}: value {row[k]!r} "
+                               f"in column {header[k]} is not a number") from None
         rows.append(row)
     return header, rows
 
 
-# line-chart schemas: the first column is x, each other column one line
-LINE_CHART_Y_LABELS = {("t", "dirichlet", "diameter"): "metric",
-                       ("epoch", "loss", "accuracy"): "value"}
+# plot's schemas: header -> x and y labels and the columns read as numbers (the
+# rest stay text); a line chart plots each later column against the first one
+PLOT_SCHEMAS = {("t", "node", "option", "value"): ("t", "value", (0, 3)),
+                ("u", "y", "stable"): ("u", "y", (0, 1)),
+                ("t", "dirichlet", "diameter"): ("t", "metric", (0, 1, 2)),
+                ("epoch", "loss", "accuracy"): ("epoch", "value", (0, 1, 2))}
 
 
 def cmd_plot(opts) -> int:
@@ -347,34 +359,29 @@ def cmd_plot(opts) -> int:
         raise CliError("plot requires --in")
     dst = opts["svg_out"] or str(Path(src).with_suffix(".svg"))
     header, rows = _read_csv(src)
-    Path(dst).parent.mkdir(parents=True, exist_ok=True)
-    title = opts["title"] or Path(src).stem
+    x_label, y_label, _ = PLOT_SCHEMAS[tuple(header)]
     if header == ["t", "node", "option", "value"]:
         groups: dict[tuple[str, str], Series] = {}
         for t, node, option, value in rows:
             key = (node, option)
             if key not in groups:
                 groups[key] = Series(label=f"n{node}o{option}", x=[], y=[])
-            groups[key].x.append(float(t))
-            groups[key].y.append(float(value))
+            groups[key].x.append(t)
+            groups[key].y.append(value)
         series = [groups[k] for k in sorted(groups)]
-        write_chart(dst, series, title=title, x_label="t", y_label="value")
-    elif tuple(header) in LINE_CHART_Y_LABELS:
-        xs = [float(r[0]) for r in rows]
-        series = [Series(name, xs, [float(r[k]) for r in rows])
-                  for k, name in enumerate(header[1:], 1)]
-        write_chart(dst, series, title=title, x_label=header[0],
-                    y_label=LINE_CHART_Y_LABELS[tuple(header)])
     elif header == ["u", "y", "stable"]:
         stable = Series("stable", [], [], mode="points")
         unstable = Series("unstable", [], [], mode="points")
         for u, y, flag in rows:
             target = stable if flag in ("1", "true", "True") else unstable
-            target.x.append(float(u))
-            target.y.append(float(y))
-        write_chart(dst, [stable, unstable], title=title, x_label="u", y_label="y")
+            target.x.append(u)
+            target.y.append(y)
+        series = [stable, unstable]
     else:
-        raise CliError(f"unrecognized CSV schema: {','.join(header)}")
+        xs = [r[0] for r in rows]
+        series = [Series(name, xs, [r[k] for r in rows]) for k, name in enumerate(header[1:], 1)]
+    write_chart(dst, series, title=opts["title"] or Path(src).stem, x_label=x_label,
+                y_label=y_label)
     print(f"wrote {dst}", file=sys.stderr)
     return 0
 

@@ -117,17 +117,10 @@ def critical_attention(d: float, alpha: float) -> float:
 def coupling(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, alpha: float) -> np.ndarray:
     """Joint coupling alpha X + Aa X + X Ao^T + Aa X Ao^T."""
     mixed = aa @ x
-    # OpenBLAS multiplies by a C-contiguous copy of Ao^T about twice as fast
-    # as by the transposed view, with the same bits; an ``ao`` bound by
-    # _bind_option_coupling is that copy's transpose, so nothing is copied
+    # OpenBLAS multiplies by a C-contiguous Ao^T twice as fast as by a view, with
+    # the same bits; the reverse step passes a transposed view, copied by nothing
     ao_t = np.ascontiguousarray(ao.T)
     return alpha * x + mixed + x @ ao_t + mixed @ ao_t
-
-
-def coupling_adjoint(h: np.ndarray, aa: np.ndarray, ao: np.ndarray, alpha: float) -> np.ndarray:
-    """Adjoint of :func:`coupling`: alpha H + Aa^T H + H Ao + Aa^T H Ao."""
-    aat_h = aa.T @ h
-    return alpha * h + aat_h + h @ ao + aat_h @ ao
 
 
 @dataclass(frozen=True)
@@ -248,16 +241,10 @@ def _source(b: np.ndarray | None, x0: np.ndarray) -> np.ndarray:
     return b
 
 
-def _bind_option_coupling(ao: np.ndarray) -> np.ndarray:
-    """``ao`` laid out so that :func:`coupling` finds ``ao.T`` C-contiguous
-    and multiplies by it with no copy per call: the same values and bits."""
-    return np.ascontiguousarray(ao.T).T
-
-
 def _bimp(g, x0, *, d, alpha, u, b, saturation, seed):
     _check_rows(g, x0)
     aa = g.row_normalized()
-    ao = _bind_option_coupling(random_row_stochastic(x0.shape[1], np.random.default_rng(seed)))
+    ao = random_row_stochastic(x0.shape[1], np.random.default_rng(seed))
     params = BimpParams(d=d, alpha=alpha, b=_source(b, x0), u=u, saturation=saturation)
     return KernelSetup(lambda s: rhs_bimp(s, aa, ao, params), x0, damping=d)
 

@@ -5,12 +5,12 @@ which ``euler_integrate`` unrolls for M steps with the source held at X0.
 The forward pass keeps every state and every step's pre-activation
 Z = u (alpha X + Aa X + X Ao^T + Aa X Ao^T) on a :class:`Tape`.  The loss
 gradient with respect to W is accumulated in reverse through the unrolled
-map from that tape, so each reverse step makes one adjoint coupling
-product and no forward one; the couplings are treated as constants.  A
-central finite-difference oracle and an analytic norm bound on the
-gradient give two independent checks.  The norm of the step-Jacobian
-product comes from the same reverse step, swept once over a batch of
-unit cotangents, one per state entry.
+map from that tape, so each reverse step makes one coupling product, on
+the transposed factors, and no forward one; the couplings are treated as
+constants.  A central finite-difference oracle and an analytic norm
+bound on the gradient give two independent checks.  The norm of the
+step-Jacobian product comes from the same reverse step, swept once over
+a batch of unit cotangents, one per state entry.
 """
 from __future__ import annotations
 
@@ -30,9 +30,8 @@ from .integrate import check_step, euler_integrate
 from .kernels import (
     BimpParams,
     KernelSetup,
-    _bind_option_coupling,
     check_finite,
-    coupling_adjoint,
+    coupling,
     critical_attention,
     rhs_bimp,
 )
@@ -108,8 +107,7 @@ def forward_unroll(
         raise ValueError(f"option coupling must be {o}x{o}, got {ao.shape}")
     params = BimpParams(d=cfg.d, alpha=cfg.alpha, b=x0, u=cfg.u)
     preacts: list[np.ndarray] = []
-    bound_ao = _bind_option_coupling(ao)
-    setup = KernelSetup(lambda x: rhs_bimp(x, aa, bound_ao, params, preacts), x0, damping=cfg.d)
+    setup = KernelSetup(lambda x: rhs_bimp(x, aa, ao, params, preacts), x0, damping=cfg.d)
     traj = euler_integrate(setup, cfg.dt, cfg.steps)
     tape = Tape(x_in=x_in, states=traj.states, preacts=preacts, aa=aa, ao=ao)
     return traj.states[-1], tape
@@ -130,11 +128,12 @@ def _reverse_step(grad: np.ndarray, preact: np.ndarray, aa: Graph | np.ndarray,
     """Pull the cotangent of X_t back through the Euler step to X_{t-1}.
 
     ``grad`` is one (n, o) cotangent or a stack of them along a leading
-    axis, and ``preact`` the step's taped Z_{t-1}, which gives sech^2; so
-    the step makes one adjoint coupling product and no forward one.
+    axis, and ``preact`` the step's taped Z_{t-1}, which gives sech^2; the
+    adjoint of the joint coupling is :func:`coupling` on Aa^T and Ao^T, so
+    the step makes one coupling product and no forward one.
     """
     h = cfg.dt * grad * (1.0 / np.cosh(preact)) ** 2
-    return (1.0 - cfg.d * cfg.dt) * grad + cfg.u * coupling_adjoint(h, aa, ao, cfg.alpha)
+    return (1.0 - cfg.d * cfg.dt) * grad + cfg.u * coupling(h, aa.T, ao.T, cfg.alpha)
 
 
 def encoding_grad(tape: Tape, target: np.ndarray, cfg: TrainConfig) -> np.ndarray:
@@ -143,7 +142,8 @@ def encoding_grad(tape: Tape, target: np.ndarray, cfg: TrainConfig) -> np.ndarra
     Exact reverse accumulation through the unrolled Euler map.  X0 enters
     both as the initial state and as the source added at every step; both
     paths are accumulated.  The step Jacobian's sech^2 is read from the
-    tape's pre-activations, so a reverse step costs one adjoint coupling.
+    tape's pre-activations, so a reverse step costs one coupling product
+    on the transposed factors.
     """
     target = np.asarray(target, dtype=np.float64)
     x_final = tape.states[-1]

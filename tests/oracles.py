@@ -90,6 +90,12 @@ def graph_product(g: Graph, x: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.float64).reshape(x.shape)
 
 
+def coupling_adjoint(h: np.ndarray, aa, ao: np.ndarray, alpha: float) -> np.ndarray:
+    """Adjoint of the joint coupling, written out: alpha H + Aa^T H + H Ao + Aa^T H Ao."""
+    aat_h = aa.T @ h
+    return alpha * h + aat_h + h @ ao + aat_h @ ao
+
+
 def step_jacobian(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, cfg) -> np.ndarray:
     """Dense Jacobian of one Euler step of ``train`` with respect to the previous state.
 

@@ -196,6 +196,9 @@ BAD_INPUTS = [
      "error: CSV file short-row.csv, line 4: 2 values, where the header has 3"),
     ("plot-long-row", ["plot", "--in", "long-row.csv", "--out", "out/long-row.svg"], 1,
      "error: CSV file long-row.csv, line 3: 5 values, where the header has 4"),
+    # and converts every number before it makes the output directory
+    ("plot-non-numeric-value", ["plot", "--in", "nn.csv", "--out", "pl/nn.svg"], 1,
+     "error: CSV file nn.csv, line 2: value 'x' in column dirichlet is not a number"),
     # toy sets all four kernels up before its first run writes
     ("toy-non-finite-attention", ["toy", "--u=inf", "--steps", "2", "--out", "out"], 1,
      "error: attention u must be finite and positive, got inf"),
@@ -240,6 +243,7 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
     (tmp_path / "ragged.csv").write_text("1,0,0\n\n0,1\n0,0,1\n")
     (tmp_path / "short-row.csv").write_text("t,dirichlet,diameter\n0.0,1.0,2.0\n\n0.1,0.9\n")
     (tmp_path / "long-row.csv").write_text("t,node,option,value\n0.0,0,0,1.0\n0.0,0,1,0.5,9\n")
+    (tmp_path / "nn.csv").write_text("t,dirichlet,diameter\n0.0,x,1\n")
     save_matrix_csv(np.full((3, 3), 1e307), tmp_path / "huge.csv")
     (tmp_path / "one.json").write_text(json.dumps({"n": 1, "edges": []}))
     save_matrix_csv(np.array([[0.3]]), tmp_path / "one.csv")
@@ -267,6 +271,14 @@ def _child_env():
     src = str(Path(odyn.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def test_the_cli_loads_the_xml_escaper_only_to_plot():
+    # xml.sax.saxutils loads urllib.request, 40 ms and 7 MB at every start
+    code = "import sys, odyn.cli; print('urllib.request' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_an_sbm_task_beyond_memory_is_refused_before_its_draws(tmp_path):
@@ -547,6 +559,35 @@ class TestPlot:
         bad.write_text("t,dirichlet,diameter\n0.0,1.0,2.0\n0.1,0.9\n")
         assert main(["plot", "--in", str(bad), "--out", str(tmp_path / "plot" / "m.svg")]) == 1
         assert not (tmp_path / "plot").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,dirichlet,diameter\n0.0,1.0,2.0\n0.1,0.9,x\n",
+         "line 3: value 'x' in column diameter is not a number"),
+        ("t,node,option,value\n0.0,0,0,1.0\n\n0.1,0,0,\n",
+         "line 4: value '' in column value is not a number"),
+        ("u,y,stable\n0.1,0.0,1\nnan?,0.0,0\n",
+         "line 3: value 'nan?' in column u is not a number"),
+        ("a,b\n1,2\n", "unrecognized CSV schema: a,b"),
+        ("t,dirichlet,diameter\n", "nothing to plot: no finite points"),
+        ("t,dirichlet,diameter\n0.0,nan,nan\n", "nothing to plot: no finite points"),
+    ], ids=["metrics", "trajectory", "bifurcation", "unknown-schema", "header-only", "all-nan"])
+    def test_a_file_with_no_chart_fails_before_the_output_directory_is_made(
+        self, tmp_path, capsys, text, message
+    ):
+        bad = tmp_path / "m.csv"
+        bad.write_text(text)
+        assert main(["plot", "--in", str(bad), "--out", str(tmp_path / "plot" / "m.svg")]) == 1
+        assert capsys.readouterr().err.strip().endswith(message)
+        assert not (tmp_path / "plot").exists()
+
+    def test_node_and_option_stay_text_that_orders_the_series(self, tmp_path):
+        # "10" sorts before "2" as text, and a node label need not be a number
+        src = tmp_path / "traj.csv"
+        src.write_text("t,node,option,value\n0.0,2,0,1.0\n0.0,10,0,0.5\n0.0,a&b,0,0.0\n"
+                       "1.0,2,0,0.5\n1.0,10,0,0.25\n1.0,a&b,0,1.0\n")
+        assert main(["plot", "--in", str(src), "--out", str(tmp_path / "traj.svg")]) == 0
+        body = (tmp_path / "traj.svg").read_text()
+        assert body.index(">n10o0<") < body.index(">n2o0<") < body.index(">na&amp;bo0<")
 
     def test_unknown_schema_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -5,13 +5,18 @@ it writes (or, for ``bifurcation`` to stdout, what it prints) must keep
 the SHA-256 recorded here.  A change that moves a recorded hash changes
 seeded output, which the project treats as a behaviour change.
 """
+import contextlib
 import hashlib
+import io
 import json
+from xml.etree import ElementTree
 
 import numpy as np
+import pytest
 
 from odyn.cli import main
 from odyn.graphs import save_matrix_csv
+from odyn.svg import Series, write_chart
 
 CORPUS = (
     ["toy", "--seed", "0", "--out", "toy"],
@@ -168,8 +173,9 @@ HASHES = {
 }
 
 
-def run_corpus(root, capsys):
-    """Run :data:`CORPUS` in ``root`` and return the SHA-256 of every output file."""
+def run_corpus(root):
+    """Run :data:`CORPUS` in ``root``, the working directory, and return the
+    SHA-256 of every output file."""
     (root / "sim-cfg.json").write_text(
         json.dumps({"kernel": "laplacian", "steps": 50, "dt": 0.02, "record_every": 5}))
     (root / "one.json").write_text(json.dumps({"n": 1, "edges": []}))
@@ -178,11 +184,12 @@ def run_corpus(root, capsys):
         json.dumps({"n": len(SPECIALS), "edges": [[i, i, 1.0] for i in range(len(SPECIALS))]}))
     save_matrix_csv(SPECIALS, root / "specials.csv")
     inputs = {p.name for p in root.iterdir()}
-    capsys.readouterr()
-    for argv in CORPUS:
-        assert main(argv) == 0, argv
-    assert main(["bifurcation"]) == 0
-    hashes = {"bif-stdout.csv": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in CORPUS:
+            assert main(argv) == 0, argv
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(["bifurcation"]) == 0
+    hashes = {"bif-stdout.csv": hashlib.sha256(out.getvalue().encode()).hexdigest()}
     for path in sorted(root.rglob("*")):
         if path.is_file() and path.name not in inputs:
             hashes[path.relative_to(root).as_posix()] = hashlib.sha256(
@@ -190,6 +197,31 @@ def run_corpus(root, capsys):
     return hashes
 
 
-def test_seeded_output_keeps_its_recorded_bytes(tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert run_corpus(tmp_path, capsys) == HASHES
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """The directory the corpus ran in, and the SHA-256 of every file it wrote."""
+    root = tmp_path_factory.mktemp("corpus")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        return root, run_corpus(root)
+
+
+def test_seeded_output_keeps_its_recorded_bytes(corpus):
+    assert corpus[1] == HASHES
+
+
+def test_every_chart_is_well_formed_xml(corpus, tmp_path):
+    root, _ = corpus
+    charts = sorted(root.rglob("*.svg"))
+    assert [p.relative_to(root).as_posix() for p in charts] == sorted(
+        name for name in HASHES if name.endswith(".svg"))
+    # markup characters in a title and a series label are written as text
+    title = 'a<b & "c"'
+    assert main(["plot", "--in", str(root / "train/history.csv"), "--title", title,
+                 "--out", str(tmp_path / "titled.svg")]) == 0
+    write_chart(tmp_path / "labelled.svg", [Series("<&>", [0.0, 1.0], [1.0, 0.0])],
+                x_label="x < 1", y_label="y & z")
+    texts = []
+    for path in [*charts, tmp_path / "titled.svg", tmp_path / "labelled.svg"]:
+        texts += [t.text for t in ElementTree.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+    assert {title, "<&>", "x < 1", "y & z"} <= set(texts)

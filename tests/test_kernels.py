@@ -34,7 +34,13 @@ from odyn.kernels import (
 )
 from odyn.analysis import opinion_diameter
 from odyn.spectral import KroneckerOperator, symmetric_eigendecomposition, vec
-from oracles import dense_adjacency, laplacian, rhs_linear_opinion, row_normalize
+from oracles import (
+    coupling_adjoint,
+    dense_adjacency,
+    laplacian,
+    rhs_linear_opinion,
+    row_normalize,
+)
 
 
 def toy_params(**overrides):
@@ -152,6 +158,33 @@ class TestBimpForms:
             np.testing.assert_array_equal(rhs_bimp(x, aa, ao, p, preacts), rhs_bimp(x, aa, ao, p))
             np.testing.assert_array_equal(preacts[-1], p.u * kernels.coupling(x, aa, ao, p.alpha))
         assert len(preacts) == 2
+
+    @settings(max_examples=150)
+    @given(st.integers(1, 9), st.integers(1, 6), st.sampled_from([(), (1,), (5,), (2, 3)]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_coupling_on_the_transposed_factors_is_the_adjoint_bit_for_bit(
+        self, n, o, stack, sparse, seed
+    ):
+        # a Graph Aa has rows (and so columns of Aa^T) without edges and
+        # zero weights; H spans many magnitudes and holds zeros of both signs
+        rng = np.random.default_rng(seed)
+        if sparse:
+            keep = rng.uniform(size=(n, n)) < 0.4
+            keep[rng.integers(n)] = False
+            i, j = np.nonzero(keep)
+            w = rng.uniform(0.0, 2.0, i.size) * (rng.uniform(size=i.size) > 0.1)
+            aa = from_edge_list(np.column_stack([i, j, w]), n)
+        else:
+            aa = rng.standard_normal((n, n))
+        ao = rng.standard_normal((o, o))
+        shape = (*stack, n, o)
+        h = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        h[rng.uniform(size=shape) < 0.1] = 0.0
+        h[rng.uniform(size=shape) < 0.05] = -0.0
+        alpha = float(rng.uniform(0.0, 3.0))
+        got = kernels.coupling(h, aa.T, ao.T, alpha)
+        want = coupling_adjoint(h, aa, ao, alpha)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_params_validation(self):
         with pytest.raises(ValueError, match="damping"):

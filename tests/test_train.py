@@ -17,7 +17,7 @@ from odyn.attention import (
 from odyn.errors import NumericalError
 from odyn.fixtures import _gradient_problem, random_row_stochastic
 from odyn.graphs import Graph, from_edge_list
-from odyn.kernels import coupling, coupling_adjoint
+from odyn.kernels import coupling
 from odyn.train import (
     TrainConfig,
     backward_grad,
@@ -40,6 +40,33 @@ def small_fixture(seed, na=6, no=3, f=3, steps=4, dt=0.05, d=1.0, alpha=1.0):
     cfg = TrainConfig(lr=0.0, epochs=0, steps=steps, dt=dt, d=d, alpha=alpha, seed=seed)
     x_in, w, aa, ao, target = _gradient_problem(np.random.default_rng(seed), na, no, f)
     return cfg, aa, ao, x_in, w, target
+
+
+def count_couplings_by_operand(tape, monkeypatch):
+    """Count :func:`coupling` calls, looked up in either module, by their operands.
+
+    On a tape with dense couplings, a call with ``tape.aa`` counts as
+    "forward", one with views of the transposes of ``tape.aa`` and
+    ``tape.ao`` as "transposed", and any other as "other".
+    """
+    calls = collections.Counter()
+    product = kernels.coupling
+
+    def is_transpose(view, m):
+        return np.shares_memory(view, m) and np.array_equal(view, m.T)
+
+    def counted(x, aa, ao, alpha):
+        if aa is tape.aa:
+            calls["forward"] += 1
+        elif is_transpose(aa, tape.aa) and is_transpose(ao, tape.ao):
+            calls["transposed"] += 1
+        else:
+            calls["other"] += 1
+        return product(x, aa, ao, alpha)
+
+    for module in (kernels, train):
+        monkeypatch.setattr(module, "coupling", counted)
+    return calls
 
 
 class TestConfig:
@@ -202,7 +229,7 @@ class TestBackwardGrad:
             grad_x0 += cfg.dt * grad_state
             z = cfg.u * coupling(tape.states[t - 1], aa, ao, cfg.alpha)
             h = cfg.dt * grad_state * (1.0 / np.cosh(z)) ** 2
-            grad_state = (1.0 - cfg.d * cfg.dt) * grad_state + cfg.u * coupling_adjoint(
+            grad_state = (1.0 - cfg.d * cfg.dt) * grad_state + cfg.u * oracles.coupling_adjoint(
                 h, aa, ao, cfg.alpha
             )
         assert np.array_equal(encoding_grad(tape, target, cfg), grad_x0 + grad_state)
@@ -210,22 +237,9 @@ class TestBackwardGrad:
     def test_reverse_step_makes_one_adjoint_and_no_forward_coupling(self, monkeypatch):
         cfg, aa, ao, x_in, w, target = small_fixture(11, steps=7)
         _, tape = forward_unroll(x_in, w, aa, ao, cfg)
-        calls = collections.Counter()
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        # patch the names where either module would look them up
-        for name in ("coupling", "coupling_adjoint"):
-            wrapper = counted(name, getattr(kernels, name))
-            for module in (kernels, train):
-                monkeypatch.setattr(module, name, wrapper, raising=False)
+        calls = count_couplings_by_operand(tape, monkeypatch)
         encoding_grad(tape, target, cfg)
-        assert (calls["coupling"], calls["coupling_adjoint"]) == (0, cfg.steps)
+        assert calls == {"transposed": cfg.steps}
 
 
 class TestFiniteDifference:
@@ -365,17 +379,10 @@ class TestJacobianChain:
         # chain norm sweeps the reverse step on its own
         cfg, aa, ao, x_in, w, _ = small_fixture(4, steps=5)
         _, tape = forward_unroll(x_in, w, aa, ao, cfg)
-        calls = collections.Counter()
-        adjoint = train.coupling_adjoint
-
-        def counted(*args):
-            calls["coupling_adjoint"] += 1
-            return adjoint(*args)
-
-        monkeypatch.setattr(train, "coupling_adjoint", counted)
+        calls = count_couplings_by_operand(tape, monkeypatch)
         monkeypatch.setattr(train, "encoding_grad", None)
         jacobian_chain_norm(tape, cfg)
-        assert calls["coupling_adjoint"] == cfg.steps
+        assert calls == {"transposed": cfg.steps}
 
 
 class TestSbmTask:
