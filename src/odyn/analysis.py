@@ -10,6 +10,9 @@ The bifurcation sweep locates every equilibrium of the scalar reduced
 dynamics on a grid of attention values via Newton from a seed grid; the
 stable/unstable split reproduces the pitchfork and its unfolding under a
 nonzero input.
+
+Power iteration finds the leading eigenpair of an operator given only
+its matvec, e.g. the joint coupling through ``kernels.coupling``.
 """
 from __future__ import annotations
 
@@ -18,10 +21,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NumericalError
 from .graphs import Graph, repr_rows
 from .kernels import BimpParams, check_finite, rhs_reduced_1d
-from .spectral import symmetric_eigendecomposition
 
+RESTART_SEED = 0  # power_iteration's random restart
+SYM_TOL = 1e-10  # the largest |L - L^T| entry grandpp_closed_form accepts
 NEWTON_SEEDS = 41  # reduced_equilibria's Newton starts, evenly spaced on [-2, 2]
 NEWTON_ITERS = 50
 DEDUP_TOL = 1e-8  # roots closer than this are one
@@ -162,6 +167,61 @@ def bifurcation_csv(points: list[BifurcationPoint]) -> str:
 
 
 @dataclass(frozen=True)
+class SpectralResult:
+    eigenvalue: float
+    eigenvector: np.ndarray
+    iterations: int
+    residual: float
+
+
+def power_iteration(apply_fn, dim: int, tol: float = 1e-10,
+                    max_iter: int = 10000) -> SpectralResult:
+    """Leading eigenpair by power iteration with a Rayleigh quotient.
+
+    Starts from the deterministic direction 1/sqrt(dim) and falls back to
+    one seeded random restart if that direction stagnates (e.g. lies in a
+    non-leading invariant subspace).  The residual is ``max|A v - lam v|``
+    with ``v`` unit-norm.
+    """
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+
+    def run(v0: np.ndarray, budget: int) -> tuple[float, np.ndarray, int, float, bool]:
+        v = v0 / np.linalg.norm(v0)
+        lam, residual = 0.0, np.inf
+        for k in range(1, budget + 1):
+            w = apply_fn(v)
+            norm = np.linalg.norm(w)
+            if norm == 0.0:
+                # v lies in the kernel; a restart may still find the
+                # leading direction.
+                return 0.0, v, k, 0.0, True
+            lam = float(v @ w)
+            residual = float(np.max(np.abs(w - lam * v)))
+            if residual <= tol:
+                return lam, v, k, residual, False
+            v = w / norm
+        return lam, v, budget, residual, False
+
+    lam, v, iters, residual, annihilated = run(np.ones(dim), max_iter)
+    if residual > tol or annihilated:
+        rng = np.random.default_rng(RESTART_SEED)
+        lam2, v2, extra, residual2, annihilated2 = run(rng.standard_normal(dim), max_iter)
+        iters += extra
+        if not annihilated2:
+            lam, v, residual = lam2, v2, residual2
+        # Both starts annihilated: the exact kernel pair is the answer.
+    if residual > tol:
+        raise NumericalError(
+            f"power iteration did not reach residual {tol} in {iters} "
+            f"iterations (last residual {residual})"
+        )
+    return SpectralResult(eigenvalue=lam, eigenvector=v, iterations=iters, residual=residual)
+
+
+@dataclass(frozen=True)
 class ClosedFormSolution:
     """Modal solution of dX/dt = -L X + B for symmetric L with a simple kernel.
 
@@ -200,9 +260,11 @@ def grandpp_closed_form(l: np.ndarray, x0: np.ndarray, b: np.ndarray) -> ClosedF
     l = np.asarray(l, dtype=np.float64)
     x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
     b = np.atleast_2d(np.asarray(b, dtype=np.float64))
-    if x0.shape != b.shape or x0.shape[0] != l.shape[0]:
+    if l.shape != (x0.shape[0],) * 2 or x0.shape != b.shape:
         raise ValueError("state, source, and operator shapes are inconsistent")
-    eigenvalues, eigenvectors = symmetric_eigendecomposition(l)
+    if np.max(np.abs(l - l.T), initial=0.0) > SYM_TOL:
+        raise ValueError("operator is not symmetric within tolerance")
+    eigenvalues, eigenvectors = np.linalg.eigh(l)
     if eigenvalues[0] < -ZERO_TOL:
         raise ValueError("operator must be positive semidefinite")
     if abs(eigenvalues[0]) > ZERO_TOL:

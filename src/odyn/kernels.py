@@ -11,6 +11,9 @@ reduced``: a builder ``(g, x0, *, <options>)`` whose keyword parameters
 are the only statement of what the kernel reads.  It checks its inputs
 once and returns a :class:`KernelSetup` whose closure the integrator
 runs without knowing the tag.
+
+:func:`coupling` is the one implementation of the joint coupling; the
+filter form of the saturated kernel is written through it too.
 """
 from __future__ import annotations
 
@@ -23,7 +26,6 @@ import numpy as np
 
 from .fixtures import random_row_stochastic
 from .graphs import Graph, degrees, sparse_laplacian
-from .spectral import KroneckerOperator, vec
 
 
 @dataclass(frozen=True)
@@ -115,7 +117,11 @@ def critical_attention(d: float, alpha: float) -> float:
 
 
 def coupling(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, alpha: float) -> np.ndarray:
-    """Joint coupling alpha X + Aa X + X Ao^T + Aa X Ao^T."""
+    """Joint coupling alpha X + Aa X + X Ao^T + Aa X Ao^T.
+
+    At alpha = 1 this is (Aa + I) X (Ao + I)^T: the product of the joint
+    operator (Ao + I) kron (Aa + I) with the column-stacked state.
+    """
     mixed = aa @ x
     # OpenBLAS multiplies by a C-contiguous Ao^T twice as fast as by a view, with
     # the same bits; the reverse step passes a transposed view, copied by nothing
@@ -171,32 +177,17 @@ def rhs_bimp(
     return -p.d * x + p.saturation.fn(z) + p.b
 
 
-def rhs_bimp_vectorized(xvec: np.ndarray, op: KroneckerOperator, p: BimpParams) -> np.ndarray:
-    """Saturated kernel on the column-stacked state.
-
-    dx/dt = -d x + S(u ((alpha - 1) x + K x)) + b, with K the factored
-    joint coupling operator.
-    """
-    xvec = np.asarray(xvec, dtype=np.float64)
-    if xvec.shape != (op.dim,):
-        raise ValueError(f"expected vector of length {op.dim}, got {xvec.shape}")
-    joint = (p.alpha - 1.0) * xvec + op.matvec(xvec)
-    return -p.d * xvec + p.saturation.fn(p.u * joint) + vec(p.b)
-
-
-def rhs_bimp_filter_form(xvec: np.ndarray, op: KroneckerOperator, p: BimpParams) -> np.ndarray:
+def rhs_bimp_filter_form(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, p: BimpParams) -> np.ndarray:
     """Saturated kernel split into sharpening and smoothing components.
 
-    dx/dt = -d x + S(u ((alpha - 1)(x - K x) + alpha K x)) + b.  The
-    high-pass term (x - K x) is active for alpha > 1; algebraically this
-    equals the plain vectorized form.
+    dX/dt = -d X + S(u ((alpha - 1)(X - K X) + alpha K X)) + B, with
+    K X = coupling(X, Aa, Ao, 1) = (Aa + I) X (Ao + I)^T the joint
+    coupling.  The high-pass term (X - K X) is active for alpha > 1;
+    algebraically this equals :func:`rhs_bimp`.
     """
-    xvec = np.asarray(xvec, dtype=np.float64)
-    if xvec.shape != (op.dim,):
-        raise ValueError(f"expected vector of length {op.dim}, got {xvec.shape}")
-    kx = op.matvec(xvec)
-    joint = (p.alpha - 1.0) * (xvec - kx) + p.alpha * kx
-    return -p.d * xvec + p.saturation.fn(p.u * joint) + vec(p.b)
+    kx = coupling(x, aa, ao, 1.0)
+    joint = (p.alpha - 1.0) * (x - kx) + p.alpha * kx
+    return -p.d * x + p.saturation.fn(p.u * joint) + p.b
 
 
 def rhs_reduced_1d(y: float, u: float, d: float, alpha: float, b: float = 0.0) -> float:

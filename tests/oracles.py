@@ -96,6 +96,19 @@ def coupling_adjoint(h: np.ndarray, aa, ao: np.ndarray, alpha: float) -> np.ndar
     return alpha * h + aat_h + h @ ao + aat_h @ ao
 
 
+def vec(m: np.ndarray) -> np.ndarray:
+    """Column-stacking: vec(A X C^T) = (C kron A) vec(X)."""
+    return np.asarray(m).ravel(order="F")
+
+
+def dense_joint_coupling(aa: np.ndarray, ao: np.ndarray) -> np.ndarray:
+    """The joint coupling K = (Ao + I) kron (Aa + I), as the paper writes it.
+
+    It acts on column-stacked states: K vec(X) = vec((Aa + I) X (Ao + I)^T).
+    """
+    return np.kron(ao + np.eye(ao.shape[0]), aa + np.eye(aa.shape[0]))
+
+
 def step_jacobian(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, cfg) -> np.ndarray:
     """Dense Jacobian of one Euler step of ``train`` with respect to the previous state.
 
@@ -104,9 +117,8 @@ def step_jacobian(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, cfg) -> np.ndar
     from the state, not read from a tape.
     """
     n = x.size
-    kron = np.kron(ao + np.eye(ao.shape[0]), aa + np.eye(aa.shape[0]))
-    op = cfg.u * ((cfg.alpha - 1.0) * np.eye(n) + kron)
-    z = op @ x.ravel(order="F")
+    op = cfg.u * ((cfg.alpha - 1.0) * np.eye(n) + dense_joint_coupling(aa, ao))
+    z = op @ vec(x)
     sech2 = (1.0 / np.cosh(z)) ** 2
     return (1.0 - cfg.d * cfg.dt) * np.eye(n) + cfg.dt * (sech2[:, None] * op)
 

@@ -74,6 +74,19 @@ def test_every_check_keeps_its_threshold_and_the_verdict_is_all_checks(results):
         assert r.passed == all(c.holds for c in r.checks), r.line()
 
 
+def test_a_second_battery_in_the_same_process_repeats_every_measurement(results):
+    # Only the runtime checks may move between two runs in one process.
+    again = acceptance.run_all()
+    assert [r.name for r in again] == list(results)
+    for r in again:
+        first = results[r.name]
+        assert r.passed == first.passed, r.line()
+        for c, c0 in zip(r.checks, first.checks, strict=True):
+            assert (c.quantity, c.holds) == (c0.quantity, c0.holds), r.line()
+            if c.quantity != acceptance.RUNTIME:
+                assert float(c.measured).hex() == float(c0.measured).hex(), (r.name, c.quantity)
+
+
 def _run(results, name):
     result = results[name]
     print(result.line())

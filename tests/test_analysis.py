@@ -14,9 +14,11 @@ from odyn.analysis import (
     dirichlet_energy,
     grandpp_closed_form,
     opinion_diameter,
+    power_iteration,
     reduced_equilibria,
     scrambling_check,
 )
+from odyn.errors import NumericalError
 from odyn.fixtures import (
     random_row_stochastic,
     toy_adjacency,
@@ -25,7 +27,7 @@ from odyn.fixtures import (
 )
 from odyn.graphs import from_edge_list
 from odyn.integrate import euler_integrate
-from odyn.kernels import kernel_setup
+from odyn.kernels import coupling, kernel_setup
 from oracles import laplacian
 
 
@@ -220,6 +222,50 @@ class TestMonotoneExtremes:
             x = x_next
 
 
+def coupling_matvec(aa, ao):
+    """The joint coupling (Ao + I) kron (Aa + I) on flattened states, through ``coupling``."""
+    shape = (aa.shape[0], ao.shape[0])
+    return lambda v: coupling(v.reshape(shape), aa, ao, 1.0).ravel(), shape[0] * shape[1]
+
+
+class TestPowerIteration:
+    def test_identity_operator(self):
+        res = power_iteration(lambda v: v, dim=3, tol=1e-12)
+        assert res.eigenvalue == pytest.approx(1.0, abs=1e-12)
+        assert res.residual <= 1e-12
+
+    def test_toy_communication_with_swap_option(self):
+        ao = np.array([[0.0, 1.0], [1.0, 0.0]])
+        res = power_iteration(*coupling_matvec(toy_adjacency(), ao), tol=1e-10)
+        assert res.eigenvalue == pytest.approx(4.0, abs=1e-8)
+
+    def test_ten_random_stochastic_factor_pairs(self):
+        rng = np.random.default_rng(10)
+        for _ in range(10):
+            aa = random_row_stochastic(int(rng.integers(2, 6)), rng, zero_diagonal=False)
+            ao = random_row_stochastic(int(rng.integers(2, 6)), rng, zero_diagonal=False)
+            res = power_iteration(*coupling_matvec(aa, ao), tol=1e-10)
+            assert res.eigenvalue == pytest.approx(4.0, abs=1e-8)
+
+    def test_random_restart_covers_orthogonal_start(self):
+        # The constant direction is annihilated; the leading eigenvector
+        # only appears after the seeded random restart.
+        m = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        res = power_iteration(lambda v: m @ v, dim=2, tol=1e-9)
+        assert res.eigenvalue == pytest.approx(2.0, abs=1e-8)
+
+    def test_nonconvergence_raises(self):
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        with pytest.raises(NumericalError, match="power iteration"):
+            power_iteration(lambda v: rot @ v, dim=2, tol=1e-12, max_iter=60)
+
+    def test_invalid_args(self):
+        with pytest.raises(ValueError):
+            power_iteration(lambda v: v, dim=0)
+        with pytest.raises(ValueError):
+            power_iteration(lambda v: v, dim=2, tol=0.0)
+
+
 class TestClosedForm:
     def path_graph(self, n=5):
         edges = []
@@ -272,6 +318,24 @@ class TestClosedForm:
             for i in range(len(traj.times))
         )
         assert worst <= 1e-6
+
+    def test_two_node_laplacian_modes(self):
+        sol = grandpp_closed_form(np.array([[1.0, -1.0], [-1.0, 1.0]]), np.zeros((2, 1)),
+                                  np.zeros((2, 1)))
+        np.testing.assert_allclose(sol.eigenvalues, [0.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(sol.eigenvectors.T @ sol.eigenvectors, np.eye(2), atol=1e-12)
+
+    def test_weighted_complete_graph_accepted_with_nonnegative_modes(self):
+        rng = np.random.default_rng(7)
+        a = rng.uniform(0, 1, (6, 6))
+        a = (a + a.T) / 2
+        np.fill_diagonal(a, 0.0)
+        sol = grandpp_closed_form(np.diag(a.sum(axis=1)) - a, np.zeros((6, 1)), np.zeros((6, 1)))
+        assert np.all(sol.eigenvalues >= -1e-10)
+
+    def test_non_square_operator_rejected(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            grandpp_closed_form(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((2, 1)))
 
     def test_nonsymmetric_rejected(self):
         with pytest.raises(ValueError, match="symmetric"):
