@@ -30,6 +30,7 @@ from .analysis import (
     scrambling_check,
 )
 from .fixtures import (
+    TOY_RUNS,
     _gradient_problem,
     random_row_stochastic,
     toy_adjacency,
@@ -127,19 +128,18 @@ def _nearest_index(times, t):
 
 @_timed
 def criterion_toy_figure():
-    """Linear kernels smooth the demo system out; the saturated one does not."""
+    """Linear kernels smooth the demo system out; the saturated one does not.
+
+    The runs are those ``odyn toy`` writes at its defaults, set up from ``TOY_RUNS``.
+    """
     g = toy_graph()
     x0 = toy_initial_state()
     dt, steps = 0.05, 400
-
-    lap = kernel_setup("laplacian", g, x0)
-    traj_lap = euler_integrate(lap, dt, steps, diameter_fn=opinion_diameter)
-    source = kernel_setup("laplacian-source", g, x0, b=x0)
-    traj_source = euler_integrate(source, dt, steps, diameter_fn=opinion_diameter)
-    oscillator = kernel_setup("graphcon-tran", g, x0)
-    traj_osc = euler_integrate(oscillator, dt, steps, diameter_fn=opinion_diameter)
-    saturated = kernel_setup("bimp", g, x0, d=1.0, alpha=1.0, b=x0, seed=0)
-    traj_sat = euler_integrate(saturated, dt, steps, diameter_fn=opinion_diameter)
+    traj_lap, traj_source, traj_osc, traj_sat = (
+        euler_integrate(kernel_setup(tag, g, x0, b=x0 if from_init else None), dt, steps,
+                        diameter_fn=opinion_diameter)
+        for tag, _, from_init in TOY_RUNS
+    )
 
     lap_at_5 = traj_lap.diameter[_nearest_index(traj_lap.times, 5.0)]
     ratios = [

@@ -6,6 +6,9 @@ four-kernel demo comparison), ``bifurcation`` (equilibrium sweep CSV),
 ``train`` (synthetic-task descent, history CSV), ``verify`` (acceptance
 battery, JSON report), and ``plot`` (CSV to standalone SVG).
 
+``simulate``, ``energy`` and ``toy`` share one run path; ``toy``'s runs are
+:data:`~odyn.fixtures.TOY_RUNS`, which the ``toy-figure`` criterion checks.
+
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3
 acceptance failures.  Diagnostics go to stderr; data goes to files or
 stdout.  Given ``--seed`` every command writes byte-identical output.
@@ -23,7 +26,7 @@ import numpy as np
 from . import acceptance
 from .analysis import bifurcation_csv, bifurcation_sweep, dirichlet_energy, opinion_diameter
 from .errors import NumericalError
-from .fixtures import _gradient_problem, toy_graph, toy_initial_state
+from .fixtures import TOY_RUNS, _gradient_problem, toy_graph, toy_initial_state
 from .graphs import load_graph_json, load_matrix_csv, save_matrix_csv
 from .integrate import (
     check_step,
@@ -132,16 +135,6 @@ def _config_tokens(verb: str, path: str) -> list[str]:
     return tokens
 
 
-def _load_graph_and_state(opts):
-    g = load_graph_json(opts["graph"]) if opts["graph"] else toy_graph()
-    x0 = load_matrix_csv(opts["init"]) if opts["init"] else toy_initial_state()
-    if x0.shape[0] != g.n:
-        raise CliError(
-            f"initial state has {x0.shape[0]} rows but the graph has {g.n} nodes"
-        )
-    return g, x0
-
-
 def _resolve_b(opts, x0):
     mode = opts["b_mode"]
     if mode == "zero":
@@ -151,17 +144,6 @@ def _resolve_b(opts, x0):
     if not opts["b_file"]:
         raise CliError("--b-mode file requires --b-file")
     return load_matrix_csv(opts["b_file"])
-
-
-def _kernel_setup(opts, g, x0, tag=None, only_read=False):
-    """Set one kernel up; with ``only_read`` it is handed only the options it reads."""
-    tag = tag or opts["kernel"]
-    # the verb may lack a flag, as toy lacks --beta
-    options = {name: opts[name] for name in ("d", "alpha", "u", "beta", "seed") if name in opts}
-    options.update(b=_resolve_b(opts, x0), saturation=saturation_kind(opts["saturation"]))
-    if only_read:
-        options = {name: value for name, value in options.items() if name in kernel_reads(tag)}
-    return kernel_setup(tag, g, x0, **options)
 
 
 def _integrate(opts, g, tag, setup):
@@ -177,6 +159,47 @@ def _integrate(opts, g, tag, setup):
         energy_fn=energy_fn,
         diameter_fn=opinion_diameter,
     )
+
+
+def _run_kernels(opts) -> int:
+    """Set up every run and check its step size, then integrate each run and
+    write its metrics CSV, and its trajectory CSV unless the verb is ``energy``.
+
+    ``toy`` hands each of its runs only the options that run's kernel reads.
+    """
+    verb = opts["command"]
+    g = load_graph_json(opts["graph"]) if opts["graph"] else toy_graph()
+    x0 = load_matrix_csv(opts["init"]) if opts["init"] else toy_initial_state()
+    if x0.shape[0] != g.n:
+        raise CliError(f"initial state has {x0.shape[0]} rows but the graph has {g.n} nodes")
+    if verb == "toy":
+        runs = [(tag, name, x0 if from_init else None) for tag, name, from_init in TOY_RUNS]
+    else:
+        runs = [(opts["kernel"], opts["kernel"], _resolve_b(opts, x0))]
+    # the verb may lack a flag, as toy lacks --beta
+    options = {name: opts[name] for name in ("d", "alpha", "u", "beta", "seed") if name in opts}
+    options["saturation"] = saturation_kind(opts["saturation"])
+    setups = []
+    for tag, _, b in runs:
+        given = {**options, "b": b}
+        if verb == "toy":
+            given = {name: value for name, value in given.items() if name in kernel_reads(tag)}
+        setups.append(kernel_setup(tag, g, x0, **given))
+    for setup in setups:
+        check_step(opts["dt"], opts["steps"], setup.damping)
+    out = Path(opts["out"])
+    for (tag, name, _), setup in zip(runs, setups):
+        traj = _integrate(opts, g, tag, setup)
+        out.mkdir(parents=True, exist_ok=True)
+        trajectory, metrics = out / f"{name}.csv", out / f"{name}-metrics.csv"
+        if verb != "energy":
+            save_trajectory_csv(traj, trajectory)
+        save_metrics_csv(traj, metrics)
+        if verb == "toy":
+            print(f"{name}: terminal diameter {traj.diameter[-1]:.3e}", file=sys.stderr)
+        else:
+            print(f"wrote {metrics if verb == 'energy' else trajectory}", file=sys.stderr)
+    return 0
 
 
 def _emit(out: str, text: str) -> None:
@@ -201,59 +224,11 @@ def _train_config(opts) -> TrainConfig:
     )
 
 
-def cmd_simulate(opts) -> int:
-    g, x0 = _load_graph_and_state(opts)
-    traj = _integrate(opts, g, opts["kernel"], _kernel_setup(opts, g, x0))
-    out, tag = Path(opts["out"]), opts["kernel"]
-    out.mkdir(parents=True, exist_ok=True)
-    save_trajectory_csv(traj, out / f"{tag}.csv")
-    save_metrics_csv(traj, out / f"{tag}-metrics.csv")
-    print(f"wrote {out / (tag + '.csv')}", file=sys.stderr)
-    return 0
-
-
-def cmd_toy(opts) -> int:
-    g, x0 = _load_graph_and_state(opts)
-    runs = (
-        ("laplacian", "grand-l", "zero"),
-        ("laplacian-source", "grand++-l", "init"),
-        ("graphcon-tran", "graphcon-tran", "zero"),
-        ("bimp", "bimp", "init"),
-    )
-    # one option set drives four kernels; each takes only what it reads, and
-    # all four, with their step sizes, are checked before anything is written
-    setups = [_kernel_setup({**opts, "b_mode": b_mode}, g, x0, tag=tag, only_read=True)
-              for tag, _, b_mode in runs]
-    for setup in setups:
-        check_step(opts["dt"], opts["steps"], setup.damping)
-    out = Path(opts["out"])
-    for (tag, name, _), setup in zip(runs, setups):
-        traj = _integrate(opts, g, tag, setup)
-        out.mkdir(parents=True, exist_ok=True)
-        save_trajectory_csv(traj, out / f"{name}.csv")
-        save_metrics_csv(traj, out / f"{name}-metrics.csv")
-        print(
-            f"{name}: terminal diameter {traj.diameter[-1]:.3e}", file=sys.stderr
-        )
-    return 0
-
-
 def cmd_bifurcation(opts) -> int:
     sweep = bifurcation_sweep(
         (opts["u_min"], opts["u_max"], opts["points"]), opts["d"], opts["alpha"], opts["b"]
     )
     _emit(opts["out"], bifurcation_csv(sweep))
-    return 0
-
-
-def cmd_energy(opts) -> int:
-    g, x0 = _load_graph_and_state(opts)
-    traj = _integrate(opts, g, opts["kernel"], _kernel_setup(opts, g, x0))
-    out = Path(opts["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"{opts['kernel']}-metrics.csv"
-    save_metrics_csv(traj, path)
-    print(f"wrote {path}", file=sys.stderr)
     return 0
 
 
@@ -387,10 +362,10 @@ def cmd_plot(opts) -> int:
 
 
 COMMANDS = {
-    "simulate": (cmd_simulate, "integrate one kernel"),
-    "toy": (cmd_toy, "run the four-kernel demo comparison"),
+    "simulate": (_run_kernels, "integrate one kernel"),
+    "toy": (_run_kernels, "run the four-kernel demo comparison"),
     "bifurcation": (cmd_bifurcation, "equilibrium sweep over attention"),
-    "energy": (cmd_energy, "integrate and write metrics only"),
+    "energy": (_run_kernels, "integrate and write metrics only"),
     "gradcheck": (cmd_gradcheck, "analytic vs finite-difference gradients"),
     "train": (cmd_train, "gradient descent on the synthetic task"),
     "verify": (cmd_verify, "run the acceptance battery"),

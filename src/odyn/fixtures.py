@@ -1,5 +1,5 @@
-"""Shared small fixtures: the 3-agent demo system, random stochastic matrices
-and the random problem of the gradient check."""
+"""Shared small fixtures: the 3-agent demo system and its four runs, random
+stochastic matrices and the random problem of the gradient check."""
 from __future__ import annotations
 
 import numpy as np
@@ -39,6 +39,16 @@ def toy_graph() -> Graph:
         if a[i, j] != 0.0
     ]
     return from_edge_list(edges, 3)
+
+
+# The runs ``odyn toy`` writes and ``toy-figure`` checks: kernel tag, output
+# name, and whether the run's source b is the initial state (else zero).
+TOY_RUNS = (
+    ("laplacian", "grand-l", False),
+    ("laplacian-source", "grand++-l", True),
+    ("graphcon-tran", "graphcon-tran", False),
+    ("bimp", "bimp", True),
+)
 
 
 def random_row_stochastic(

@@ -202,6 +202,11 @@ def gradient_upper_bound(
     With beta = M dt and gamma = (1 + 4 M u dt)(1 + (4u + 1) dt):
 
         (1 / Na No) (beta + (1 + beta) |X0| + |target|) gamma |X_in|
+
+    It is not a bound at small d: ``odyn gradcheck --seed 0 --d 0.1 --alpha 2.5
+    --steps 20 --dt 0.5`` reports an inf-norm of 3.2304 against a bound of
+    2.2713 (``within_bound`` false, exit 0).  ``gradient-suite`` samples only
+    d in [0.5, 1.5] and M <= 16, where it has held, until it is re-derived.
     """
     beta = cfg.steps * cfg.dt
     gamma = (1.0 + 4.0 * cfg.steps * cfg.u * cfg.dt) * (

@@ -4,6 +4,7 @@
 table in the package for the traced operation; a renamed or deleted name,
 or a caller that stops calling through it, silently loses a counter.
 """
+import collections
 import importlib
 import importlib.util
 import json
@@ -83,6 +84,18 @@ def test_critical_consensus_counts_the_work_of_its_20_starts(tracing):
         acceptance.criterion_critical_consensus()
     assert sum(name == "kernels.rhs" for name, *_ in tracer.spans) == 4000
     assert tracer.counts["updates"] == 20 * 4000 * 9
+
+
+def test_toy_figure_counts_the_work_of_the_toy_verbs_four_runs(tracing):
+    # four 3 x 3 runs of 400 Euler steps, the diameter taken at each of 401 snapshots
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        acceptance.criterion_toy_figure()
+    calls = collections.Counter(name for name, *_ in tracer.spans)
+    assert calls["kernels.kernel_setup"] == 4
+    assert calls["kernels.rhs"] == 4 * 400
+    assert tracer.counts["updates"] == 4 * 400 * 9
+    assert calls["analysis.opinion_diameter"] == 4 * 401
 
 
 def test_the_battery_runs_the_criteria_the_tracer_names(tracing):

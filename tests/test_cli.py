@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import odyn
-from odyn.cli import DEFAULTS, ONE_KERNEL_VERBS, OPTIONS, main
+from odyn import acceptance
+from odyn.cli import DEFAULTS, KERNEL_VERBS, ONE_KERNEL_VERBS, OPTIONS, main
 from odyn.fixtures import toy_graph, toy_initial_state
 from odyn.graphs import from_edge_list, save_matrix_csv
 from odyn.kernels import KERNEL_TAGS, kernel_reads
@@ -445,6 +446,59 @@ class TestToy:
         assert main(["toy", "--out", str(b), "--seed", "3"]) == 0
         for name in ("grand-l", "grand++-l", "graphcon-tran", "bimp"):
             assert (a / f"{name}.csv").read_bytes() == (b / f"{name}.csv").read_bytes()
+
+
+    def test_the_toy_figure_criterion_measures_the_runs_toy_writes(self, tmp_path):
+        # at its defaults toy writes the four runs the battery checks: each
+        # terminal diameter in its metrics CSV is the criterion's, to the bit
+        assert main(["toy", "--out", str(tmp_path)]) == 0
+        measured = {c.quantity: c.measured for c in acceptance.criterion_toy_figure().checks}
+        for quantity, name, bits in (
+            ("laplacian terminal diameter", "grand-l", "0x1.54d0000000000p-41"),
+            ("oscillator terminal diameter", "graphcon-tran", "0x1.63796784e8000p-16"),
+            ("saturated terminal diameter", "bimp", "0x1.08a1ce57dc51cp-1"),
+        ):
+            diameter = float(_last_metrics_row(tmp_path / f"{name}-metrics.csv")[2])
+            assert (float.hex(diameter), float.hex(measured[quantity])) == (bits, bits)
+
+
+def _last_metrics_row(path):
+    return path.read_text().split()[-1].split(",")
+
+
+class TestKernelVerbs:
+    """simulate, energy and toy run one path, and each keeps its stderr line."""
+
+    def test_simulate_names_its_trajectory_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["simulate", "--kernel", "laplacian", "--steps", "5", "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [f"wrote {out / 'laplacian.csv'}"]
+        assert sorted(p.name for p in out.iterdir()) == ["laplacian-metrics.csv", "laplacian.csv"]
+
+    def test_energy_names_its_metrics_file(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["energy", "--steps", "5", "--out", str(out)]) == 0
+        assert capsys.readouterr().err.splitlines() == [f"wrote {out / 'bimp-metrics.csv'}"]
+        assert [p.name for p in out.iterdir()] == ["bimp-metrics.csv"]
+
+    def test_toy_reports_each_terminal_diameter_in_run_order(self, tmp_path, capsys):
+        assert main(["toy", "--steps", "20", "--out", str(tmp_path)]) == 0
+        names = ("grand-l", "grand++-l", "graphcon-tran", "bimp")
+        expected = [
+            f"{name}: terminal diameter "
+            f"{float(_last_metrics_row(tmp_path / f'{name}-metrics.csv')[2]):.3e}"
+            for name in names
+        ]
+        assert capsys.readouterr().err.splitlines() == expected
+
+    @pytest.mark.parametrize("verb", KERNEL_VERBS)
+    def test_a_step_at_the_bound_exits_1_and_writes_nothing(self, tmp_path, capsys, verb):
+        # dt * d = 1 for bimp at d = 1, and for graphcon-tran's unit damping
+        out = tmp_path / "out"
+        assert main([verb, "--dt", "1.0", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: step size 1.0 is not below 1/d")
+        assert not out.exists()
 
 
 class TestSimulate:
