@@ -40,18 +40,16 @@ def run(out_dir: str, seed: int, steps: int) -> int:
         ("bimp", x0),
     ):
         setup = kernel_setup(tag, g, x0, d=1.0, alpha=1.0, b=b, seed=seed)
-        traj = euler_integrate(
-            setup, 0.05, steps,
-            energy_fn=lambda x: dirichlet_energy(x, g),
-            diameter_fn=opinion_diameter,
-        )
-        save_metrics_csv(traj, out / f"{tag}-metrics.csv")
+        traj = euler_integrate(setup, 0.05, steps)
+        energy = [dirichlet_energy(x, g) for x in traj.states]
+        diameter = [opinion_diameter(x) for x in traj.states]
+        save_metrics_csv(traj.times, energy, diameter, out / f"{tag}-metrics.csv")
         floor = 1e-16
         series.append(
-            Series(tag, list(range(len(traj.energy))),
-                   [float(np.log10(max(e, floor))) for e in traj.energy])
+            Series(tag, list(range(len(energy))),
+                   [float(np.log10(max(e, floor))) for e in energy])
         )
-        print(f"{tag}: terminal energy {traj.energy[-1]:.3e}", file=sys.stderr)
+        print(f"{tag}: terminal energy {energy[-1]:.3e}", file=sys.stderr)
     write_chart(out / "energy-depth.svg", series,
                 title="log10 Dirichlet energy vs depth",
                 x_label="step", y_label="log10 energy")

@@ -17,6 +17,7 @@ its matvec, e.g. the joint coupling through ``kernels.coupling``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +103,11 @@ def reduced_equilibria(u: float, d: float, alpha: float,
     """All equilibria of dy/dt = -d y + tanh(u (alpha+3) y) + b with stability.
 
     Newton runs from a seed grid over [-2, 2]; seeds that fail to converge
-    are skipped.  Roots are deduplicated and sorted ascending; a root is
-    stable when the derivative of the rhs is negative there.
+    are skipped.  The rhs's critical points then cut [-R, R], R = (1 + |b|)
+    / d, into monotone pieces, and a piece whose ends bracket a root that
+    Newton missed is bisected.  Roots are deduplicated and sorted
+    ascending; a root is stable when the derivative of the rhs is negative
+    there.
     """
     c = u * (alpha + 3.0)
 
@@ -137,8 +141,30 @@ def reduced_equilibria(u: float, d: float, alpha: float,
                 break
         if converged and all(abs(y - r) > DEDUP_TOL for r in roots):
             roots.append(y)
+    # every root has |y| <= R, and f is monotone between the zeros of
+    # f' = -d + c sech^2(c y), at |y| = acosh(sqrt(c / d)) / c when c > d
+    r_max = min((1.0 + abs(b)) / d, sys.float_info.max)
+    bend = min(math.acosh(math.sqrt(c / d)) / c, r_max) if c > d else r_max
+    ends = [(y, f(y)) for y in sorted({-r_max, -bend, bend, r_max})]
+    for (lo, f_lo), (hi, f_hi) in zip(ends, ends[1:]):
+        if min(f_lo, f_hi) <= 0.0 <= max(f_lo, f_hi) and not any(lo <= r <= hi for r in roots):
+            y = _bisect(f, lo, hi, f_lo)
+            if all(abs(y - r) > DEDUP_TOL for r in roots):
+                roots.append(y)
     roots.sort()
     return tuple((r, fprime(r) < 0.0) for r in roots)
+
+
+def _bisect(f, lo: float, hi: float, f_lo: float) -> float:
+    """A root, to the last bit, of ``f`` on [lo, hi], where f(lo) = ``f_lo``
+    is zero or f(hi) is zero or of the other sign."""
+    while f_lo != 0.0 and lo < (mid := 0.5 * lo + 0.5 * hi) < hi:
+        f_mid = f(mid)
+        if f_mid == 0.0 or (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return lo
 
 
 def bifurcation_sweep(

@@ -146,21 +146,6 @@ def _resolve_b(opts, x0):
     return load_matrix_csv(opts["b_file"])
 
 
-def _integrate(opts, g, tag, setup):
-    integrator = rk4_integrate if opts["method"] == "rk4" else euler_integrate
-    # the scalar reduced kernel has no graph-indexed state to take an
-    # energy over
-    energy_fn = None if tag == "reduced" else (lambda x: dirichlet_energy(x, g))
-    return integrator(
-        setup,
-        opts["dt"],
-        opts["steps"],
-        record_every=opts["record_every"],
-        energy_fn=energy_fn,
-        diameter_fn=opinion_diameter,
-    )
-
-
 def _run_kernels(opts) -> int:
     """Set up every run and check its step size, then integrate each run and
     write its metrics CSV, and its trajectory CSV unless the verb is ``energy``.
@@ -187,16 +172,21 @@ def _run_kernels(opts) -> int:
         setups.append(kernel_setup(tag, g, x0, **given))
     for setup in setups:
         check_step(opts["dt"], opts["steps"], setup.damping)
+    integrate = rk4_integrate if opts["method"] == "rk4" else euler_integrate
     out = Path(opts["out"])
     for (tag, name, _), setup in zip(runs, setups):
-        traj = _integrate(opts, g, tag, setup)
+        traj = integrate(setup, opts["dt"], opts["steps"], record_every=opts["record_every"])
+        # the scalar reduced kernel has no graph-indexed state to take an
+        # energy over
+        energy = [np.nan if tag == "reduced" else dirichlet_energy(x, g) for x in traj.states]
+        diameter = [opinion_diameter(x) for x in traj.states]
         out.mkdir(parents=True, exist_ok=True)
         trajectory, metrics = out / f"{name}.csv", out / f"{name}-metrics.csv"
         if verb != "energy":
             save_trajectory_csv(traj, trajectory)
-        save_metrics_csv(traj, metrics)
+        save_metrics_csv(traj.times, energy, diameter, metrics)
         if verb == "toy":
-            print(f"{name}: terminal diameter {traj.diameter[-1]:.3e}", file=sys.stderr)
+            print(f"{name}: terminal diameter {diameter[-1]:.3e}", file=sys.stderr)
         else:
             print(f"wrote {metrics if verb == 'energy' else trajectory}", file=sys.stderr)
     return 0

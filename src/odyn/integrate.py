@@ -5,14 +5,15 @@ reference scheme and classical RK4 a higher-accuracy cross-check, each a
 tableau of that loop.  Snapshots are taken at step 0 and at every
 ``record_every``-th step, so recording densely and subsampling gives
 bit-identical snapshots to recording sparsely; a zero-step run is its
-initial snapshot.  The snapshots are slots of one array allocated up
-front, so recording leaves no per-snapshot blocks in the heap.
+initial snapshot.  The record is a :class:`Trajectory`: the recorded
+times and one block of snapshots, allocated up front.  Metrics such as
+the Dirichlet energy are the caller's to take from that block.
 
 The integrator runs one :class:`~odyn.kernels.KernelSetup` whole: its
 initial state, its right-hand side, its step bound and its position view.
 The state is a plain float64 array of any shape the right-hand side
-accepts.  Snapshots and metrics see the set-up's ``position`` of each
-state: the state itself for first-order kernels, and ``state[0]`` for the
+accepts.  Snapshots see the set-up's ``position`` of each state: the
+state itself for first-order kernels, and ``state[0]`` for the
 second-order kernel, whose ``(2, n, o)`` state stacks position over
 velocity.  The initial state, every new state, and every intermediate
 RK4 stage before the right-hand side sees it, must have a Euclidean norm
@@ -34,10 +35,8 @@ turn lies inside RK4's stability region; so dt < 1/d guards both methods.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import groupby
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,14 +46,11 @@ from .graphs import repr_rows
 from .kernels import KernelSetup, check_finite
 
 
-@dataclass
-class Trajectory:
-    """Time-indexed snapshots with per-step scalar metrics."""
+class Trajectory(NamedTuple):
+    """The recorded times and the snapshot block, one snapshot per time."""
 
-    times: list[float] = field(default_factory=list)
-    states: list[np.ndarray] = field(default_factory=list)
-    energy: list[float] = field(default_factory=list)
-    diameter: list[float] = field(default_factory=list)
+    times: np.ndarray
+    states: np.ndarray
 
 
 class _Tableau(NamedTuple):
@@ -101,24 +97,12 @@ def check_step(dt: float, steps: int, damping: float | None) -> None:
         )
 
 
-def _record(traj: Trajectory, t: float, x: np.ndarray, snapshots: np.ndarray,
-            energy_fn, diameter_fn):
-    slot = snapshots[len(traj.states)]
-    slot[...] = x
-    traj.times.append(t)
-    traj.states.append(slot)
-    traj.energy.append(float(energy_fn(x)) if energy_fn else float("nan"))
-    traj.diameter.append(float(diameter_fn(x)) if diameter_fn else float("nan"))
-
-
 def _runge_kutta(
     tableau: _Tableau,
     setup: KernelSetup,
     dt: float,
     steps: int,
     record_every: int,
-    energy_fn: Callable[[np.ndarray], float] | None,
-    diameter_fn: Callable[[np.ndarray], float] | None,
 ) -> Trajectory:
     check_step(dt, steps, setup.damping)
     if record_every < 1:
@@ -126,13 +110,13 @@ def _runge_kutta(
     rhs, position = setup.rhs, setup.position
     shifts = [dt / c for c in tableau.divisors]
     scale = dt / tableau.denom
-    traj = Trajectory()
     state = np.array(setup.state0, dtype=np.float64)
     _check_state(state, 0)
     first = position(state)
+    recorded = np.arange(0, steps + 1, record_every)
     # every snapshot is a slot of one block, allocated once and freed whole
-    snapshots = np.empty((steps // record_every + 1, *first.shape))
-    _record(traj, 0.0, first, snapshots, energy_fn, diameter_fn)
+    states = np.empty((len(recorded), *first.shape))
+    states[0] = first
     # overflow is reported by the state checks, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
@@ -146,8 +130,8 @@ def _runge_kutta(
             state = state + scale * total
             _check_state(state, k)
             if k % record_every == 0:
-                _record(traj, k * dt, position(state), snapshots, energy_fn, diameter_fn)
-    return traj
+                states[k // record_every] = position(state)
+    return Trajectory(recorded * dt, states)
 
 
 def euler_integrate(
@@ -155,12 +139,9 @@ def euler_integrate(
     dt: float,
     steps: int,
     record_every: int = 1,
-    *,
-    energy_fn: Callable[[np.ndarray], float] | None = None,
-    diameter_fn: Callable[[np.ndarray], float] | None = None,
 ) -> Trajectory:
     """Forward Euler: X(t+dt) = X(t) + dt * rhs(X(t))."""
-    return _runge_kutta(_EULER, setup, dt, steps, record_every, energy_fn, diameter_fn)
+    return _runge_kutta(_EULER, setup, dt, steps, record_every)
 
 
 def rk4_integrate(
@@ -168,51 +149,40 @@ def rk4_integrate(
     dt: float,
     steps: int,
     record_every: int = 1,
-    *,
-    energy_fn: Callable[[np.ndarray], float] | None = None,
-    diameter_fn: Callable[[np.ndarray], float] | None = None,
 ) -> Trajectory:
     """Classical fourth-order Runge-Kutta with the same recording contract."""
-    return _runge_kutta(_RK4, setup, dt, steps, record_every, energy_fn, diameter_fn)
+    return _runge_kutta(_RK4, setup, dt, steps, record_every)
 
 
 def save_trajectory_csv(traj: Trajectory, path) -> None:
     """Long-format CSV with header ``t,node,option,value``.
 
-    One row per entry of each 2-d snapshot, in row-major order; t and the
-    value are Python's ``repr`` of each float64.  Rows are encoded
-    ``CHUNK_ROWS`` at a time, across snapshot boundaries, as a NUL-padded
-    byte matrix (time, cell, value, newline) written without its NULs, so
-    the writer's working set stays about 2.5 MB whatever the snapshot size.
+    One row per entry of each ``(n, o)`` snapshot, in row-major order; t
+    and the value are Python's ``repr`` of each float64.  The rows are
+    encoded ``CHUNK_ROWS`` at a time from the raveled snapshot block, as a
+    NUL-padded byte matrix (time, cell, value, newline) written without
+    its NULs, so the writer's working set stays about 2.5 MB whatever the
+    snapshot size.
     """
-    times = _byte_rows([repr(t) for t in traj.times])
-    with open(path, "wb") as f:
-        f.write(b"t,node,option,value\n")
-        done = 0
-        for shape, run in groupby(traj.states, key=np.shape):
-            run = list(run)
-            for chunk in _encode_snapshots(times[done:done + len(run)], run, *shape):
-                f.write(chunk)
-            done += len(run)
-
-
-def _encode_snapshots(times: np.ndarray, states: list[np.ndarray], n: int, o: int):
-    """The CSV bytes of snapshots of one ``(n, o)`` shape, ``CHUNK_ROWS`` rows at a time."""
+    times = _byte_rows([repr(t) for t in traj.times.tolist()])
+    n, o = traj.states.shape[1:]
     nodes = _byte_rows([f",{i}," for i in range(n)])
     options = _byte_rows([f"{j}," for j in range(o)])
-    cells, rows = n * o, len(states) * n * o
-    for start in range(0, rows, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, rows)
-        row = np.arange(start, stop)
-        snap = row // cells
-        cell = row - snap * cells
-        node = cell // o
-        values = np.concatenate([np.ravel(states[s])[max(start - s * cells, 0):stop - s * cells]
-                                 for s in range(start // cells, (stop - 1) // cells + 1)])
-        mat = np.concatenate([times.take(snap, axis=0), nodes.take(node, axis=0),
-                              options.take(cell - node * o, axis=0), repr_cells(values),
-                              np.full((stop - start, 1), ord("\n"), dtype=np.uint8)], axis=1)
-        yield mat[mat != 0].tobytes()
+    values = traj.states.reshape(-1)
+    cells = n * o
+    with open(path, "wb") as f:
+        f.write(b"t,node,option,value\n")
+        for start in range(0, values.size, CHUNK_ROWS):
+            stop = min(start + CHUNK_ROWS, values.size)
+            row = np.arange(start, stop)
+            snap = row // cells
+            cell = row - snap * cells
+            node = cell // o
+            mat = np.concatenate([times.take(snap, axis=0), nodes.take(node, axis=0),
+                                  options.take(cell - node * o, axis=0),
+                                  repr_cells(values[start:stop]),
+                                  np.full((stop - start, 1), ord("\n"), dtype=np.uint8)], axis=1)
+            f.write(mat[mat != 0].tobytes())
 
 
 def _byte_rows(strings: list[str]) -> np.ndarray:
@@ -221,7 +191,9 @@ def _byte_rows(strings: list[str]) -> np.ndarray:
     return packed.view(np.uint8).reshape(len(strings), packed.itemsize)
 
 
-def save_metrics_csv(traj: Trajectory, path) -> None:
-    """Metric CSV with header ``t,dirichlet,diameter``."""
-    rows = zip(traj.times, traj.energy, traj.diameter)
+def save_metrics_csv(times: np.ndarray, energy: list[float], diameter: list[float],
+                     path) -> None:
+    """Metric CSV with header ``t,dirichlet,diameter``: one row per recorded
+    time, with the energy and the diameter of its snapshot."""
+    rows = zip(times.tolist(), energy, diameter)
     Path(path).write_text(repr_rows(rows, "t,dirichlet,diameter"))

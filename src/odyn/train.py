@@ -73,13 +73,13 @@ class TrainConfig:
 class Tape:
     """Saved forward pass: states, pre-activations and the constants.
 
-    ``states`` holds the M + 1 states X_0 .. X_M of the unroll, and
-    ``preacts[t]`` the pre-activation Z_t = u * coupling(X_t) that the
-    saturation saw on the step from X_t to X_{t+1} (M arrays).
+    ``states`` is the (M + 1, n, o) block of the states X_0 .. X_M of the
+    unroll, and ``preacts[t]`` the pre-activation Z_t = u * coupling(X_t)
+    that the saturation saw on the step from X_t to X_{t+1} (M arrays).
     """
 
     x_in: np.ndarray
-    states: list[np.ndarray]
+    states: np.ndarray
     preacts: list[np.ndarray]
     aa: Graph | np.ndarray
     ao: np.ndarray

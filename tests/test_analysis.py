@@ -27,7 +27,7 @@ from odyn.fixtures import (
 )
 from odyn.graphs import from_edge_list
 from odyn.integrate import euler_integrate
-from odyn.kernels import coupling, kernel_setup
+from odyn.kernels import coupling, kernel_setup, rhs_reduced_1d
 from oracles import laplacian
 
 
@@ -184,6 +184,28 @@ class TestBifurcation:
         assert len(eq) == 1
         y, stable = eq[0]
         assert y > 0 and stable
+
+    def test_a_root_beyond_the_newton_seeds_is_found(self):
+        # every Newton seed on [-2, 2] runs away from the one root, near 20
+        ((y, stable),) = reduced_equilibria(0.061, 0.1, 1.0, 1.0)
+        assert y == pytest.approx(19.9988, abs=1e-4) and stable
+        assert abs(rhs_reduced_1d(y, 0.061, 0.1, 1.0, 1.0)) <= 1e-12
+
+    @settings(max_examples=120)
+    @given(st.floats(-3.0, 3.0), st.floats(0.02, 3.0), st.floats(0.0, 3.0),
+           st.floats(-2.0, 2.0))
+    def test_every_sign_change_of_a_dense_scan_holds_a_root(self, u, d, alpha, b):
+        eq = reduced_equilibria(u, d, alpha, b)
+        roots = [y for y, _ in eq]
+        assert all(abs(rhs_reduced_1d(y, u, d, alpha, b)) <= 1e-9 for y in roots)
+        assert all(b2 - a2 > analysis.DEDUP_TOL for a2, b2 in zip(roots, roots[1:]))
+        # every root lies in |y| <= (1 + |b|) / d, since |tanh| <= 1
+        r_max = (1.0 + abs(b)) / d
+        grid = np.linspace(-1.0, 1.0, 100_001) * r_max
+        sign = np.sign(-d * grid + np.tanh(u * (alpha + 3.0) * grid) + b)
+        tol = 1e-9 * max(1.0, r_max)
+        for i in np.flatnonzero(sign[:-1] * sign[1:] <= 0):
+            assert any(grid[i] - tol <= y <= grid[i + 1] + tol for y in roots), (grid[i], eq)
 
     def test_sweep_branch_counts(self):
         points = bifurcation_sweep((0.05, 0.6, 112), d=1.0, alpha=1.0)

@@ -3,10 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from odyn.analysis import dirichlet_energy, opinion_diameter
+from odyn.analysis import grandpp_closed_form, opinion_diameter
 from odyn.errors import NumericalError
 from odyn.fixtures import toy_graph, toy_initial_state
+from odyn.graphs import from_edge_list
 from odyn.integrate import (
     CHUNK_ROWS,
     MAGNITUDE_LIMIT,
@@ -17,6 +20,7 @@ from odyn.integrate import (
     save_trajectory_csv,
 )
 from odyn.kernels import KERNEL_TAGS, KernelSetup, kernel_reads, kernel_setup
+from oracles import laplacian
 
 
 def scalar_decay(s):
@@ -34,9 +38,10 @@ class TestEuler:
 
     def test_trajectory_contract(self):
         traj = euler_integrate(KernelSetup(scalar_decay, np.ones((2, 1))), 0.1, 10, record_every=2)
-        assert traj.times[0] == 0.0
-        assert len(traj.times) == len(traj.states) == len(traj.energy) == len(traj.diameter) == 6
-        assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
+        # the times are float64 with the bits of k * dt, one per snapshot of the block
+        assert traj.times.dtype == np.float64
+        assert traj.times.tolist() == [k * 0.1 for k in range(0, 11, 2)]
+        assert traj.states.shape == (6, 2, 1)
 
     def test_step_guard_triggers_exactly_at_one_over_d(self):
         setup = kernel_setup("bimp", toy_graph(), toy_initial_state(), d=2.0)
@@ -53,11 +58,10 @@ class TestEuler:
 
         setup = KernelSetup(never_called, x0, damping=1.0)
         for integrate in (euler_integrate, rk4_integrate):
-            traj = integrate(setup, 0.05, 0, diameter_fn=opinion_diameter)
-            assert traj.times == [0.0]
-            assert len(traj.states) == len(traj.diameter) == 1
+            traj = integrate(setup, 0.05, 0)
+            assert traj.times.tolist() == [0.0]
+            assert traj.states.shape == (1, *x0.shape)
             np.testing.assert_array_equal(traj.states[0], x0)
-            assert traj.diameter[0] == opinion_diameter(x0)
             with pytest.raises(ValueError, match="nonnegative"):
                 integrate(setup, 0.05, -1)
 
@@ -105,9 +109,8 @@ class TestEuler:
     def test_snapshots_are_slots_of_one_block_that_later_steps_leave_alone(self, steps, every):
         setup = kernel_setup("bimp", toy_graph(), toy_initial_state(), b=toy_initial_state())
         traj = euler_integrate(setup, 0.05, steps, record_every=every)
-        block = traj.states[0].base
-        assert block.shape == (steps // every + 1, 3, 3)
-        assert all(x.base is block for x in traj.states)
+        assert traj.states.shape == (steps // every + 1, 3, 3)
+        assert traj.times.tolist() == [k * 0.05 for k in range(0, steps + 1, every)]
         # each slot keeps the state of its own step
         x = toy_initial_state()
         for k in range(1, steps + 1):
@@ -129,8 +132,8 @@ class TestEuler:
     def test_toy_saturated_run_keeps_features_distinct(self):
         x0 = toy_initial_state()
         setup = kernel_setup("bimp", toy_graph(), x0, b=x0)
-        traj = euler_integrate(setup, 0.05, 400, diameter_fn=opinion_diameter)
-        assert traj.diameter[-1] > 0.05
+        traj = euler_integrate(setup, 0.05, 400)
+        assert opinion_diameter(traj.states[-1]) > 0.05
         x_end = traj.states[-1]
         gaps = [
             np.linalg.norm(x_end[i] - x_end[j])
@@ -172,6 +175,51 @@ class TestRk4:
         with pytest.raises(NumericalError, match="^non-finite stage at step 1$"):
             rk4_integrate(KernelSetup(huge, np.array([[1.0]])), 4.0, 3)
         assert seen_finite == [True]
+
+
+class TestOrder:
+    """Halving dt divides the error at T = 2 by 2 for Euler and 16 for RK4.
+
+    The system is dX/dt = -L X + B on a random connected undirected graph,
+    against its modal solution.  The error is the Frobenius norm, which
+    sums the squared errors of the orthogonal modes, so its ratio lies
+    between the per-mode ratios.  At the coarser step every mode has
+    z = dt * lambda <= 0.25 for RK4, where its ratio is 16 to 17.8, and
+    z <= 0.05 with T * lambda * z <= 0.2 for Euler, where it is 1.9 to 2.04.
+    """
+
+    T = 2.0
+    BANDS = {"euler": (1.8, 2.25), "rk4": (14.0, 19.0)}
+
+    @settings(max_examples=20)
+    @given(st.integers(2, 6), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_halving_the_step_divides_the_error_by_the_order(self, n, o, seed):
+        rng = np.random.default_rng(seed)
+        # a random spanning tree and random extra edges, weights in [0.1, 1]
+        pairs = {(int(rng.integers(i)), i) for i in range(1, n)}
+        pairs |= {(i, j) for i in range(n) for j in range(i + 1, n) if rng.uniform() < 0.3}
+        edges = []
+        for i, j in sorted(pairs):
+            w = float(rng.uniform(0.1, 1.0))
+            edges += [(i, j, w), (j, i, w)]
+        g = from_edge_list(edges, n)
+        x0, b = rng.standard_normal((2, n, o))
+        lap = laplacian(g)
+        sol = grandpp_closed_form(lap, x0, b)
+        top = float(np.linalg.eigvalsh(lap)[-1])
+        setup = kernel_setup("laplacian-source", g, x0, b=b)
+
+        def error(integrate, steps):
+            traj = integrate(setup, self.T / steps, steps, record_every=steps)
+            return np.linalg.norm(traj.states[-1] - sol.evaluate(traj.times[-1]))
+
+        for name, integrate, dt in (
+            ("euler", euler_integrate, min(0.05 / top, 0.1 / top**2)),
+            ("rk4", rk4_integrate, 0.25 / top),
+        ):
+            steps = math.ceil(self.T / dt)
+            lo, hi = self.BANDS[name]
+            assert lo <= error(integrate, steps) / error(integrate, 2 * steps) <= hi, name
 
 
 def euler_oracle(parts, f, dt, steps):
@@ -262,8 +310,8 @@ class TestSetupFacts:
     def test_every_kernel_records_its_initial_state_shape_and_carries_its_bound(self, tag):
         x0 = np.array([[0.3]]) if tag == "reduced" else toy_initial_state()
         setup = kernel_setup(tag, toy_graph(), x0, b=x0 if "b" in kernel_reads(tag) else None)
-        traj = euler_integrate(setup, 0.01, 5, diameter_fn=opinion_diameter)
-        assert [x.shape for x in traj.states] == [x0.shape] * 6
+        traj = euler_integrate(setup, 0.01, 5)
+        assert traj.states.shape == (6, *x0.shape)
         np.testing.assert_array_equal(traj.states[0], x0)
         if setup.damping is not None:
             with pytest.raises(ValueError, match="1/d"):
@@ -290,7 +338,7 @@ class TestCsvExports:
         else:
             shape = (1, 1) if seed == 0 else tuple(rng.integers(1, 7, size=2))
             count = int(rng.integers(1, 5))
-        traj = Trajectory()
+        times, states = [], []
         for k in range(count):
             # repr's scientific range, and its positional range [1e-4, 1e16)
             wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, size=shape)
@@ -298,14 +346,14 @@ class TestCsvExports:
             x = np.where(rng.uniform(size=shape) < 0.3, wide, positional)
             x.flat[rng.integers(x.size)] = -0.0
             x.flat[rng.integers(x.size)] = 1e-300
-            traj.times.append(k * float(rng.uniform(0.01, 0.5)))
-            traj.states.append(x)
+            times.append(k * float(rng.uniform(0.01, 0.5)))
+            states.append(x)
         lines = ["t,node,option,value"]
-        for t, x in zip(traj.times, traj.states):
+        for t, x in zip(times, states):
             for i in range(x.shape[0]):
                 for j in range(x.shape[1]):
                     lines.append(f"{t!r},{i},{j},{float(x[i, j])!r}")
-        save_trajectory_csv(traj, tmp_path / "traj.csv")
+        save_trajectory_csv(Trajectory(np.array(times), np.stack(states)), tmp_path / "traj.csv")
         assert (tmp_path / "traj.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_the_writer_working_set_is_bounded_per_chunk_row(self, tmp_path):
@@ -314,7 +362,7 @@ class TestCsvExports:
         # 600 bytes per chunk row at 4096 rows), so its peak does not grow
         # with the snapshot
         x = np.tanh(np.random.default_rng(0).standard_normal((20 * CHUNK_ROWS // 256, 256)))
-        traj = Trajectory(times=[0.0], states=[x])
+        traj = Trajectory(times=np.zeros(1), states=x[None])
         tracemalloc.start()
         try:
             save_trajectory_csv(traj, tmp_path / "traj.csv")
@@ -324,15 +372,8 @@ class TestCsvExports:
         assert peak < 1024 * CHUNK_ROWS
 
     def test_metrics_csv(self, tmp_path):
-        traj = euler_integrate(
-            KernelSetup(scalar_decay, np.array([[1.0], [3.0]])),
-            0.5,
-            1,
-            energy_fn=lambda x: 7.0,
-            diameter_fn=opinion_diameter,
-        )
+        traj = euler_integrate(KernelSetup(scalar_decay, np.array([[1.0], [3.0]])), 0.5, 1)
         path = tmp_path / "m.csv"
-        save_metrics_csv(traj, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "t,dirichlet,diameter"
-        assert lines[1] == "0.0,7.0,2.0"
+        save_metrics_csv(traj.times, [7.0, 7.0], [opinion_diameter(x) for x in traj.states], path)
+        assert path.read_text().splitlines() == ["t,dirichlet,diameter", "0.0,7.0,2.0",
+                                                 "0.5,7.0,1.0"]
