@@ -10,20 +10,10 @@ from pathlib import Path
 import numpy as np
 
 from odyn.analysis import dirichlet_energy, opinion_diameter
-from odyn.graphs import from_edge_list
+from odyn.fixtures import random_graph
 from odyn.integrate import euler_integrate, save_metrics_csv
 from odyn.kernels import kernel_setup
 from odyn.svg import Series, write_chart
-
-
-def random_graph(n: int, p: float, rng: np.random.Generator):
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.uniform() < p:
-                edges.append((i, j, 1.0))
-                edges.append((j, i, 1.0))
-    return from_edge_list(edges, n)
 
 
 def run(out_dir: str, seed: int, steps: int) -> int:

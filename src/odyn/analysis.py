@@ -26,7 +26,7 @@ from .errors import NumericalError
 from .graphs import Graph, repr_rows
 from .kernels import BimpParams, check_finite, rhs_reduced_1d
 
-RESTART_SEED = 0  # power_iteration's random restart
+START_SEED = 0  # seeds power_iteration's start direction
 SYM_TOL = 1e-10  # the largest |L - L^T| entry grandpp_closed_form accepts
 NEWTON_SEEDS = 41  # reduced_equilibria's Newton starts, evenly spaced on [-2, 2]
 NEWTON_ITERS = 50
@@ -204,47 +204,31 @@ def power_iteration(apply_fn, dim: int, tol: float = 1e-10,
                     max_iter: int = 10000) -> SpectralResult:
     """Leading eigenpair by power iteration with a Rayleigh quotient.
 
-    Starts from the deterministic direction 1/sqrt(dim) and falls back to
-    one seeded random restart if that direction stagnates (e.g. lies in a
-    non-leading invariant subspace).  The residual is ``max|A v - lam v|``
-    with ``v`` unit-norm.
+    Starts from one unit direction drawn by ``default_rng(START_SEED)`` on
+    every call, which has a component along the leading eigenvector
+    almost surely; a structured start such as the ones vector may be an
+    eigenvector itself, as it is of the joint coupling.  The residual is
+    ``max|A v - lam v|`` with ``v`` unit-norm; an operator that maps ``v``
+    to zero gives the exact pair (0, v).
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-
-    def run(v0: np.ndarray, budget: int) -> tuple[float, np.ndarray, int, float, bool]:
-        v = v0 / np.linalg.norm(v0)
-        lam, residual = 0.0, np.inf
-        for k in range(1, budget + 1):
-            w = apply_fn(v)
-            norm = np.linalg.norm(w)
-            if norm == 0.0:
-                # v lies in the kernel; a restart may still find the
-                # leading direction.
-                return 0.0, v, k, 0.0, True
-            lam = float(v @ w)
-            residual = float(np.max(np.abs(w - lam * v)))
-            if residual <= tol:
-                return lam, v, k, residual, False
-            v = w / norm
-        return lam, v, budget, residual, False
-
-    lam, v, iters, residual, annihilated = run(np.ones(dim), max_iter)
-    if residual > tol or annihilated:
-        rng = np.random.default_rng(RESTART_SEED)
-        lam2, v2, extra, residual2, annihilated2 = run(rng.standard_normal(dim), max_iter)
-        iters += extra
-        if not annihilated2:
-            lam, v, residual = lam2, v2, residual2
-        # Both starts annihilated: the exact kernel pair is the answer.
-    if residual > tol:
-        raise NumericalError(
-            f"power iteration did not reach residual {tol} in {iters} "
-            f"iterations (last residual {residual})"
-        )
-    return SpectralResult(eigenvalue=lam, eigenvector=v, iterations=iters, residual=residual)
+    v = np.random.default_rng(START_SEED).standard_normal(dim)
+    v /= np.linalg.norm(v)
+    residual = math.inf
+    for k in range(1, max_iter + 1):
+        w = apply_fn(v)
+        lam = float(v @ w)
+        residual = float(np.max(np.abs(w - lam * v)))
+        if residual <= tol:
+            return SpectralResult(eigenvalue=lam, eigenvector=v, iterations=k, residual=residual)
+        v = w / np.linalg.norm(w)
+    raise NumericalError(
+        f"power iteration did not reach residual {tol} in {max_iter} "
+        f"iterations (last residual {residual})"
+    )
 
 
 @dataclass(frozen=True)
@@ -313,11 +297,15 @@ def grandpp_closed_form(l: np.ndarray, x0: np.ndarray, b: np.ndarray) -> ClosedF
 
 @dataclass(frozen=True)
 class ScramblingReport:
-    """Outcome of the windowed scrambling test on a matrix sequence."""
+    """Outcome of the windowed scrambling test on a matrix sequence.
+
+    ``delta`` is the smallest shared-column mass over the window products:
+    positive exactly when every window product is scrambling, and 0.0
+    when one is not or no window fits in the sequence.
+    """
 
     window: int
     delta: float
-    scrambling: bool
     diameters: tuple[float, ...]
 
 
@@ -338,11 +326,13 @@ def scrambling_check(
 ) -> ScramblingReport:
     """Windowed scrambling test for time-varying row-stochastic influence.
 
-    With window T = n - 1, each window product Phi is tested for the
+    With window T = n - 1, each full window product Phi is tested for the
     scrambling condition (every pair of rows shares a positively weighted
     column); ``delta`` is the smallest such shared mass over all windows
-    and pairs.  The diameter of x(t) under x(t+1) = A(t) x(t) is recorded
-    at every step.
+    and pairs, so a window product that is not scrambling makes it 0.
+    The diameter of x(t) under x(t+1) = A(t) x(t) is recorded at every
+    step.  The matrices must be finite and row-stochastic, with every
+    positive entry at least ``zeta``.
     """
     if not matrices:
         raise ValueError("need at least one matrix")
@@ -351,6 +341,8 @@ def scrambling_check(
     for m in mats:
         if m.shape != (n, n):
             raise ValueError("all matrices must share one square shape")
+        if not np.all(np.isfinite(m)):
+            raise ValueError("matrices must be finite")
         if np.any(m < 0) or np.max(np.abs(m.sum(axis=1) - 1.0)) > 1e-10:
             raise ValueError("matrices must be row-stochastic")
         positive = m[m > 0]
@@ -369,25 +361,11 @@ def scrambling_check(
     for m in mats:
         x = m @ x
         diameters.append(opinion_diameter(x))
-    scrambling = True
-    delta = np.inf
-    n_windows = len(mats) // window
-    for w in range(n_windows):
+    masses = []
+    for w in range(len(mats) // window):
         phi = np.eye(n)
         for m in mats[w * window : (w + 1) * window]:
             phi = m @ phi
-        mass = _pair_common_mass(phi)
-        if mass <= 0.0:
-            scrambling = False
-        else:
-            delta = min(delta, mass)
-    if n_windows == 0:
-        scrambling = False
-    if not scrambling or not math.isfinite(delta):
-        delta = 0.0
-    return ScramblingReport(
-        window=window,
-        delta=float(delta),
-        scrambling=scrambling,
-        diameters=tuple(diameters),
-    )
+        masses.append(_pair_common_mass(phi))
+    return ScramblingReport(window=window, delta=min(masses, default=0.0),
+                            diameters=tuple(diameters))

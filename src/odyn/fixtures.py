@@ -1,5 +1,6 @@
-"""Shared small fixtures: the 3-agent demo system and its four runs, random
-stochastic matrices and the random problem of the gradient check."""
+"""Shared small fixtures: the 3-agent demo system and its four runs, a
+random symmetric graph, random stochastic matrices and the random problem
+of the gradient check."""
 from __future__ import annotations
 
 import numpy as np
@@ -49,6 +50,18 @@ TOY_RUNS = (
     ("graphcon-tran", "graphcon-tran", False),
     ("bimp", "bimp", True),
 )
+
+
+def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
+    """Random symmetric unit-weight graph: ``rng`` draws one uniform per node
+    pair i < j in row order, and joins the pair both ways when it is below ``p``."""
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.uniform() < p:
+                edges.append((i, j, 1.0))
+                edges.append((j, i, 1.0))
+    return from_edge_list(edges, n)
 
 
 def random_row_stochastic(

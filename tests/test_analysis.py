@@ -269,12 +269,24 @@ class TestPowerIteration:
             res = power_iteration(*coupling_matvec(aa, ao), tol=1e-10)
             assert res.eigenvalue == pytest.approx(4.0, abs=1e-8)
 
-    def test_random_restart_covers_orthogonal_start(self):
-        # The constant direction is annihilated; the leading eigenvector
-        # only appears after the seeded random restart.
+    def test_seeded_start_covers_the_annihilated_constant_direction(self):
+        # The constant direction is annihilated; the seeded random start
+        # has a component along the leading eigenvector (1, -1).
         m = np.array([[1.0, -1.0], [-1.0, 1.0]])
         res = power_iteration(lambda v: m @ v, dim=2, tol=1e-9)
         assert res.eigenvalue == pytest.approx(2.0, abs=1e-8)
+
+    def test_an_operator_that_annihilates_the_start_gives_the_zero_pair(self):
+        res = power_iteration(lambda v: 0.0 * v, dim=4)
+        assert (res.eigenvalue, res.residual, res.iterations) == (0.0, 0.0, 1)
+        assert np.linalg.norm(res.eigenvector) == pytest.approx(1.0, abs=1e-15)
+
+    def test_the_start_is_drawn_afresh_on_every_call(self):
+        results = [power_iteration(*coupling_matvec(toy_adjacency(), np.eye(2)[::-1]))
+                   for _ in range(2)]
+        assert results[0].iterations == results[1].iterations > 1
+        assert results[0].eigenvalue.hex() == results[1].eigenvalue.hex()
+        assert np.array_equal(results[0].eigenvector, results[1].eigenvector)
 
     def test_nonconvergence_raises(self):
         rot = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -375,7 +387,7 @@ class TestScrambling:
         x0 = toy_initial_state()[:, :1]
         report = scrambling_check([a, a], zeta=0.3, x0=x0)
         assert report.window == 2
-        assert report.scrambling and report.delta > 0
+        assert report.delta > 0
         # the window product is strictly positive, hand-checkable
         assert np.all(a @ a > 0)
         # delta equals the worst-pair best shared column of the product
@@ -390,7 +402,6 @@ class TestScrambling:
     def test_identity_matrices_are_not_scrambling(self):
         x0 = np.array([[0.0], [1.0], [2.0]])
         report = scrambling_check([np.eye(3), np.eye(3)], zeta=0.5, x0=x0)
-        assert not report.scrambling
         assert report.delta == 0.0
         assert report.diameters == (2.0, 2.0, 2.0)
 
@@ -403,7 +414,7 @@ class TestScrambling:
             mats.append(raw)
         x0 = rng.standard_normal((n, 1))
         report = scrambling_check(mats, zeta=zeta, x0=x0)
-        assert report.scrambling and report.delta > 0
+        assert report.delta > 0
         diam = np.array(report.diameters)
         boundaries = diam[:: n - 1]
         assert np.all(np.diff(boundaries) <= 1e-12)
@@ -414,6 +425,12 @@ class TestScrambling:
     def test_non_stochastic_rejected(self):
         with pytest.raises(ValueError, match="row-stochastic"):
             scrambling_check([np.eye(3) * 2.0], zeta=0.1, x0=np.zeros((3, 1)))
+
+    def test_non_finite_rejected(self):
+        m = np.full((3, 3), 1.0 / 3.0)
+        m[0, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            scrambling_check([m, m], zeta=0.1, x0=np.zeros((3, 1)))
 
     def test_zeta_floor_enforced(self):
         m = np.array([[0.99, 0.01], [0.5, 0.5]])

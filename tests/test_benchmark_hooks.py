@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from odyn import acceptance
+from odyn.analysis import power_iteration
 from odyn.cli import main
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -87,7 +88,9 @@ def test_critical_consensus_counts_the_work_of_its_20_starts(tracing):
 
 
 def test_toy_figure_counts_the_work_of_the_toy_verbs_four_runs(tracing):
-    # four 3 x 3 runs of 400 Euler steps, the diameter taken at each of 401 snapshots
+    # four 3 x 3 runs of 400 Euler steps; the diameter is taken at the 401
+    # snapshots of the source run, two of the laplacian run's and the last
+    # of the oscillator's and of the saturated run's
     tracer = tracing.Tracer()
     with tracer.patched():
         acceptance.criterion_toy_figure()
@@ -95,7 +98,25 @@ def test_toy_figure_counts_the_work_of_the_toy_verbs_four_runs(tracing):
     assert calls["kernels.kernel_setup"] == 4
     assert calls["kernels.rhs"] == 4 * 400
     assert tracer.counts["updates"] == 4 * 400 * 9
-    assert calls["analysis.opinion_diameter"] == 4 * 401
+    assert calls["analysis.opinion_diameter"] == 401 + 2 + 1 + 1
+
+
+def test_leading_eigenvalue_iterates_from_a_start_off_its_answer(tracing, monkeypatch):
+    # the ones vector is an exact eigenvector of every coupling the criterion
+    # builds, so a start there would stop after one iteration on each call
+    iterations = []
+
+    def recording(*args, **kwargs):
+        res = power_iteration(*args, **kwargs)
+        iterations.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(acceptance, "power_iteration", recording)
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        acceptance.criterion_leading_eigenvalue()
+    assert len(iterations) == 10 and min(iterations) > 1
+    assert tracer.counts["spectral.power_iteration.iterations"] == sum(iterations) == 486
 
 
 def test_the_battery_runs_the_criteria_the_tracer_names(tracing):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odyn.analysis import grandpp_closed_form, opinion_diameter
+from odyn.analysis import grandpp_closed_form, opinion_diameter, scrambling_check
 from odyn.errors import NumericalError
 from odyn.fixtures import toy_graph, toy_initial_state
 from odyn.graphs import from_edge_list
@@ -220,6 +220,75 @@ class TestOrder:
             steps = math.ceil(self.T / dt)
             lo, hi = self.BANDS[name]
             assert lo <= error(integrate, steps) / error(integrate, 2 * steps) <= hi, name
+
+
+def cyclic_edges(rng, nodes):
+    """A random spanning directed cycle through ``nodes`` plus random extra
+    edges among them, each weighted uniformly in [0.1, 1]."""
+    order = rng.permutation(nodes)
+    pairs = {(int(i), int(j)) for i, j in zip(order, np.roll(order, -1))}
+    pairs |= {(int(i), int(j)) for i in nodes for j in nodes if i != j and rng.uniform() < 0.3}
+    return [(i, j, float(rng.uniform(0.1, 1.0))) for i, j in sorted(pairs)]
+
+
+class TestConsensusLemma:
+    """Linear opinion dynamics reach consensus when some node is globally reachable.
+
+    Each Euler step of dX/dt = -L X at dt = 0.5 / max-degree multiplies by
+    P = I - dt L, row-stochastic with diagonal at least 1/2.  A row-stochastic
+    product Phi of n - 1 steps shrinks every option's spread by at least the
+    factor 1 - delta, delta the smallest over row pairs of their best shared
+    column, which ``scrambling_check`` reports.  On a spanning cycle every
+    node reaches every other within n - 1 steps, so Phi is positive and
+    delta > 0; on two disjoint cycles no row pair across them shares a
+    column, and delta = 0.
+
+    Rounding: a step's product, scaling and update are each off by at most
+    (n + 2) eps max|X0| per entry, and P expands no error, so a window's
+    end is within (n - 1)(n + 2) eps max|X0| of the exact Phi X, and its
+    diameter within twice that: the allowance.
+    """
+
+    KERNELS = ("laplacian", "linear-od")
+
+    @staticmethod
+    def delta(g, dt, steps, x0):
+        step = np.eye(g.n) - dt * laplacian(g)
+        return scrambling_check([step] * steps, zeta=float(step[step > 0].min()), x0=x0).delta
+
+    def diameters(self, tag, g, x0, windows):
+        setup = kernel_setup(tag, g, x0)
+        dt, steps = 0.5 / setup.damping, windows * (g.n - 1)
+        states = euler_integrate(setup, dt, steps).states
+        allowance = 2 * (g.n - 1) * (g.n + 2) * np.finfo(float).eps * float(np.max(np.abs(x0)))
+        return [opinion_diameter(x) for x in states], self.delta(g, dt, steps, x0), allowance
+
+    @settings(max_examples=100)
+    @given(st.integers(2, 7), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_every_window_shrinks_the_diameter_by_one_minus_delta(self, n, o, seed):
+        rng = np.random.default_rng(seed)
+        g = from_edge_list(cyclic_edges(rng, np.arange(n)), n)
+        x0 = rng.standard_normal((n, o))
+        for tag in self.KERNELS:
+            diam, delta, allowance = self.diameters(tag, g, x0, windows=20)
+            assert delta > 0.0
+            for t in range(len(diam) - n + 1):
+                assert diam[t + n - 1] <= (1.0 - delta) * diam[t] + allowance, (tag, t)
+
+    @settings(max_examples=50)
+    @given(st.integers(2, 4), st.integers(2, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_two_disjoint_cycles_keep_the_diameter_above_zero(self, n1, n2, o, seed):
+        rng = np.random.default_rng(seed)
+        n = n1 + n2
+        edges = cyclic_edges(rng, np.arange(n1)) + cyclic_edges(rng, np.arange(n1, n))
+        g = from_edge_list(edges, n)
+        # each cycle keeps its opinions in the hull of its start, [0, 1] and [2, 3]
+        x0 = rng.uniform(0.0, 1.0, (n, o))
+        x0[n1:] += 2.0
+        for tag in self.KERNELS:
+            diam, delta, allowance = self.diameters(tag, g, x0, windows=20)
+            assert delta == 0.0
+            assert min(diam) >= 1.0 - allowance, tag
 
 
 def euler_oracle(parts, f, dt, steps):
