@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from odyn.analysis import dirichlet_energy, opinion_diameter
-from odyn.fixtures import random_graph
+from odyn.fixtures import TOY_RUNS, random_graph
 from odyn.integrate import euler_integrate, save_metrics_csv
 from odyn.kernels import kernel_setup
 from odyn.svg import Series, write_chart
@@ -23,12 +23,8 @@ def run(out_dir: str, seed: int, steps: int) -> int:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     series = []
-    for tag, b in (
-        ("laplacian", None),
-        ("laplacian-source", x0),
-        ("graphcon-tran", None),
-        ("bimp", x0),
-    ):
+    for tag, _, from_init in TOY_RUNS:
+        b = x0 if from_init else None
         setup = kernel_setup(tag, g, x0, d=1.0, alpha=1.0, b=b, seed=seed)
         traj = euler_integrate(setup, 0.05, steps)
         energy = [dirichlet_energy(x, g) for x in traj.states]

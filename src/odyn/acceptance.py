@@ -391,14 +391,14 @@ def criterion_scrambling_contraction():
 @_timed
 def criterion_saturation_validity():
     """Exactly tanh, softsign, and arctan qualify as saturations."""
-    verdicts = {tag: nod_validity(s) for tag, s in SATURATIONS.items()}
-    accepted = {tag for tag, v in verdicts.items() if v.valid}
+    reasons = {name: nod_validity(f) for name, f in SATURATIONS.items()}
+    accepted = {name for name, reason in reasons.items() if reason is None}
     expected = {"tanh", "softsign", "arctan"}
-    misjudged = [t for t in ("sigmoid", "relu", "gelu", "identity") if verdicts[t].valid]
+    misjudged = [t for t in ("sigmoid", "relu", "gelu", "identity") if t in accepted]
     checks = [Check("saturations in accepted xor {arctan, softsign, tanh}",
                     len(accepted ^ expected), "==", 0),
               Check("accepted among sigmoid, relu, gelu, identity", len(misjudged), "==", 0)]
-    detail = f"accepted={sorted(accepted)}; rejected={sorted(set(verdicts) - accepted)}"
+    detail = f"accepted={sorted(accepted)}; rejected={sorted(set(reasons) - accepted)}"
     return "saturation-validity", checks, detail, None
 
 

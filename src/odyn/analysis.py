@@ -7,9 +7,10 @@ options) is the Lyapunov-like quantity contracted by products of
 row-stochastic influence matrices.
 
 The bifurcation sweep locates every equilibrium of the scalar reduced
-dynamics on a grid of attention values via Newton from a seed grid; the
-stable/unstable split reproduces the pitchfork and its unfolding under a
-nonzero input.
+dynamics on a grid of attention values: Newton from a seed grid, then a
+bisection of each monotone piece of the rhs whose ends bracket a root
+Newton missed.  The stable/unstable split reproduces the pitchfork and
+its unfolding under a nonzero input.
 
 Power iteration finds the leading eigenpair of an operator given only
 its matvec, e.g. the joint coupling through ``kernels.coupling``.

@@ -35,20 +35,16 @@ from .integrate import (
     save_metrics_csv,
     save_trajectory_csv,
 )
-from .kernels import KERNEL_TAGS, SATURATIONS, kernel_reads, kernel_setup, saturation_kind
+from .kernels import KERNEL_TAGS, SATURATIONS, kernel_reads, kernel_setup
 from .svg import Series, write_chart
 from .train import TrainConfig, gradient_check, make_sbm_task, save_history_csv, train_sgd
-
-
-class CliError(ValueError):
-    pass
 
 
 class Parser(argparse.ArgumentParser):
     """argparse that reports bad verbs/flags as validation errors (exit 1)."""
 
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 KERNEL_VERBS = ("simulate", "toy", "energy")
@@ -120,17 +116,17 @@ def _config_tokens(verb: str, path: str) -> list[str]:
     try:
         payload = json.loads(Path(path).read_text())
     except FileNotFoundError:
-        raise CliError(f"config file not found: {path}")
+        raise ValueError(f"config file not found: {path}")
     except json.JSONDecodeError as e:
-        raise CliError(f"config file is not valid JSON: {e}")
+        raise ValueError(f"config file is not valid JSON: {e}")
     if not isinstance(payload, dict):
-        raise CliError("config file must hold a flat JSON object")
+        raise ValueError("config file must hold a flat JSON object")
     flags = {o.flag for o in OPTIONS if verb in o.verbs} - {"config"}
     tokens = []
     for key, value in payload.items():
         flag = key.replace("_", "-")
         if flag not in flags:
-            raise CliError(f"unknown config key {key!r} for {verb}")
+            raise ValueError(f"unknown config key {key!r} for {verb}")
         tokens.append(f"--{flag}={value if isinstance(value, str) else json.dumps(value)}")
     return tokens
 
@@ -142,7 +138,7 @@ def _resolve_b(opts, x0):
     if mode == "init":
         return x0.copy()
     if not opts["b_file"]:
-        raise CliError("--b-mode file requires --b-file")
+        raise ValueError("--b-mode file requires --b-file")
     return load_matrix_csv(opts["b_file"])
 
 
@@ -156,14 +152,14 @@ def _run_kernels(opts) -> int:
     g = load_graph_json(opts["graph"]) if opts["graph"] else toy_graph()
     x0 = load_matrix_csv(opts["init"]) if opts["init"] else toy_initial_state()
     if x0.shape[0] != g.n:
-        raise CliError(f"initial state has {x0.shape[0]} rows but the graph has {g.n} nodes")
+        raise ValueError(f"initial state has {x0.shape[0]} rows but the graph has {g.n} nodes")
     if verb == "toy":
         runs = [(tag, name, x0 if from_init else None) for tag, name, from_init in TOY_RUNS]
     else:
         runs = [(opts["kernel"], opts["kernel"], _resolve_b(opts, x0))]
     # the verb may lack a flag, as toy lacks --beta
     options = {name: opts[name] for name in ("d", "alpha", "u", "beta", "seed") if name in opts}
-    options["saturation"] = saturation_kind(opts["saturation"])
+    options["saturation"] = SATURATIONS[opts["saturation"]]
     setups = []
     for tag, _, b in runs:
         given = {**options, "b": b}
@@ -226,7 +222,7 @@ def cmd_gradcheck(opts) -> int:
     na, no, f = opts["n_agents"], opts["n_options"], opts["features"]
     for flag, size in zip(("n-agents", "n-options", "features"), (na, no, f)):
         if size < 1:
-            raise CliError(f"--{flag} must be at least 1, got {size}")
+            raise ValueError(f"--{flag} must be at least 1, got {size}")
     problem = _gradient_problem(np.random.default_rng(opts["seed"]), na, no, f)
     report = gradient_check(*problem, _train_config(opts), h=opts["h"])
     _emit(opts["out"], report.to_json() + "\n")
@@ -287,25 +283,25 @@ def _read_csv(path):
     """The header and nonblank rows of a plot CSV file, each row as long as the header."""
     text = Path(path).read_text()
     if not text:
-        raise CliError(f"empty CSV: {path}")
+        raise ValueError(f"empty CSV: {path}")
     first, *lines = text.split("\n")
     header, rows = first.split(","), []
     if tuple(header) not in PLOT_SCHEMAS:
-        raise CliError(f"unrecognized CSV schema: {first}")
+        raise ValueError(f"unrecognized CSV schema: {first}")
     numbers = PLOT_SCHEMAS[tuple(header)][2]
     for number, line in enumerate(lines, 2):
         if not line.strip():
             continue
         row = line.split(",")
         if len(row) != len(header):
-            raise CliError(f"CSV file {path}, line {number}: {len(row)} values, "
-                           f"where the header has {len(header)}")
+            raise ValueError(f"CSV file {path}, line {number}: {len(row)} values, "
+                             f"where the header has {len(header)}")
         for k in numbers:
             try:
                 row[k] = float(row[k])
             except ValueError:
-                raise CliError(f"CSV file {path}, line {number}: value {row[k]!r} "
-                               f"in column {header[k]} is not a number") from None
+                raise ValueError(f"CSV file {path}, line {number}: value {row[k]!r} "
+                                 f"in column {header[k]} is not a number") from None
         rows.append(row)
     return header, rows
 
@@ -321,7 +317,7 @@ PLOT_SCHEMAS = {("t", "node", "option", "value"): ("t", "value", (0, 3)),
 def cmd_plot(opts) -> int:
     src = opts["infile"]
     if not src:
-        raise CliError("plot requires --in")
+        raise ValueError("plot requires --in")
     dst = opts["svg_out"] or str(Path(src).with_suffix(".svg"))
     header, rows = _read_csv(src)
     x_label, y_label, _ = PLOT_SCHEMAS[tuple(header)]
@@ -385,9 +381,6 @@ def main(argv=None) -> int:
             tokens = _config_tokens(args.command, args.config)
             args = parser.parse_args([argv[0], *tokens, *argv[1:]])
         return COMMANDS[args.command][0](vars(args))
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except NumericalError as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 2

@@ -28,14 +28,6 @@ from .fixtures import random_row_stochastic
 from .graphs import Graph, degrees, sparse_laplacian
 
 
-@dataclass(frozen=True)
-class SaturationKind:
-    """A saturating nonlinearity, applied elementwise."""
-
-    tag: str
-    fn: Callable[[np.ndarray], np.ndarray]
-
-
 def _softsign(x):
     return x / (1.0 + np.abs(x))
 
@@ -51,56 +43,44 @@ def _gelu(x):
     return 0.5 * x * (1.0 + _erf(x / np.sqrt(2.0)))
 
 
-TANH = SaturationKind("tanh", np.tanh)
-SOFTSIGN = SaturationKind("softsign", _softsign)
-ARCTAN = SaturationKind("arctan", np.arctan)
-SIGMOID = SaturationKind("sigmoid", _sigmoid)
-RELU = SaturationKind("relu", lambda x: np.maximum(x, 0.0))
-GELU = SaturationKind("gelu", _gelu)
-IDENTITY = SaturationKind("identity", lambda x: np.asarray(x, dtype=float))
-
-SATURATIONS = {s.tag: s for s in (TANH, SOFTSIGN, ARCTAN, SIGMOID, RELU, GELU, IDENTITY)}
-
-
-def saturation_kind(tag: str) -> SaturationKind:
-    try:
-        return SATURATIONS[tag]
-    except KeyError:
-        raise ValueError(f"unknown saturation {tag!r}; choose from {sorted(SATURATIONS)}")
+# Each ``--saturation`` name and its elementwise function.
+SATURATIONS = {
+    "tanh": np.tanh,
+    "softsign": _softsign,
+    "arctan": np.arctan,
+    "sigmoid": _sigmoid,
+    "relu": lambda x: np.maximum(x, 0.0),
+    "gelu": _gelu,
+    "identity": lambda x: np.asarray(x, dtype=float),
+}
 
 
-@dataclass(frozen=True)
-class NodValidity:
-    valid: bool
-    reason: str | None = None
-
-
-def nod_validity(s: SaturationKind) -> NodValidity:
-    """Check the saturation conditions S(0)=0, S'(0)=1, S'''(0) != 0.
+def nod_validity(f: Callable[[np.ndarray], np.ndarray]) -> str | None:
+    """The first of the saturation conditions S(0)=0, S'(0)=1, S'''(0) != 0
+    that ``f`` fails, as a reason, or None when ``f`` meets them all.
 
     All checks are numerical: the origin value directly, differentiability
     by one-sided slope agreement, the unit slope by a central difference,
     and the curvature by a five-point third-derivative stencil.  No closed
     forms are consulted.
     """
-    f = s.fn
     if abs(float(f(0.0))) > 1e-12:
-        return NodValidity(False, "does not pass through the origin")
+        return "does not pass through the origin"
     h = 1e-6
     left = (float(f(0.0)) - float(f(-h))) / h
     right = (float(f(h)) - float(f(0.0))) / h
     if abs(left - right) > 1e-4:
-        return NodValidity(False, "not differentiable at the origin")
+        return "not differentiable at the origin"
     slope = (float(f(h)) - float(f(-h))) / (2.0 * h)
     if abs(slope - 1.0) > 1e-6:
-        return NodValidity(False, "slope at the origin is not 1")
+        return "slope at the origin is not 1"
     h3 = 1e-2
     third = (
         float(f(2 * h3)) - 2.0 * float(f(h3)) + 2.0 * float(f(-h3)) - float(f(-2 * h3))
     ) / (2.0 * h3**3)
     if abs(third) <= 1e-6:
-        return NodValidity(False, "vanishing third derivative at the origin (linear regime)")
-    return NodValidity(True)
+        return "vanishing third derivative at the origin (linear regime)"
+    return None
 
 
 def check_finite(name: str, value: float, sign: str = "") -> None:
@@ -133,14 +113,15 @@ def coupling(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, alpha: float) -> np.
 class BimpParams:
     """Intrinsic and extrinsic parameters of the saturated kernel.
 
-    ``u`` defaults to :func:`critical_attention`.
+    ``u`` defaults to :func:`critical_attention`.  ``saturation`` is the
+    elementwise S, a value of :data:`SATURATIONS`.
     """
 
     d: float
     alpha: float
     b: np.ndarray
     u: float | None = None
-    saturation: SaturationKind = TANH
+    saturation: Callable[[np.ndarray], np.ndarray] = np.tanh
 
     def __post_init__(self):
         check_finite("damping d", self.d, "nonnegative")
@@ -174,7 +155,7 @@ def rhs_bimp(
     z = p.u * coupling(x, aa, ao, p.alpha)
     if preacts is not None:
         preacts.append(z)
-    return -p.d * x + p.saturation.fn(z) + p.b
+    return -p.d * x + p.saturation(z) + p.b
 
 
 def rhs_bimp_filter_form(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, p: BimpParams) -> np.ndarray:
@@ -187,7 +168,7 @@ def rhs_bimp_filter_form(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, p: BimpP
     """
     kx = coupling(x, aa, ao, 1.0)
     joint = (p.alpha - 1.0) * (x - kx) + p.alpha * kx
-    return -p.d * x + p.saturation.fn(p.u * joint) + p.b
+    return -p.d * x + p.saturation(p.u * joint) + p.b
 
 
 def rhs_reduced_1d(y: float, u: float, d: float, alpha: float, b: float = 0.0) -> float:
@@ -333,7 +314,7 @@ def kernel_setup(
     u: float | None = None,
     b: np.ndarray | None = None,
     beta: float = 0.5,
-    saturation: SaturationKind = TANH,
+    saturation: Callable[[np.ndarray], np.ndarray] = np.tanh,
     seed: int = 0,
 ) -> KernelSetup:
     """Assemble a kernel by tag from a graph and an initial state.

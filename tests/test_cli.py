@@ -15,7 +15,7 @@ from odyn import acceptance
 from odyn.cli import DEFAULTS, KERNEL_VERBS, ONE_KERNEL_VERBS, OPTIONS, main
 from odyn.fixtures import toy_graph, toy_initial_state
 from odyn.graphs import from_edge_list, save_matrix_csv
-from odyn.kernels import KERNEL_TAGS, kernel_reads
+from odyn.kernels import KERNEL_TAGS, SATURATIONS, kernel_reads, kernel_setup
 from oracles import save_graph_json
 
 
@@ -120,6 +120,9 @@ BAD_INPUTS = [
      "error: kernel 'reduced' has no saturation"),
     ("laplacian-saturation", ["simulate", "--kernel", "laplacian", "--saturation", "relu",
                               "--out", "out"], 1, "error: kernel 'laplacian' has no saturation"),
+    # a saturation name arrives from outside here, and only a listed one passes
+    ("unknown-saturation", ["simulate", "--saturation", "swish", "--out", "out"], 1,
+     "error: argument --saturation: invalid choice: 'swish' (choose from "),
     # every row that reads b checks its shape once, at set-up
     ("laplacian-source-b-file-shape-mismatch",
      ["simulate", "--kernel", "laplacian-source", "--b-mode", "file", "--b-file",
@@ -421,6 +424,15 @@ def test_defaults_read_by_the_setup_probe_keep_their_values():
     expected = {"noise": 0.1, "lr": 0.1, "train_steps": 8, "train_dt": 0.1, "d": 1.0,
                 "alpha": 1.0}
     assert {key: DEFAULTS[key] for key in expected} == expected
+
+
+def test_the_cli_defaults_are_kernel_setups():
+    # both modules state these defaults; were they to part, a kernel that
+    # does not read an option would reject the CLI's default for it
+    defaults = kernel_setup.__kwdefaults__
+    assert {k: DEFAULTS[k] for k in ("d", "alpha", "u", "beta", "seed")} == {
+        k: defaults[k] for k in ("d", "alpha", "u", "beta", "seed")}
+    assert SATURATIONS[DEFAULTS["saturation"]] is defaults["saturation"]
 
 
 class TestToy:

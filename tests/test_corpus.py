@@ -50,6 +50,10 @@ CORPUS = (
     # every regime of the trajectory writer: the t = 0 snapshot holds the specials
     ["simulate", "--graph", "specials.json", "--init", "specials.csv", "--steps", "2",
      "--record-every", "1", "--out", "sim-specials"],
+    # each saturation the corpus above does not run, from a state of both signs
+    *(["simulate", "--saturation", name, "--init", "mixed.csv", "--b-mode", "init",
+       "--steps", "40", "--out", f"sim-{name}"]
+      for name in ("arctan", "sigmoid", "relu", "gelu", "identity")),
 )
 
 # Zeros of both signs, subnormals, the neighbours of repr's positional range
@@ -65,6 +69,14 @@ SPECIALS = np.array([
     [0.1 + 0.2, 1 / 3, 9.999999999999999e48, -1e49],
 ])
 
+# A 3-agent, 3-option state of both signs: the saturations that agree on
+# positive arguments (relu and identity) part on it.
+MIXED = np.array([
+    [0.43, -0.29, 0.61],
+    [-0.14, 0.29, -0.37],
+    [0.46, -0.79, 0.20],
+])
+
 HASHES = {
     "bif-stdout.csv":
         "8888e9a88e6714f61f81a716f465a510aa59218c52397d6127d0e972f1115bd6",
@@ -78,6 +90,10 @@ HASHES = {
         "87acecb9f3f19386d495a3b169e060a8b4769b431d1a7e646a8b22c6dbcbcf20",
     "grad/grad.json":
         "fd94ad3297f70663b5964409974be37ecc8d67f9c57e26e4f80b7a73b8a39e4d",
+    "sim-arctan/bimp-metrics.csv":
+        "27141d722fe5fb537c922b9d2bb3c277aa216209ad0838093c47bc3531ea5187",
+    "sim-arctan/bimp.csv":
+        "977340b5f13bbc4a3f22f069dcb3c159a177967dc68bbd9defed55af9a26539d",
     "sim-bimp/bimp-metrics.csv":
         "edc132ebe09eeb2444c1530374819bcce10a117e302f63db38564616f431b8ee",
     "sim-bimp/bimp.csv":
@@ -86,6 +102,10 @@ HASHES = {
         "99f33e2acc6ba046ec5e19b52e221e09ffdf877ad75397e2ea2db876e66e93f0",
     "sim-cfg/laplacian.csv":
         "36cfe493d2045462218caf1c24ec626d5a2b83f436028682207e2fedb0d4f60d",
+    "sim-gelu/bimp-metrics.csv":
+        "99df460114d024dc3050aeeaa690d68f8ec1e4d416565c95e3a384ca9763cd52",
+    "sim-gelu/bimp.csv":
+        "b6a95f6a2dc81402e544b4b5a5632a1f6ffb07d03cd7726943017273213f0eca",
     "sim-gread-f/gread-f-metrics.csv":
         "80a35b874b08f2d8825c30d03f77869f0b128d9c09da38db2c04bf9e56007573",
     "sim-gread-f/gread-f.csv":
@@ -94,6 +114,10 @@ HASHES = {
         "9a262d54592aacb38a169dc72027c52ee70a06c904a660100dbf9e74db1bc8f5",
     "sim-gread-fb/gread-fb.csv":
         "5ee7a77986a48bc49e0a2f987f37951ab885871977da91c270b9c100c0acf239",
+    "sim-identity/bimp-metrics.csv":
+        "8f4ea8ac4d4564489c36fe426db232e78370f2e7ae01a2713fafe7b4e617e9da",
+    "sim-identity/bimp.csv":
+        "4d27e677682d1d26a59b3b3ed76a5208543d7cf10431b8d62f3cb2c68036650e",
     "sim-laplacian-source/laplacian-source-metrics.csv":
         "d1050267fba3739d6e556cae0bbddff71aef954d776590360fbf1ad767e9f23b",
     "sim-laplacian-source/laplacian-source.csv":
@@ -102,18 +126,26 @@ HASHES = {
         "87acecb9f3f19386d495a3b169e060a8b4769b431d1a7e646a8b22c6dbcbcf20",
     "sim-linear-od/linear-od.csv":
         "2d7cf05ebfcc7468c4ab230de6106dc83c6872d19b77ad0731bf72a8b5d76a3d",
-    "sim-specials/bimp-metrics.csv":
-        "ec88abe21dcad1fd7a11eb267d07e95230907c1362a7ce7cfe77fb0b6e2277f3",
-    "sim-specials/bimp.csv":
-        "f03553d1c33e8f74a109c7d95274a03e4564d609cdc4af1e30c9c73d784cae83",
     "sim-reduced/reduced-metrics.csv":
         "b20cf2cb9d2e0767e2620c46ac8854152ec69c739072bd93252dfba9fa811e81",
     "sim-reduced/reduced.csv":
         "6432e751313b39b54361759699acb3fef23855bb82984a19954b55ad8a89bd28",
+    "sim-relu/bimp-metrics.csv":
+        "cb0052dacfed9f452391c72e66fac0f656d42b03f5486a500784cf853fcf735c",
+    "sim-relu/bimp.csv":
+        "abc0173c0624355d053ce40d8a2f483dd15ef8c2b7b6419ab1dd14ea88765a47",
     "sim-rk4/graphcon-tran-metrics.csv":
         "49a49e2e4c02f9a9ab2e0a0bed654f426891c240940a9628fd49e8d41c957505",
     "sim-rk4/graphcon-tran.csv":
         "9a63269b09235a6ddafc164134691610b24487c4c86c9a57598a83a2cb699830",
+    "sim-sigmoid/bimp-metrics.csv":
+        "b0bcf5affee531b3e9965ec39fbb6437a6539951fe342e34ad61286ffb9b240d",
+    "sim-sigmoid/bimp.csv":
+        "4cba898bb5d258a2735a6e54079b13c0ab7df1a8f14f6ef4e2839fb999bce348",
+    "sim-specials/bimp-metrics.csv":
+        "ec88abe21dcad1fd7a11eb267d07e95230907c1362a7ce7cfe77fb0b6e2277f3",
+    "sim-specials/bimp.csv":
+        "f03553d1c33e8f74a109c7d95274a03e4564d609cdc4af1e30c9c73d784cae83",
     "toy-d2/bimp-metrics.csv":
         "80827631ed54433569ddf7b19740b6234124d9893d33d418c5a3b2694bd3a03a",
     "toy-d2/bimp.csv":
@@ -183,6 +215,7 @@ def run_corpus(root):
     (root / "specials.json").write_text(
         json.dumps({"n": len(SPECIALS), "edges": [[i, i, 1.0] for i in range(len(SPECIALS))]}))
     save_matrix_csv(SPECIALS, root / "specials.csv")
+    save_matrix_csv(MIXED, root / "mixed.csv")
     inputs = {p.name for p in root.iterdir()}
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in CORPUS:

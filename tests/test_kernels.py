@@ -15,15 +15,8 @@ from odyn import kernels
 from odyn.graphs import Graph, degrees, from_edge_list
 from odyn.integrate import euler_integrate
 from odyn.kernels import (
-    ARCTAN,
-    GELU,
-    IDENTITY,
     KERNEL_TAGS,
-    RELU,
     SATURATIONS,
-    SIGMOID,
-    SOFTSIGN,
-    TANH,
     BimpParams,
     KernelSetup,
     kernel_reads,
@@ -32,7 +25,6 @@ from odyn.kernels import (
     rhs_bimp,
     rhs_bimp_filter_form,
     rhs_reduced_1d,
-    saturation_kind,
 )
 from odyn.analysis import opinion_diameter
 from oracles import (
@@ -57,7 +49,7 @@ def dense_bimp(x, aa, ao, p):
     dx/dt = -d x + S(u ((alpha - 1) x + K x)) + b with K the dense joint coupling."""
     xv = vec(x)
     joint = (p.alpha - 1.0) * xv + dense_joint_coupling(aa, ao) @ xv
-    return -p.d * xv + p.saturation.fn(p.u * joint) + vec(p.b)
+    return -p.d * xv + p.saturation(p.u * joint) + vec(p.b)
 
 
 class TestJointCoupling:
@@ -332,7 +324,8 @@ class TestSaturatedGuarantees:
     @settings(max_examples=200)
     @given(
         stochastic_couplings(),
-        st.sampled_from([(TANH, 1.0), (SOFTSIGN, 1.0), (ARCTAN, math.pi / 2)]),
+        st.sampled_from([(SATURATIONS["tanh"], 1.0), (SATURATIONS["softsign"], 1.0),
+                         (SATURATIONS["arctan"], math.pi / 2)]),
         st.floats(0.1, 2.0),
         st.floats(1e-3, 0.99),
         st.floats(0.0, 3.0),
@@ -427,19 +420,14 @@ class TestReduced1d:
 
 class TestSaturations:
     def test_validity_partition(self):
-        valid = {tag for tag, s in SATURATIONS.items() if nod_validity(s).valid}
+        valid = {name for name, f in SATURATIONS.items() if nod_validity(f) is None}
         assert valid == {"tanh", "softsign", "arctan"}
 
     def test_rejection_reasons(self):
-        assert "origin" in nod_validity(SIGMOID).reason
-        assert "differentiable" in nod_validity(RELU).reason
-        assert "slope" in nod_validity(GELU).reason
-        assert "third derivative" in nod_validity(IDENTITY).reason
-
-    def test_lookup(self):
-        assert saturation_kind("tanh") is TANH
-        with pytest.raises(ValueError, match="unknown saturation"):
-            saturation_kind("swish")
+        assert "origin" in nod_validity(SATURATIONS["sigmoid"])
+        assert "differentiable" in nod_validity(SATURATIONS["relu"])
+        assert "slope" in nod_validity(SATURATIONS["gelu"])
+        assert "third derivative" in nod_validity(SATURATIONS["identity"])
 
 
 class TestKernelSetup:
@@ -455,16 +443,16 @@ class TestKernelSetup:
     def test_only_bimp_reads_the_saturation(self, tag):
         g, x0 = (from_edge_list([], 1), np.array([[0.3]])) if tag == "reduced" else (
             toy_graph(), toy_initial_state())
-        kernel_setup(tag, g, x0, saturation=TANH)
+        kernel_setup(tag, g, x0, saturation=SATURATIONS["tanh"])
         with pytest.raises(ValueError, match=f"kernel '{tag}' has no saturation"):
-            kernel_setup(tag, g, x0, saturation=saturation_kind("softsign"))
+            kernel_setup(tag, g, x0, saturation=SATURATIONS["softsign"])
 
     @pytest.mark.parametrize("tag", KERNEL_TAGS)
     def test_an_unread_option_may_be_passed_at_its_default(self, tag):
         g, x0 = (from_edge_list([], 1), np.array([[0.3]])) if tag == "reduced" else (
             toy_graph(), toy_initial_state())
-        kernel_setup(tag, g, x0, d=1.0, alpha=1.0, u=None, b=None, beta=0.5, saturation=TANH,
-                     seed=3)
+        kernel_setup(tag, g, x0, d=1.0, alpha=1.0, u=None, b=None, beta=0.5,
+                     saturation=SATURATIONS["tanh"], seed=3)
 
     def test_bimp_setup_reports_damping(self):
         setup = kernel_setup("bimp", toy_graph(), toy_initial_state(), d=0.7)
