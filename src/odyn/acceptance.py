@@ -200,7 +200,7 @@ def criterion_bifurcation_structure():
             below.append(eq)
         if u > 0.25 + 0.01:
             above.append(eq)
-    eq_half = sorted(reduced_equilibria(0.5, d, alpha))
+    eq_half = reduced_equilibria(0.5, d, alpha)
     stable = [s for _, s in eq_half]
     lower, upper = (eq_half[0][0], eq_half[2][0]) if len(eq_half) == 3 else (math.inf, math.inf)
     checks = [
@@ -357,7 +357,7 @@ def criterion_closed_form():
     v0 = sol.eigenvectors[:, 0]
     projections = np.array([v0 @ s for s in traj.states])
     slopes = np.polyfit(np.array(traj.times), projections, 1)[0]
-    slope_err = float(np.max(np.abs(slopes - sol.zero_b)))
+    slope_err = float(np.max(np.abs(slopes - sol.input_coeffs[0])))
     checks = [Check("max |numeric - modal|", worst, "<=", 5e-3),
               Check("kernel-mode slope error", slope_err, "<=", 1e-6)]
     detail = f"max |numeric - modal| = {worst:.2e}; kernel-mode slope error {slope_err:.2e}"

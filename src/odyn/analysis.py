@@ -7,10 +7,10 @@ options) is the Lyapunov-like quantity contracted by products of
 row-stochastic influence matrices.
 
 The bifurcation sweep locates every equilibrium of the scalar reduced
-dynamics on a grid of attention values: Newton from a seed grid, then a
-bisection of each monotone piece of the rhs whose ends bracket a root
-Newton missed.  The stable/unstable split reproduces the pitchfork and
-its unfolding under a nonzero input.
+dynamics on a grid of attention values: it bisects each monotone piece
+of the rhs on [-R, R], R = 2 (1 + |b|) / d, where the rhs is at least 1
+in size at both ends and so has a strict sign there.  The stable/unstable
+split reproduces the pitchfork and its unfolding under a nonzero input.
 
 Power iteration finds the leading eigenpair of an operator given only
 its matvec, e.g. the joint coupling through ``kernels.coupling``.
@@ -29,9 +29,6 @@ from .kernels import BimpParams, check_finite, rhs_reduced_1d
 
 START_SEED = 0  # seeds power_iteration's start direction
 SYM_TOL = 1e-10  # the largest |L - L^T| entry grandpp_closed_form accepts
-NEWTON_SEEDS = 41  # reduced_equilibria's Newton starts, evenly spaced on [-2, 2]
-NEWTON_ITERS = 50
-DEDUP_TOL = 1e-8  # roots closer than this are one
 ZERO_TOL = 1e-10  # an |eigenvalue| that grandpp_closed_form counts as zero
 
 
@@ -103,12 +100,15 @@ def reduced_equilibria(u: float, d: float, alpha: float,
                        b: float = 0.0) -> tuple[tuple[float, bool], ...]:
     """All equilibria of dy/dt = -d y + tanh(u (alpha+3) y) + b with stability.
 
-    Newton runs from a seed grid over [-2, 2]; seeds that fail to converge
-    are skipped.  The rhs's critical points then cut [-R, R], R = (1 + |b|)
-    / d, into monotone pieces, and a piece whose ends bracket a root that
-    Newton missed is bisected.  Roots are deduplicated and sorted
-    ascending; a root is stable when the derivative of the rhs is negative
-    there.
+    Since |tanh| <= 1 every root has |y| <= (1 + |b|) / d.  The search
+    runs over [-R, R] with R = 2 (1 + |b|) / d, where the rhs is at least
+    1 at -R and at most -1 at R: a strict sign that rounding cannot flip,
+    as it can at (1 + |b|) / d.  The zeros of f' = -d + c sech^2(c y),
+    c = u (alpha+3), at |y| = acosh(sqrt(c / d)) / c when c > d, cut
+    [-R, R] into strictly monotone pieces, each holding at most one root;
+    a piece whose rhs is zero at its left end or changes sign across it is
+    bisected to the last bit.  The roots come out distinct and ascending;
+    a root is stable when the derivative of the rhs is negative there.
     """
     c = u * (alpha + 3.0)
 
@@ -121,38 +121,14 @@ def reduced_equilibria(u: float, d: float, alpha: float,
         sech2 = 0.0 if abs(z) > 350.0 else 1.0 / math.cosh(z) ** 2
         return -d + c * sech2
 
-    roots: list[float] = []
-    for y in np.linspace(-2.0, 2.0, NEWTON_SEEDS):
-        y = float(y)
-        converged = False
-        for _ in range(NEWTON_ITERS):
-            fy = f(y)
-            if abs(fy) < 1e-13:
-                converged = True
-                break
-            dfy = fprime(y)
-            if dfy == 0.0 or not math.isfinite(dfy):
-                break
-            step = fy / dfy
-            y -= step
-            if not math.isfinite(y) or abs(y) > 1e6:
-                break
-            if abs(step) < 1e-14:
-                converged = abs(f(y)) < 1e-10
-                break
-        if converged and all(abs(y - r) > DEDUP_TOL for r in roots):
-            roots.append(y)
-    # every root has |y| <= R, and f is monotone between the zeros of
-    # f' = -d + c sech^2(c y), at |y| = acosh(sqrt(c / d)) / c when c > d
-    r_max = min((1.0 + abs(b)) / d, sys.float_info.max)
-    bend = min(math.acosh(math.sqrt(c / d)) / c, r_max) if c > d else r_max
+    r_max = min(2.0 * (1.0 + abs(b)) / d, sys.float_info.max)
+    bend = min(math.acosh(math.sqrt(c) / math.sqrt(d)) / c, r_max) if c > d else r_max
     ends = [(y, f(y)) for y in sorted({-r_max, -bend, bend, r_max})]
-    for (lo, f_lo), (hi, f_hi) in zip(ends, ends[1:]):
-        if min(f_lo, f_hi) <= 0.0 <= max(f_lo, f_hi) and not any(lo <= r <= hi for r in roots):
-            y = _bisect(f, lo, hi, f_lo)
-            if all(abs(y - r) > DEDUP_TOL for r in roots):
-                roots.append(y)
-    roots.sort()
+    roots = [
+        _bisect(f, lo, hi, f_lo)
+        for (lo, f_lo), (hi, f_hi) in zip(ends, ends[1:])
+        if f_lo == 0.0 or (f_hi != 0.0 and (f_lo < 0.0) != (f_hi < 0.0))
+    ]
     return tuple((r, fprime(r) < 0.0) for r in roots)
 
 
@@ -172,7 +148,8 @@ def bifurcation_sweep(
     u_range: tuple[float, float, int], d: float, alpha: float, b: float = 0.0
 ) -> list[BifurcationPoint]:
     """Equilibrium structure over a grid of finite attention values of either
-    sign; d must be positive, and alpha and b pass the saturated kernel's checks."""
+    sign; d must be positive, alpha and b pass the saturated kernel's checks,
+    and the gain u (alpha+3) must be finite at both ends of the grid."""
     lo, hi, points = u_range
     check_finite(f"the width of the attention range [{lo}, {hi}]", hi - lo)
     if not lo < hi:
@@ -181,6 +158,7 @@ def bifurcation_sweep(
         raise ValueError("need at least two sweep points")
     check_finite("damping d", d, "positive")
     BimpParams(d=d, alpha=alpha, b=b)
+    check_finite(f"the gain u (alpha+3) over [{lo}, {hi}]", max(abs(lo), abs(hi)) * (alpha + 3.0))
     return [
         BifurcationPoint(u=float(u), equilibria=reduced_equilibria(float(u), d, alpha, b))
         for u in np.linspace(lo, hi, points)
@@ -240,20 +218,19 @@ class ClosedFormSolution:
            + v_0 (b_0 t + c_0)
 
     The zero mode grows linearly with slope ``b_0`` while every other mode
-    relaxes exponentially to its offset b_i / lam_i.
+    relaxes exponentially to its offset b_i / lam_i.  Row i of
+    ``input_coeffs`` holds b_i and row i of ``decay_coeffs`` holds c_i.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
     input_coeffs: np.ndarray
     decay_coeffs: np.ndarray
-    zero_b: np.ndarray
-    zero_c: np.ndarray
 
     def evaluate(self, t: float) -> np.ndarray:
         lam = self.eigenvalues
-        modal = np.empty((lam.shape[0], self.zero_b.shape[0]))
-        modal[0] = self.zero_b * t + self.zero_c
+        modal = np.empty_like(self.decay_coeffs)
+        modal[0] = self.input_coeffs[0] * t + self.decay_coeffs[0]
         pos = lam[1:]
         modal[1:] = self.input_coeffs[1:] / pos[:, None] + self.decay_coeffs[
             1:
@@ -284,15 +261,13 @@ def grandpp_closed_form(l: np.ndarray, x0: np.ndarray, b: np.ndarray) -> ClosedF
         raise ValueError("zero eigenvalue is repeated (graph is disconnected)")
     input_coeffs = eigenvectors.T @ b
     state_coeffs = eigenvectors.T @ x0
-    decay_coeffs = np.zeros_like(state_coeffs)
-    decay_coeffs[1:] = state_coeffs[1:] - input_coeffs[1:] / eigenvalues[1:, None]
+    decay_coeffs = state_coeffs.copy()
+    decay_coeffs[1:] -= input_coeffs[1:] / eigenvalues[1:, None]
     return ClosedFormSolution(
         eigenvalues=eigenvalues,
         eigenvectors=eigenvectors,
         input_coeffs=input_coeffs,
         decay_coeffs=decay_coeffs,
-        zero_b=input_coeffs[0],
-        zero_c=state_coeffs[0],
     )
 
 
@@ -354,8 +329,6 @@ def scrambling_check(
             )
     window = max(n - 1, 1)
     x = np.asarray(x0, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
     if x.shape[0] != n:
         raise ValueError(f"state must have {n} rows")
     diameters = [opinion_diameter(x)]

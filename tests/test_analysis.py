@@ -185,11 +185,24 @@ class TestBifurcation:
         y, stable = eq[0]
         assert y > 0 and stable
 
+    @staticmethod
+    def changes_sign_at(y, u, d, alpha, b):
+        """The rhs is zero at y, or has opposite signs at y and the next float up."""
+        f_y = rhs_reduced_1d(y, u, d, alpha, b)
+        f_next = rhs_reduced_1d(float(np.nextafter(y, np.inf)), u, d, alpha, b)
+        return f_y == 0.0 or (f_next != 0.0 and (f_y < 0.0) != (f_next < 0.0))
+
     def test_a_root_beyond_the_newton_seeds_is_found(self):
-        # every Newton seed on [-2, 2] runs away from the one root, near 20
+        # Newton from seeds on [-2, 2] runs away from the one root, near 20
         ((y, stable),) = reduced_equilibria(0.061, 0.1, 1.0, 1.0)
         assert y == pytest.approx(19.9988, abs=1e-4) and stable
-        assert abs(rhs_reduced_1d(y, 0.061, 0.1, 1.0, 1.0)) <= 1e-12
+        assert self.changes_sign_at(y, 0.061, 0.1, 1.0, 1.0)
+
+    def test_a_gain_whose_ratio_to_d_overflows_keeps_its_branches(self):
+        # c / d = 4e308 / 0.1 overflows; the bend of the rhs sits near 0
+        eq = reduced_equilibria(1e307, 0.1, 1.0)
+        assert [s for _, s in eq] == [True, False, True]
+        assert [y for y, _ in eq] == pytest.approx([-10.0, 0.0, 10.0], abs=1e-12)
 
     @settings(max_examples=120)
     @given(st.floats(-3.0, 3.0), st.floats(0.02, 3.0), st.floats(0.0, 3.0),
@@ -197,8 +210,8 @@ class TestBifurcation:
     def test_every_sign_change_of_a_dense_scan_holds_a_root(self, u, d, alpha, b):
         eq = reduced_equilibria(u, d, alpha, b)
         roots = [y for y, _ in eq]
-        assert all(abs(rhs_reduced_1d(y, u, d, alpha, b)) <= 1e-9 for y in roots)
-        assert all(b2 - a2 > analysis.DEDUP_TOL for a2, b2 in zip(roots, roots[1:]))
+        assert all(a2 < b2 for a2, b2 in zip(roots, roots[1:]))
+        assert all(self.changes_sign_at(y, u, d, alpha, b) for y in roots)
         # every root lies in |y| <= (1 + |b|) / d, since |tanh| <= 1
         r_max = (1.0 + abs(b)) / d
         grid = np.linspace(-1.0, 1.0, 100_001) * r_max

@@ -172,6 +172,10 @@ BAD_INPUTS = [
     ("bifurcation-range-beyond-float", ["bifurcation", "--u-min=-1e308", "--u-max", "1e308",
                                         "--out", "out.csv"], 1,
      "error: the width of the attention range [-1e+308, 1e+308] must be finite, got inf"),
+    # an attention whose gain u (alpha+3) overflows leaves tanh(c y) NaN at y = 0
+    ("bifurcation-gain-beyond-float", ["bifurcation", "--u-min", "1e308", "--u-max", "1.5e308",
+                                       "--out", "out.csv"], 1,
+     "error: the gain u (alpha+3) over [1e+308, 1.5e+308] must be finite, got inf"),
     ("gradcheck-zero-difference-step", ["gradcheck", "--h", "0", "--out", "out.json"], 1,
      "error: difference step h must be finite and positive, got 0.0"),
     # a node index is an integer, never truncated

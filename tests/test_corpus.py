@@ -50,6 +50,9 @@ CORPUS = (
     # every regime of the trajectory writer: the t = 0 snapshot holds the specials
     ["simulate", "--graph", "specials.json", "--init", "specials.csv", "--steps", "2",
      "--record-every", "1", "--out", "sim-specials"],
+    # a small-d sweep whose one root lies near y = 20, far beyond the default's
+    ["bifurcation", "--d", "0.1", "--alpha", "1", "--b", "1", "--u-min", "0.01",
+     "--u-max", "0.2", "--points", "20", "--out", "bif01/bif.csv"],
     # each saturation the corpus above does not run, from a state of both signs
     *(["simulate", "--saturation", name, "--init", "mixed.csv", "--b-mode", "init",
        "--steps", "40", "--out", f"sim-{name}"]
@@ -79,11 +82,13 @@ MIXED = np.array([
 
 HASHES = {
     "bif-stdout.csv":
-        "8888e9a88e6714f61f81a716f465a510aa59218c52397d6127d0e972f1115bd6",
+        "06046d4c889170e15a253ae765775ea6d6df89678c196381f9386ce1ce710924",
     "bif/bif.csv":
-        "8888e9a88e6714f61f81a716f465a510aa59218c52397d6127d0e972f1115bd6",
+        "06046d4c889170e15a253ae765775ea6d6df89678c196381f9386ce1ce710924",
     "bif/bif.svg":
         "9cb48855889c9470eacf946155b36ba9a85469f1b3e2ac34635e3833a2efe686",
+    "bif01/bif.csv":
+        "13e51a085b372d6317155d69934622e336bbc521858e3d7c7074ea0c9ffe37c4",
     "bimp.svg":
         "d038e35067314506413ce516b1694a6ad82bb2f59b5d3a771f2c8e2130fc1e12",
     "energy/laplacian-metrics.csv":
