@@ -18,7 +18,7 @@ from odyn.svg import Series, write_chart
 
 def run(out_dir: str, seed: int, steps: int) -> int:
     rng = np.random.default_rng(seed)
-    g = random_graph(10, 0.5, rng)
+    g = random_graph((10,), 0.5, 0.5, rng)
     x0 = rng.uniform(0.0, 1.0, size=(10, 2))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

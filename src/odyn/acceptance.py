@@ -282,7 +282,7 @@ def criterion_dissensus_input():
 def criterion_energy_stability():
     """Laplacian energy collapses; saturated-kernel energy stays in a 2x band."""
     rng = np.random.default_rng(6)
-    g = random_graph(10, 0.5, rng)
+    g = random_graph((10,), 0.5, 0.5, rng)
     x0 = rng.uniform(0.0, 1.0, size=(10, 2))
 
     lap = kernel_setup("laplacian", g, x0)
@@ -326,8 +326,7 @@ def criterion_gradient_suite():
     ao = random_row_stochastic(3, rng, zero_diagonal=False)
     x_in = rng.uniform(-1, 1, (8, 3))
     w = rng.uniform(-1, 1, (3, 3))
-    _, tape = forward_unroll(x_in, w, aa, ao, cfg_deep)
-    chain = jacobian_chain_norm(tape, cfg_deep)
+    chain = jacobian_chain_norm(forward_unroll(x_in, w, aa, ao, cfg_deep))
     checks = [Check("worst rel err", worst_rel, "<", 1e-5),
               Check("worst bound margin", worst_margin, ">=", 0.0),
               Check("depth-128 chain norm", chain, ">=", 1e-6)]

@@ -149,7 +149,8 @@ def bifurcation_sweep(
 ) -> list[BifurcationPoint]:
     """Equilibrium structure over a grid of finite attention values of either
     sign; d must be positive, alpha and b pass the saturated kernel's checks,
-    and the gain u (alpha+3) must be finite at both ends of the grid."""
+    the root bound (1+|b|)/d must be finite, and the gain u (alpha+3) must
+    be finite at both ends of the grid."""
     lo, hi, points = u_range
     check_finite(f"the width of the attention range [{lo}, {hi}]", hi - lo)
     if not lo < hi:
@@ -158,6 +159,7 @@ def bifurcation_sweep(
         raise ValueError("need at least two sweep points")
     check_finite("damping d", d, "positive")
     BimpParams(d=d, alpha=alpha, b=b)
+    check_finite("the root bound (1+|b|)/d", (1.0 + abs(b)) / d)
     check_finite(f"the gain u (alpha+3) over [{lo}, {hi}]", max(abs(lo), abs(hi)) * (alpha + 3.0))
     return [
         BifurcationPoint(u=float(u), equilibria=reduced_equilibria(float(u), d, alpha, b))

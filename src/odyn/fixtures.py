@@ -1,6 +1,6 @@
 """Shared small fixtures: the 3-agent demo system and its four runs, a
-random symmetric graph, random stochastic matrices and the random problem
-of the gradient check."""
+random symmetric graph on blocks of nodes, random stochastic matrices and
+the random problem of the gradient check."""
 from __future__ import annotations
 
 import numpy as np
@@ -52,16 +52,56 @@ TOY_RUNS = (
 )
 
 
-def random_graph(n: int, p: float, rng: np.random.Generator) -> Graph:
-    """Random symmetric unit-weight graph: ``rng`` draws one uniform per node
-    pair i < j in row order, and joins the pair both ways when it is below ``p``."""
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.uniform() < p:
-                edges.append((i, j, 1.0))
-                edges.append((j, i, 1.0))
-    return from_edge_list(edges, n)
+def random_graph(
+    sizes: tuple[int, ...], p_in: float, p_out: float, rng: np.random.Generator
+) -> Graph:
+    """Random symmetric unit-weight graph on consecutive blocks of ``sizes``
+    nodes: ``rng`` draws one uniform per node pair i < j in row order, and
+    joins the pair both ways when it is below ``p_in`` within a block and
+    ``p_out`` across blocks."""
+    i, j = _linked_pairs(sizes, p_in, p_out, rng)
+    return from_edge_list(np.column_stack([np.r_[i, j], np.r_[j, i], np.ones(2 * i.size)]),
+                          sum(sizes))
+
+
+# Pairs whose uniforms random_graph draws at once: 0.5 MB of doubles
+_SBM_RUN_PAIRS = 1 << 16
+
+
+def _linked_pairs(
+    sizes: tuple[int, ...], p_in: float, p_out: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j that :func:`random_graph` links, as ``(i, j)``.
+
+    The pairs are numbered in row-major order, row i starting at
+    i (2n - i - 1) / 2, and drawn in runs of at most ``_SBM_RUN_PAIRS``,
+    so the memory is O(n + edges); k draws of one double give the bits of
+    one draw of k, so the stream is that of a single draw over all pairs.
+    Pair k links when its uniform is below its probability, which is
+    constant on two segments of each row: row i of a block that ends
+    before node e meets e - 1 - i later nodes of its own block at
+    ``p_in``, then the n - e nodes of the later blocks at ``p_out``.
+    """
+    n = sum(sizes)
+    rows = np.arange(n, dtype=np.int64)
+    row_starts = rows * (2 * n - rows - 1) // 2
+    ends = np.repeat(np.cumsum(sizes, dtype=np.int64), sizes)
+    lengths = np.column_stack([ends - 1 - rows, n - ends]).ravel()
+    values = np.tile([p_in, p_out], n)
+    bounds = np.r_[0, np.cumsum(lengths)]
+    total = int(bounds[-1])
+    hits = [np.empty(0, dtype=np.int64)]
+    for start in range(0, total, _SBM_RUN_PAIRS):
+        stop = min(start + _SBM_RUN_PAIRS, total)
+        # the segments that overlap [start, stop), each clipped to it
+        first = np.searchsorted(bounds, start, side="right") - 1
+        last = np.searchsorted(bounds, stop)
+        counts = np.diff(np.clip(bounds[first:last + 1], start, stop))
+        threshold = np.repeat(values[first:last], counts)
+        hits.append(start + np.flatnonzero(rng.uniform(size=stop - start) < threshold))
+    k = np.concatenate(hits)
+    i = np.searchsorted(row_starts, k, side="right") - 1
+    return i, k - row_starts[i] + i + 1
 
 
 def random_row_stochastic(

@@ -123,13 +123,13 @@ def step_jacobian(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, cfg) -> np.ndar
     return (1.0 - cfg.d * cfg.dt) * np.eye(n) + cfg.dt * (sech2[:, None] * op)
 
 
-def jacobian_chain(tape, cfg) -> np.ndarray:
+def jacobian_chain(tape) -> np.ndarray:
     """Dense product J_M ... J_1 of the step Jacobians along a tape's states.
 
     A :class:`Graph` agent coupling, as ``train_sgd`` tapes hold, is made dense.
     """
     aa = dense_adjacency(tape.aa) if isinstance(tape.aa, Graph) else tape.aa
     product = np.eye(tape.states[0].size)
-    for t in range(1, cfg.steps + 1):
-        product = step_jacobian(tape.states[t - 1], aa, tape.ao, cfg) @ product
+    for t in range(1, tape.cfg.steps + 1):
+        product = step_jacobian(tape.states[t - 1], aa, tape.ao, tape.cfg) @ product
     return product

@@ -122,3 +122,25 @@ def test_leading_eigenvalue_iterates_from_a_start_off_its_answer(tracing, monkey
 def test_the_battery_runs_the_criteria_the_tracer_names(tracing):
     # a renamed criterion would leave its acceptance.<name>.s metric at zero
     assert tuple(r.name for r in acceptance.run_all()) == tracing.CRITERIA
+
+
+@pytest.mark.parametrize("criterion, updates, rhs, unrolls, adjoints", [
+    # 20 gradient checks (one unroll, one reverse sweep and 2 f No
+    # finite-difference unrolls each) and the depth-128 chain norm's unroll
+    ("criterion_gradient_suite", 115_160, 3_655, 381, 20),
+    # 200 descent epochs and the terminal evaluation, eight steps each
+    ("criterion_training_smoke", 128_320, 1_608, 201, 200),
+])
+def test_gradient_criteria_trace_the_counts_of_their_reverse_sweeps(
+    tracing, criterion, updates, rhs, unrolls, adjoints
+):
+    # the tracer counts reverse updates from the tape it finds as
+    # encoding_grad's first argument, (len(states) - 1) * states[0].size
+    tracer = tracing.Tracer()
+    with tracer.patched():
+        getattr(acceptance, criterion)()
+    calls = collections.Counter(name for name, *_ in tracer.spans)
+    assert tracer.counts["updates"] == updates
+    assert calls["kernels.rhs"] == rhs
+    assert calls["train.forward_unroll"] == unrolls
+    assert calls["train.encoding_grad"] == adjoints

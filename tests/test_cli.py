@@ -176,6 +176,10 @@ BAD_INPUTS = [
     ("bifurcation-gain-beyond-float", ["bifurcation", "--u-min", "1e308", "--u-max", "1.5e308",
                                        "--out", "out.csv"], 1,
      "error: the gain u (alpha+3) over [1e+308, 1.5e+308] must be finite, got inf"),
+    # a subnormal d puts the one true root, 2/d, beyond float range
+    ("bifurcation-root-bound-beyond-float", ["bifurcation", "--d", "1e-310", "--b", "1",
+                                             "--points", "3", "--out", "out.csv"], 1,
+     "error: the root bound (1+|b|)/d must be finite, got inf"),
     ("gradcheck-zero-difference-step", ["gradcheck", "--h", "0", "--out", "out.json"], 1,
      "error: difference step h must be finite and positive, got 0.0"),
     # a node index is an integer, never truncated

@@ -15,7 +15,7 @@ from odyn.attention import (
     init_attention_weights,
 )
 from odyn.errors import NumericalError
-from odyn.fixtures import _gradient_problem, random_row_stochastic
+from odyn.fixtures import _gradient_problem, random_graph, random_row_stochastic
 from odyn.graphs import Graph, from_edge_list
 from odyn.kernels import coupling
 from odyn.train import (
@@ -40,6 +40,26 @@ def small_fixture(seed, na=6, no=3, f=3, steps=4, dt=0.05, d=1.0, alpha=1.0):
     cfg = TrainConfig(lr=0.0, epochs=0, steps=steps, dt=dt, d=d, alpha=alpha, seed=seed)
     x_in, w, aa, ao, target = _gradient_problem(np.random.default_rng(seed), na, no, f)
     return cfg, aa, ao, x_in, w, target
+
+
+def graph_of_one_draw_per_pair(sizes, p_in, p_out, rng):
+    """The loop that :func:`random_graph` replaces: one ``rng.uniform()`` per
+    pair i < j in row order, below ``p_in`` within a block and ``p_out``
+    across blocks to link."""
+    blocks = np.repeat(np.arange(len(sizes)), sizes)
+    n = blocks.size
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.uniform() < (p_in if blocks[i] == blocks[j] else p_out):
+                edges += [(i, j, 1.0), (j, i, 1.0)]
+    return from_edge_list(edges, n)
+
+
+def assert_same_graph(got, want):
+    assert got.n == want.n
+    for field in ("offsets", "targets", "weights"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
 def count_couplings_by_operand(tape, monkeypatch):
@@ -94,7 +114,8 @@ class TestConfig:
 class TestForwardUnroll:
     def test_single_step_expansion(self):
         cfg, aa, ao, x_in, w, _ = small_fixture(0, steps=1)
-        x_final, tape = forward_unroll(x_in, w, aa, ao, cfg)
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
+        x_final = tape.states[-1]
         x0 = x_in @ w
         mixed = aa @ x0
         coupling = cfg.alpha * x0 + mixed + x0 @ ao.T + mixed @ ao.T
@@ -105,7 +126,8 @@ class TestForwardUnroll:
     def test_zero_encoder_stays_at_zero(self):
         cfg, aa, ao, x_in, _, _ = small_fixture(1, steps=6)
         w = np.zeros((x_in.shape[1], 3))
-        x_final, tape = forward_unroll(x_in, w, aa, ao, cfg)
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
+        x_final = tape.states[-1]
         np.testing.assert_array_equal(x_final, np.zeros_like(x_final))
         for s in tape.states:
             np.testing.assert_array_equal(s, np.zeros_like(s))
@@ -113,7 +135,8 @@ class TestForwardUnroll:
     def test_matches_generic_integrator(self):
         # bit-exact against a plain-numpy Euler loop written out in full
         cfg, aa, ao, x_in, w, _ = small_fixture(2, na=16, steps=8)
-        x_final, tape = forward_unroll(x_in, w, aa, ao, cfg)
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
+        x_final = tape.states[-1]
         x0 = x_in @ w
         x = x0
         states, preacts = [x0], []
@@ -133,8 +156,8 @@ class TestForwardUnroll:
 
     def test_determinism(self):
         cfg, aa, ao, x_in, w, _ = small_fixture(3)
-        a = forward_unroll(x_in, w, aa, ao, cfg)[0]
-        b = forward_unroll(x_in, w, aa, ao, cfg)[0]
+        a = forward_unroll(x_in, w, aa, ao, cfg).states[-1]
+        b = forward_unroll(x_in, w, aa, ao, cfg).states[-1]
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("bad", ["agent", "agent-graph", "option"])
@@ -177,8 +200,9 @@ class TestMseLoss:
 class TestBackwardGrad:
     def test_zero_depth_is_linear_least_squares(self):
         cfg, aa, ao, x_in, w, target = small_fixture(5, steps=0)
-        x_final, tape = forward_unroll(x_in, w, aa, ao, cfg)
-        grad = backward_grad(tape, target, cfg)
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
+        x_final = tape.states[-1]
+        grad = backward_grad(tape, target)
         expected = x_in.T @ (x_final - target) / x_final.size
         np.testing.assert_allclose(grad, expected, atol=1e-14)
 
@@ -195,12 +219,9 @@ class TestBackwardGrad:
 
     def test_tape_mismatch_rejected(self):
         cfg, aa, ao, x_in, w, target = small_fixture(7, steps=2)
-        _, tape = forward_unroll(x_in, w, aa, ao, cfg)
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
         with pytest.raises(ValueError, match="target shape"):
-            backward_grad(tape, np.zeros((2, 2)), cfg)
-        short = dataclasses.replace(tape, preacts=tape.preacts[:-1])
-        with pytest.raises(ValueError, match="unroll depth"):
-            backward_grad(short, target, cfg)
+            backward_grad(tape, np.zeros((2, 2)))
 
     @settings(max_examples=60)
     @given(st.booleans(), st.integers(1, 5), st.integers(1, 4), st.integers(0, 12),
@@ -221,7 +242,7 @@ class TestBackwardGrad:
         else:
             aa = random_row_stochastic(n, rng, zero_diagonal=False)
         ao = random_row_stochastic(n_options, rng, zero_diagonal=False)
-        _, tape = forward_unroll(x_in, w, aa, ao, cfg)
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
         # oracle: the same reverse loop, recomputing each pre-activation from the states
         grad_state = (tape.states[-1] - target) / tape.states[-1].size
         grad_x0 = np.zeros_like(grad_state)
@@ -232,13 +253,13 @@ class TestBackwardGrad:
             grad_state = (1.0 - cfg.d * cfg.dt) * grad_state + cfg.u * oracles.coupling_adjoint(
                 h, aa, ao, cfg.alpha
             )
-        assert np.array_equal(encoding_grad(tape, target, cfg), grad_x0 + grad_state)
+        assert np.array_equal(encoding_grad(tape, target), grad_x0 + grad_state)
 
     def test_reverse_step_makes_one_adjoint_and_no_forward_coupling(self, monkeypatch):
         cfg, aa, ao, x_in, w, target = small_fixture(11, steps=7)
-        _, tape = forward_unroll(x_in, w, aa, ao, cfg)
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
         calls = count_couplings_by_operand(tape, monkeypatch)
-        encoding_grad(tape, target, cfg)
+        encoding_grad(tape, target)
         assert calls == {"transposed": cfg.steps}
 
 
@@ -252,31 +273,43 @@ class TestFiniteDifference:
         aa = np.ones((1, 1))
         ao = np.ones((1, 1))
         w = np.array([[3.0]])
-        fd = finite_difference_grad(x_in, w, target, aa, ao, cfg, h=1e-5)
+        fd = finite_difference_grad(forward_unroll(x_in, w, aa, ao, cfg), target, h=1e-5)
         assert fd[0, 0] == pytest.approx(6.0, abs=1e-8)
 
     @pytest.mark.parametrize("h", [0.0, -1e-5, math.nan, math.inf])
     def test_step_must_be_finite_and_positive(self, h):
         cfg, aa, ao, x_in, w, target = small_fixture(8, steps=1)
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
         with pytest.raises(ValueError, match="difference step h must be finite and positive"):
-            finite_difference_grad(x_in, w, target, aa, ao, cfg, h=h)
+            finite_difference_grad(tape, target, h=h)
 
     def test_error_shrinks_quadratically_with_h(self):
         cfg, aa, ao, x_in, w, target = small_fixture(8, steps=3)
-        _, tape = forward_unroll(x_in, w, aa, ao, cfg)
-        exact = backward_grad(tape, target, cfg)
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
+        exact = backward_grad(tape, target)
         errs = []
         for h in (1e-2, 5e-3, 2.5e-3):
-            fd = finite_difference_grad(x_in, w, target, aa, ao, cfg, h=h)
+            fd = finite_difference_grad(tape, target, h=h)
             errs.append(np.max(np.abs(fd - exact)))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
 
 
 class TestGradientBound:
+    @staticmethod
+    def tape_with_norms(cfg, x0_norm, xin_norm, na, no):
+        """A tape of ``cfg`` whose X0 has max-entry norm ``x0_norm`` on ``na``
+        agents and ``no`` options, and whose features have ``xin_norm``."""
+        states = np.zeros((cfg.steps + 1, na, no))
+        states[0, 0, 0] = -x0_norm
+        x_in = np.full((na, 1), xin_norm)
+        return train.Tape(x_in=x_in, w=np.ones((1, no)), aa=np.eye(na), ao=np.eye(no),
+                          cfg=cfg, states=states, preacts=[])
+
     def test_zero_norms_give_zero(self):
         cfg = TrainConfig(lr=0.0, epochs=0, steps=8, dt=0.1, d=1.0, alpha=1.0)
-        assert gradient_upper_bound(cfg, 0.0, 0.0, 0.0, 4, 2) == 0.0
+        tape = self.tape_with_norms(cfg, 0.0, 0.0, 4, 2)
+        assert gradient_upper_bound(tape, np.zeros((4, 2))) == 0.0
 
     def test_arithmetic_example(self):
         # M = 8, dt = 0.1, u = 0.25, all norms 1:
@@ -284,13 +317,23 @@ class TestGradientBound:
         cfg = TrainConfig(lr=0.0, epochs=0, steps=8, dt=0.1, d=1.0, alpha=1.0)
         assert cfg.u == 0.25
         expected = (0.8 + 1.8 + 1.0) * 1.8 * 1.2
-        assert gradient_upper_bound(cfg, 1.0, 1.0, 1.0, 1, 1) == pytest.approx(
-            expected, rel=1e-12
-        )
+        tape = self.tape_with_norms(cfg, 1.0, 1.0, 1, 1)
+        assert gradient_upper_bound(tape, np.ones((1, 1))) == pytest.approx(expected, rel=1e-12)
 
     def test_bound_nonnegative(self):
         cfg = TrainConfig(lr=0.0, epochs=0, steps=2, dt=0.05, d=0.5, alpha=0.0)
-        assert gradient_upper_bound(cfg, 0.3, 0.1, 0.2, 3, 2) >= 0.0
+        tape = self.tape_with_norms(cfg, 0.3, 0.2, 3, 2)
+        assert gradient_upper_bound(tape, np.full((3, 2), -0.1)) >= 0.0
+
+    def test_reads_its_norms_from_an_unrolled_tape(self):
+        cfg, aa, ao, x_in, w, target = small_fixture(12, na=5, no=3, f=4, steps=6, dt=0.1)
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
+        beta = cfg.steps * cfg.dt
+        gamma = (1.0 + 4.0 * cfg.steps * cfg.u * cfg.dt) * (1.0 + (4.0 * cfg.u + 1.0) * cfg.dt)
+        x0_norm = np.max(np.abs(x_in @ w))
+        expected = ((beta + (1.0 + beta) * x0_norm + np.max(np.abs(target))) * gamma
+                    * np.max(np.abs(x_in)) / (5 * 3))
+        assert gradient_upper_bound(tape, target) == expected
 
 
 class TestJacobianChain:
@@ -298,7 +341,7 @@ class TestJacobianChain:
         # one-step chain norm is within dt * u * (|alpha - 1| + 4) of the
         # damped identity factor
         cfg, aa, ao, x_in, w, _ = small_fixture(9, steps=1)
-        _, tape = forward_unroll(x_in, w, aa, ao, cfg)
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
         j = oracles.step_jacobian(tape.states[0], aa, ao, cfg)
         base = (1.0 - cfg.d * cfg.dt) * np.eye(j.shape[0])
         drift = np.max(np.sum(np.abs(j - base), axis=1))
@@ -311,8 +354,8 @@ class TestJacobianChain:
         ao = random_row_stochastic(3, rng, zero_diagonal=False)
         x_in = rng.uniform(-1, 1, (8, 3))
         w = rng.uniform(-1, 1, (3, 3))
-        _, tape = forward_unroll(x_in, w, aa, ao, cfg)
-        assert jacobian_chain_norm(tape, cfg) >= 1e-6
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
+        assert jacobian_chain_norm(tape) >= 1e-6
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -323,9 +366,9 @@ class TestJacobianChain:
         cfg, aa, ao, x_in, w, _ = small_fixture(
             seed, na=na, no=no, steps=steps, dt=dt, d=d, alpha=alpha
         )
-        _, tape = forward_unroll(x_in, w, aa, ao, cfg)
-        dense = np.max(np.sum(np.abs(oracles.jacobian_chain(tape, cfg)), axis=1))
-        assert jacobian_chain_norm(tape, cfg) == pytest.approx(dense, rel=1e-12)
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
+        dense = np.max(np.sum(np.abs(oracles.jacobian_chain(tape)), axis=1))
+        assert jacobian_chain_norm(tape) == pytest.approx(dense, rel=1e-12)
 
     def test_chain_norm_on_an_attention_graph_tape(self):
         # train_sgd's tapes hold the agent attention as a Graph, whose
@@ -341,9 +384,9 @@ class TestJacobianChain:
             x0, init_attention_weights(train.ATTENTION_DIM, task.graph.n, seed=6)
         )
         assert isinstance(aa, Graph)
-        _, tape = forward_unroll(task.x_in, w, aa, ao, cfg)
-        dense = np.max(np.sum(np.abs(oracles.jacobian_chain(tape, cfg)), axis=1))
-        assert jacobian_chain_norm(tape, cfg) == pytest.approx(dense, rel=1e-12)
+        tape = forward_unroll(task.x_in, w, aa, ao, cfg)
+        dense = np.max(np.sum(np.abs(oracles.jacobian_chain(tape)), axis=1))
+        assert jacobian_chain_norm(tape) == pytest.approx(dense, rel=1e-12)
 
     def test_chain_norm_leaves_no_plan_that_grows_with_the_stack(self, monkeypatch):
         # the sweep multiplies a stack of 400 cotangents, 800 columns, by
@@ -358,8 +401,8 @@ class TestJacobianChain:
         ao = build_option_attention(
             x0, init_attention_weights(train.ATTENTION_DIM, task.graph.n, seed=6)
         )
-        _, tape = forward_unroll(task.x_in, w, aa, ao, cfg)
-        norm = jacobian_chain_norm(tape, cfg)
+        tape = forward_unroll(task.x_in, w, aa, ao, cfg)
+        norm = jacobian_chain_norm(tape)
 
         def plan_bytes(*plans):
             return sum(t.nbytes + wt.nbytes for blocks, _, _ in plans for t, wt in blocks)
@@ -372,16 +415,16 @@ class TestJacobianChain:
             return np.moveaxis(oracles.graph_product(g, np.moveaxis(x, -2, 0)), 0, -2)
 
         monkeypatch.setattr(Graph, "__matmul__", oracle_product)
-        assert jacobian_chain_norm(tape, cfg) == norm
+        assert jacobian_chain_norm(tape) == norm
 
     def test_chain_norm_makes_no_encoding_gradient_call(self, monkeypatch):
         # the benchmark counts reverse updates through encoding_grad; the
         # chain norm sweeps the reverse step on its own
         cfg, aa, ao, x_in, w, _ = small_fixture(4, steps=5)
-        _, tape = forward_unroll(x_in, w, aa, ao, cfg)
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
         calls = count_couplings_by_operand(tape, monkeypatch)
         monkeypatch.setattr(train, "encoding_grad", None)
-        jacobian_chain_norm(tape, cfg)
+        jacobian_chain_norm(tape)
         assert calls == {"transposed": cfg.steps}
 
 
@@ -425,19 +468,21 @@ class TestSbmTask:
     def test_same_dataset_as_one_draw_per_pair_in_a_loop(self, n_per_block, seed, p_in, p_out):
         noise = 0.1
         rng = np.random.default_rng(seed)
-        n = 2 * n_per_block
+        expected = graph_of_one_draw_per_pair((n_per_block, n_per_block), p_in, p_out, rng)
         labels = np.repeat([0, 1], n_per_block)
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.uniform() < (p_in if labels[i] == labels[j] else p_out):
-                    edges += [(i, j, 1.0), (j, i, 1.0)]
-        expected = from_edge_list(edges, n)
-        x_in = np.eye(2)[labels] + noise * rng.standard_normal((n, 2))
+        x_in = np.eye(2)[labels] + noise * rng.standard_normal((2 * n_per_block, 2))
         task = make_sbm_task(n_per_block, p_in, p_out, noise=noise, seed=seed)
-        for field in ("offsets", "targets", "weights"):
-            np.testing.assert_array_equal(getattr(task.graph, field), getattr(expected, field))
+        assert_same_graph(task.graph, expected)
         np.testing.assert_array_equal(task.x_in, x_in)
+
+    @pytest.mark.parametrize("sizes", [(10,), (3, 4, 5), (1,), ()])
+    @pytest.mark.parametrize("seed, p_in, p_out", [(0, 0.5, 0.2), (1, 0.1, 0.9), (2, 1.0, 0.0)])
+    def test_random_graph_is_one_draw_per_pair_in_a_loop(self, sizes, seed, p_in, p_out):
+        rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert_same_graph(random_graph(sizes, p_in, p_out, rng),
+                          graph_of_one_draw_per_pair(sizes, p_in, p_out, loop_rng))
+        # both leave the generator at the same position
+        assert rng.uniform() == loop_rng.uniform()
 
     def test_set_up_memory_grows_with_the_edges_not_the_pairs(self):
         # 1,999,000 pairs and 67,974 edges: arrays over every pair would
