@@ -32,13 +32,13 @@ from .analysis import (
 from .fixtures import (
     TOY_RUNS,
     _gradient_problem,
+    complete_graph,
     random_graph,
     random_row_stochastic,
-    toy_adjacency,
     toy_graph,
     toy_initial_state,
 )
-from .graphs import from_edge_list, sparse_laplacian
+from .graphs import disjoint_union, from_edge_list, sparse_laplacian
 from .integrate import euler_integrate
 from .kernels import (
     SATURATIONS,
@@ -175,8 +175,8 @@ def criterion_leading_eigenvalue():
     times itself, so a start there would check row sums, not that 4 leads.
     """
     rng = np.random.default_rng(2)
-    aa = toy_adjacency()
-    na = aa.shape[0]
+    aa = toy_graph()
+    na = aa.n
     worst = 0.0
     for _ in range(10):
         no = int(rng.integers(2, 7))
@@ -240,9 +240,7 @@ def criterion_critical_consensus():
     starts = critical_consensus_starts()
     # The starts run as one system: the disjoint union of one demo graph per
     # start, so the agent coupling is block-diagonal and no start sees another.
-    toy_edges = toy_graph().to_edge_list()
-    edges = [(s + 3 * c, t + 3 * c, w) for c in range(len(starts)) for s, t, w in toy_edges]
-    g = from_edge_list(edges, 3 * len(starts))
+    g = disjoint_union(toy_graph(), len(starts))
     setup = kernel_setup("bimp", g, np.concatenate(starts), d=1.0, alpha=1.0, seed=0)
     traj = euler_integrate(setup, 0.05, 4000, record_every=4000)
     worst = float(np.max(np.abs(traj.states[-1])))
@@ -322,7 +320,7 @@ def criterion_gradient_suite():
         worst_rel = max(worst_rel, rep.rel_error)
         worst_margin = min(worst_margin, rep.bound - rep.inf_norm)
     cfg_deep = TrainConfig(lr=0.0, epochs=0, steps=128, dt=0.05, d=1.0, alpha=1.0, seed=0)
-    aa = random_row_stochastic(8, rng, zero_diagonal=False)
+    aa = complete_graph(random_row_stochastic(8, rng, zero_diagonal=False))
     ao = random_row_stochastic(3, rng, zero_diagonal=False)
     x_in = rng.uniform(-1, 1, (8, 3))
     w = rng.uniform(-1, 1, (3, 3))
@@ -408,14 +406,15 @@ def criterion_rhs_equivalence():
     The reference is the paper's column-stacked equation
     dx/dt = -d x + S(u ((alpha - 1) x + K x)) + b with the joint coupling
     K = (Ao + I) kron (Aa + I) built densely (at most 40 x 40), so no
-    form is checked against ``coupling`` itself.
+    form is checked against ``coupling`` itself.  Aa is a complete graph,
+    and ``aa @ np.eye(na)`` its dense draw.
     """
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
         na = int(rng.integers(2, 9))
         no = int(rng.integers(1, 6))
-        aa = random_row_stochastic(na, rng, zero_diagonal=False)
+        aa = complete_graph(random_row_stochastic(na, rng, zero_diagonal=False))
         ao = random_row_stochastic(no, rng, zero_diagonal=False)
         x = rng.standard_normal((na, no))
         p = BimpParams(
@@ -424,7 +423,7 @@ def criterion_rhs_equivalence():
             b=rng.standard_normal((na, no)),
             u=float(rng.uniform(0.05, 1.0)),
         )
-        k = np.kron(ao + np.eye(no), aa + np.eye(na))
+        k = np.kron(ao + np.eye(no), aa @ np.eye(na) + np.eye(na))
         xv = x.ravel(order="F")
         dense = -p.d * xv + np.tanh(p.u * ((p.alpha - 1.0) * xv + k @ xv)) + p.b.ravel(order="F")
         for form in (rhs_bimp, rhs_bimp_filter_form):

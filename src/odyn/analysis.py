@@ -107,13 +107,24 @@ def reduced_equilibria(u: float, d: float, alpha: float,
     c = u (alpha+3), at |y| = acosh(sqrt(c / d)) / c when c > d, cut
     [-R, R] into strictly monotone pieces, each holding at most one root;
     a piece whose rhs is zero at its left end or changes sign across it is
-    bisected to the last bit.  The roots come out distinct and ascending;
-    a root is stable when the derivative of the rhs is negative there.
+    bisected to the last bit.  Where tanh(c y) rounds to -b = +-1 and
+    swallows -d y, as at d = 1e-20 and b = 1, the rounded rhs is 0 over a
+    whole range; there it is taken as -d y plus tanh's distance from +-1,
+    so such a range yields no false root.  The roots come out distinct and
+    ascending; a root is stable when the derivative of the rhs is negative
+    there.
     """
     c = u * (alpha + 3.0)
 
     def f(y: float) -> float:
-        return rhs_reduced_1d(y, u, d, alpha, b)
+        value = rhs_reduced_1d(y, u, d, alpha, b)
+        t = math.tanh(c * y) if value == 0.0 else 0.0
+        if abs(t) == 1.0 and -d * y + t == t:
+            # a rounding plateau: -d y plus tanh(x) - sign(x), which is
+            # -sign(x) 2e / (1 + e) with e = exp(-2 |x|)
+            e = math.exp(-2.0 * abs(c * y))
+            return -d * y - t * (2.0 * e / (1.0 + e))
+        return value
 
     def fprime(y: float) -> float:
         z = c * y

@@ -1,22 +1,11 @@
 """Shared small fixtures: the 3-agent demo system and its four runs, a
-random symmetric graph on blocks of nodes, random stochastic matrices and
-the random problem of the gradient check."""
+random symmetric graph on blocks of nodes, random stochastic matrices, the
+complete graph of a matrix, and the random problem of the gradient check."""
 from __future__ import annotations
 
 import numpy as np
 
 from .graphs import Graph, from_edge_list
-
-
-def toy_adjacency() -> np.ndarray:
-    """Row-stochastic influence matrix of the 3-agent demo system."""
-    return np.array(
-        [
-            [0.0, 0.43, 0.57],
-            [0.64, 0.0, 0.36],
-            [0.70, 0.30, 0.0],
-        ]
-    )
 
 
 def toy_initial_state() -> np.ndarray:
@@ -31,15 +20,9 @@ def toy_initial_state() -> np.ndarray:
 
 
 def toy_graph() -> Graph:
-    """The demo influence matrix as a weighted directed graph."""
-    a = toy_adjacency()
-    edges = [
-        (i, j, float(a[i, j]))
-        for i in range(3)
-        for j in range(3)
-        if a[i, j] != 0.0
-    ]
-    return from_edge_list(edges, 3)
+    """The row-stochastic influence graph of the 3-agent demo system."""
+    return from_edge_list([(0, 1, 0.43), (0, 2, 0.57), (1, 0, 0.64), (1, 2, 0.36),
+                           (2, 0, 0.70), (2, 1, 0.30)], 3)
 
 
 # The runs ``odyn toy`` writes and ``toy-figure`` checks: kernel tag, output
@@ -117,16 +100,25 @@ def random_row_stochastic(
     return m / m.sum(axis=1, keepdims=True)
 
 
+def complete_graph(m: np.ndarray) -> Graph:
+    """The square matrix ``m`` as a graph with one edge per entry, zeros
+    included, so that ``g @ np.eye(n)`` gives back ``m`` bit for bit."""
+    n = m.shape[0]
+    return Graph(n=n, offsets=np.arange(0, n * n + 1, n), targets=np.tile(np.arange(n), n),
+                 weights=np.array(m, dtype=np.float64).ravel())
+
+
 def _gradient_problem(rng: np.random.Generator, na: int, no: int, f: int):
     """A random gradient-check problem on ``na`` agents, ``no`` options and
     ``f`` features, as ``(x_in, w, aa, ao, target)``, the argument order of
     :func:`odyn.train.gradient_check`.
 
-    ``rng`` draws, in this order: the dense row-stochastic couplings Aa and
-    Ao, the features uniform on [-1, 1], the encoder uniform on [-1, 1]
-    over sqrt(f), and the target uniform on [-1, 1].
+    ``rng`` draws, in this order: the row-stochastic couplings Aa, held as
+    its :func:`complete_graph`, and Ao, the features uniform on [-1, 1],
+    the encoder uniform on [-1, 1] over sqrt(f), and the target uniform on
+    [-1, 1].
     """
-    aa = random_row_stochastic(na, rng, zero_diagonal=False)
+    aa = complete_graph(random_row_stochastic(na, rng, zero_diagonal=False))
     ao = random_row_stochastic(no, rng, zero_diagonal=False)
     x_in = rng.uniform(-1, 1, (na, f))
     w = rng.uniform(-1, 1, (f, no)) / np.sqrt(f)

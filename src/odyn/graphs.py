@@ -57,11 +57,6 @@ class Graph:
     def edge_count(self) -> int:
         return int(self.targets.shape[0])
 
-    def to_edge_list(self) -> list[tuple[int, int, float]]:
-        """Expand back to a sorted ``(src, dst, weight)`` list."""
-        return [(int(s), int(d), float(w))
-                for s, d, w in zip(self.rows, self.targets, self.weights)]
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         """A X for an ``(n,)`` or ``(n, o)`` state; a row without edges gives 0.
 
@@ -95,13 +90,21 @@ class Graph:
         return _sorted_graph(self.n, self.targets, self.rows, self.weights)
 
     def row_normalized(self) -> Graph:
-        """The same edges with each row's weights scaled to sum to one."""
+        """The same edges with each row's weights scaled to sum to one.
+
+        A sink, a row with no positive weight, becomes one unit self-loop,
+        as attention gives every node, so that it hears only itself.
+        """
         if not np.all(np.isfinite(self.weights)):
             raise ValueError("non-finite entries")
         sums = degrees(self)
-        if np.any(sums <= 0):
-            raise ValueError(f"row {int(np.flatnonzero(sums <= 0)[0])} has no positive entry")
-        return replace(self, weights=self.weights / sums[self.rows])
+        sinks = sums <= 0
+        if not sinks.any():
+            return replace(self, weights=self.weights / sums[self.rows])
+        keep, nodes = ~sinks[self.rows], np.flatnonzero(sinks)
+        rows = self.rows[keep]
+        return _sorted_graph(self.n, np.r_[rows, nodes], np.r_[self.targets[keep], nodes],
+                             np.r_[self.weights[keep] / sums[rows], np.ones(nodes.size)])
 
 
 def _sorted_graph(n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray) -> Graph:
@@ -275,6 +278,22 @@ def from_edge_list(edges, n: int) -> Graph:
         k = int(np.argmax(dup)) + 1
         raise ValueError(f"duplicate edge ({g.rows[k]}, {g.targets[k]})")
     return g
+
+
+def disjoint_union(g: Graph, copies: int) -> Graph:
+    """``copies`` copies of ``g`` side by side: node i of copy c is node c n + i.
+
+    Each row keeps its edges in their order, so a state that stacks one
+    (n, o) block per copy gets each block's product with the bits of
+    ``g @ block``.  One copy is ``g`` itself, with the product plans it
+    has built.
+    """
+    if copies == 1:
+        return g
+    shifts = np.arange(copies)[:, None]
+    offsets = (shifts * g.edge_count + g.offsets[:-1]).ravel()
+    return Graph(n=copies * g.n, offsets=np.r_[offsets, copies * g.edge_count],
+                 targets=(shifts * g.n + g.targets).ravel(), weights=np.tile(g.weights, copies))
 
 
 def degrees(g: Graph) -> np.ndarray:

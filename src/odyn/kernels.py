@@ -96,8 +96,9 @@ def critical_attention(d: float, alpha: float) -> float:
     return d / (alpha + 3.0)
 
 
-def coupling(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, alpha: float) -> np.ndarray:
-    """Joint coupling alpha X + Aa X + X Ao^T + Aa X Ao^T.
+def coupling(x: np.ndarray, aa: Graph, ao: np.ndarray, alpha: float) -> np.ndarray:
+    """Joint coupling alpha X + Aa X + X Ao^T + Aa X Ao^T, for an agent graph
+    Aa and a dense o-by-o Ao.
 
     At alpha = 1 this is (Aa + I) X (Ao + I)^T: the product of the joint
     operator (Ao + I) kron (Aa + I) with the column-stacked state.
@@ -137,7 +138,7 @@ class BimpParams:
 
 def rhs_bimp(
     x: np.ndarray,
-    aa: np.ndarray,
+    aa: Graph,
     ao: np.ndarray,
     p: BimpParams,
     preacts: list[np.ndarray] | None = None,
@@ -158,7 +159,7 @@ def rhs_bimp(
     return -p.d * x + p.saturation(z) + p.b
 
 
-def rhs_bimp_filter_form(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, p: BimpParams) -> np.ndarray:
+def rhs_bimp_filter_form(x: np.ndarray, aa: Graph, ao: np.ndarray, p: BimpParams) -> np.ndarray:
     """Saturated kernel split into sharpening and smoothing components.
 
     dX/dt = -d X + S(u ((alpha - 1)(X - K X) + alpha K X)) + B, with

@@ -9,9 +9,11 @@ takes the tape alone.  The loss gradient with respect to W is accumulated
 in reverse from the tape, so each reverse step makes one coupling
 product, on the transposed factors, and no forward one; the couplings
 are treated as constants.  A central finite-difference oracle and an
-analytic norm bound on the gradient give two independent checks.  The
-norm of the step-Jacobian product comes from the same reverse step,
-swept once over a batch of unit cotangents, one per state entry.
+analytic norm bound on the gradient give two independent checks; the
+oracle unrolls its perturbed encoders together, as the blocks of one
+state on a disjoint union of the agent graph.  The norm of the
+step-Jacobian product comes from the same reverse step, swept once over
+a batch of unit cotangents, one per state entry.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from .attention import (
 )
 from .errors import NumericalError
 from .fixtures import random_graph
-from .graphs import Graph, repr_rows
+from .graphs import Graph, disjoint_union, repr_rows
 from .integrate import check_step, euler_integrate
 from .kernels import (
     BimpParams,
@@ -40,6 +42,11 @@ from .kernels import (
 
 # key/query dimension of the couplings train_sgd builds
 ATTENTION_DIM = 4
+
+# The edges of the union on which finite_difference_grad unrolls its
+# perturbed encoders at once: as many copies of the agent graph as fit, and
+# at least one, so a large complete graph gets few copies per unroll
+FD_UNION_EDGES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -75,16 +82,17 @@ class TrainConfig:
 class Tape:
     """The whole unroll: what :func:`forward_unroll` ran and what it saved.
 
-    ``x_in`` and ``w`` are the float64 features and encoder, ``aa`` and
-    ``ao`` the couplings, and ``cfg`` the :class:`TrainConfig` of the
-    unroll.  ``states`` is the (M + 1, n, o) block of the states
-    X_0 .. X_M, and ``preacts[t]`` the pre-activation Z_t = u * coupling(X_t)
-    that the saturation saw on the step from X_t to X_{t+1} (M arrays).
+    ``x_in`` and ``w`` are the float64 features and encoder, ``aa`` the
+    agent graph and ``ao`` the dense option coupling, and ``cfg`` the
+    :class:`TrainConfig` of the unroll.  ``states`` is the (M + 1, n, o)
+    block of the states X_0 .. X_M, and ``preacts[t]`` the pre-activation
+    Z_t = u * coupling(X_t) that the saturation saw on the step from X_t to
+    X_{t+1} (M arrays).
     """
 
     x_in: np.ndarray
     w: np.ndarray
-    aa: Graph | np.ndarray
+    aa: Graph
     ao: np.ndarray
     cfg: TrainConfig
     states: np.ndarray
@@ -94,7 +102,7 @@ class Tape:
 def forward_unroll(
     x_in: np.ndarray,
     w: np.ndarray,
-    aa: Graph | np.ndarray,
+    aa: Graph,
     ao: np.ndarray,
     cfg: TrainConfig,
 ) -> Tape:
@@ -112,11 +120,18 @@ def forward_unroll(
         raise ValueError(f"agent coupling must be {n}x{n}, got {aa.shape}")
     if ao.shape != (o, o):
         raise ValueError(f"option coupling must be {o}x{o}, got {ao.shape}")
-    params = BimpParams(d=cfg.d, alpha=cfg.alpha, b=x0, u=cfg.u)
     preacts: list[np.ndarray] = []
+    states = _unroll(x0, aa, ao, cfg, preacts)
+    return Tape(x_in=x_in, w=w, aa=aa, ao=ao, cfg=cfg, states=states, preacts=preacts)
+
+
+def _unroll(x0: np.ndarray, aa: Graph, ao: np.ndarray, cfg: TrainConfig,
+            preacts: list[np.ndarray] | None = None, record_every: int = 1) -> np.ndarray:
+    """The states that ``euler_integrate`` records on M steps of ``rhs_bimp``
+    from X0 with source X0, appending each pre-activation to ``preacts``."""
+    params = BimpParams(d=cfg.d, alpha=cfg.alpha, b=x0, u=cfg.u)
     setup = KernelSetup(lambda x: rhs_bimp(x, aa, ao, params, preacts), x0, damping=cfg.d)
-    traj = euler_integrate(setup, cfg.dt, cfg.steps)
-    return Tape(x_in=x_in, w=w, aa=aa, ao=ao, cfg=cfg, states=traj.states, preacts=preacts)
+    return euler_integrate(setup, cfg.dt, cfg.steps, record_every).states
 
 
 def mse_loss(x_final: np.ndarray, target: np.ndarray) -> float:
@@ -169,19 +184,34 @@ def backward_grad(tape: Tape, target: np.ndarray) -> np.ndarray:
 
 
 def finite_difference_grad(tape: Tape, target: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Entrywise central differences of the loss with respect to W, each
-    from two unrolls of the tape's inputs and config with W +- h."""
+    """Entrywise central differences of the loss with respect to W, from
+    unrolls of the tape's inputs and config with each W +- h e_ij.
+
+    The 2 f o perturbed encodings are unrolled K at a time, as the blocks
+    of one (K n, o) state on the disjoint union of K copies of the agent
+    graph, with K capped by ``FD_UNION_EDGES``.  Each block sums the terms
+    of its own unroll in the same order, so every loss has the bits of a
+    separate unroll.
+    """
     check_finite("difference step h", h, "positive")
-
-    def loss(idx, step):
-        w = tape.w.copy()
-        w[idx] += step
-        return mse_loss(forward_unroll(tape.x_in, w, tape.aa, tape.ao, tape.cfg).states[-1], target)
-
-    grad = np.zeros_like(tape.w)
+    encodings = []
     for idx in np.ndindex(*tape.w.shape):
-        grad[idx] = (loss(idx, h) - loss(idx, -h)) / (2.0 * h)
-    return grad
+        for step in (h, -h):
+            w = tape.w.copy()
+            w[idx] += step
+            encodings.append(tape.x_in @ w)
+    n = len(tape.x_in)
+    copies = max(1, min(len(encodings), FD_UNION_EDGES // max(tape.aa.edge_count, 1)))
+    losses = []
+    for start in range(0, len(encodings), copies):
+        batch = encodings[start:start + copies]
+        if start == 0 or len(batch) < copies:
+            union = disjoint_union(tape.aa, len(batch))
+        x_final = _unroll(np.concatenate(batch), union, tape.ao, tape.cfg,
+                          record_every=max(tape.cfg.steps, 1))[-1]
+        losses += [mse_loss(x_final[k * n:(k + 1) * n], target) for k in range(len(batch))]
+    plus, minus = np.reshape(losses, (-1, 2)).T
+    return ((plus - minus) / (2.0 * h)).reshape(tape.w.shape)
 
 
 def gradient_upper_bound(tape: Tape, target: np.ndarray) -> float:
@@ -243,7 +273,7 @@ class GradReport:
 def gradient_check(
     x_in: np.ndarray,
     w: np.ndarray,
-    aa: Graph | np.ndarray,
+    aa: Graph,
     ao: np.ndarray,
     target: np.ndarray,
     cfg: TrainConfig,

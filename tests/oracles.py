@@ -1,9 +1,10 @@
 """Dense and file-handling helpers that only the tests read.
 
 The package couples agents through sparse graphs; these dense forms are
-the small-n oracles its sparse paths are checked against, and
+the small-n oracles its sparse paths are checked against,
 ``load_graph_json`` is the ``json`` reader its graph reader is checked
-against.
+against, and ``finite_difference_loop`` the entry-by-entry loop that the
+batched finite differences are checked against.
 """
 import json
 from pathlib import Path
@@ -11,12 +12,14 @@ from pathlib import Path
 import numpy as np
 
 from odyn.graphs import Graph, from_edge_list
+from odyn.train import forward_unroll, mse_loss
 
 
 def row_normalize(m: np.ndarray) -> np.ndarray:
     """Scale each row of a nonnegative matrix to sum to one.
 
-    Zero entries stay zero; a zero row or a negative entry is rejected.
+    Zero entries stay zero; a zero row becomes a unit diagonal entry, and a
+    negative entry is rejected.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
@@ -26,10 +29,10 @@ def row_normalize(m: np.ndarray) -> np.ndarray:
     if np.any(m < 0):
         raise ValueError("negative entries cannot be row-normalized")
     sums = m.sum(axis=1)
-    if np.any(sums <= 0):
-        bad = int(np.flatnonzero(sums <= 0)[0])
-        raise ValueError(f"row {bad} has no positive entry")
-    return m / sums[:, None]
+    sinks = np.flatnonzero(sums <= 0)
+    out = m / np.where(sums > 0, sums, 1.0)[:, None]
+    out[sinks, sinks] = 1.0
+    return out
 
 
 def dense_adjacency(g: Graph) -> np.ndarray:
@@ -39,6 +42,11 @@ def dense_adjacency(g: Graph) -> np.ndarray:
     return a
 
 
+def edge_list(g: Graph) -> list[tuple[int, int, float]]:
+    """The graph's sorted ``(src, dst, weight)`` triples."""
+    return [(int(s), int(d), float(w)) for s, d, w in zip(g.rows, g.targets, g.weights)]
+
+
 def laplacian(g: Graph) -> np.ndarray:
     """Combinatorial Laplacian L = D - A; every row sums to zero."""
     a = dense_adjacency(g)
@@ -46,7 +54,7 @@ def laplacian(g: Graph) -> np.ndarray:
 
 
 def save_graph_json(g: Graph, path) -> None:
-    payload = {"n": g.n, "edges": [[s, d, w] for s, d, w in g.to_edge_list()]}
+    payload = {"n": g.n, "edges": [[s, d, w] for s, d, w in edge_list(g)]}
     Path(path).write_text(json.dumps(payload))
 
 
@@ -124,12 +132,24 @@ def step_jacobian(x: np.ndarray, aa: np.ndarray, ao: np.ndarray, cfg) -> np.ndar
 
 
 def jacobian_chain(tape) -> np.ndarray:
-    """Dense product J_M ... J_1 of the step Jacobians along a tape's states.
-
-    A :class:`Graph` agent coupling, as ``train_sgd`` tapes hold, is made dense.
-    """
-    aa = dense_adjacency(tape.aa) if isinstance(tape.aa, Graph) else tape.aa
+    """Dense product J_M ... J_1 of the step Jacobians along a tape's states."""
+    aa = dense_adjacency(tape.aa)
     product = np.eye(tape.states[0].size)
     for t in range(1, tape.cfg.steps + 1):
         product = step_jacobian(tape.states[t - 1], aa, tape.ao, tape.cfg) @ product
     return product
+
+
+def finite_difference_loop(tape, target, h: float) -> np.ndarray:
+    """Central differences of the loss with respect to W, entry by entry,
+    each from two separate unrolls of the tape's inputs with W +- h."""
+    grad = np.zeros_like(tape.w)
+    for idx in np.ndindex(*tape.w.shape):
+        losses = []
+        for step in (h, -h):
+            w = tape.w.copy()
+            w[idx] += step
+            final = forward_unroll(tape.x_in, w, tape.aa, tape.ao, tape.cfg).states[-1]
+            losses.append(mse_loss(final, target))
+        grad[idx] = (losses[0] - losses[1]) / (2.0 * h)
+    return grad

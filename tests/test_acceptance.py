@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from odyn import acceptance
-from odyn.fixtures import random_row_stochastic, toy_adjacency, toy_graph
+from odyn.fixtures import random_row_stochastic, toy_graph
 from odyn.integrate import euler_integrate
 from odyn.kernels import kernel_setup
+from oracles import dense_adjacency
 
 # every check of the battery as (criterion, quantity, relation, threshold),
 # in order, so that no gate moves silently
@@ -122,7 +123,7 @@ def _consensus_mode_oracle(x0, d=1.0, dt=0.05, steps=4000):
     left Perron vectors of the agent coupling (the demo adjacency) and
     of the seed-0 option coupling project X0 onto that mode.
     """
-    pi_a = _left_perron_vector(toy_adjacency())
+    pi_a = _left_perron_vector(dense_adjacency(toy_graph()))
     pi_o = _left_perron_vector(random_row_stochastic(x0.shape[1], np.random.default_rng(0)))
     y = float(pi_a @ x0 @ pi_o)
     for _ in range(steps):

@@ -21,14 +21,13 @@ from odyn.analysis import (
 from odyn.errors import NumericalError
 from odyn.fixtures import (
     random_row_stochastic,
-    toy_adjacency,
     toy_graph,
     toy_initial_state,
 )
 from odyn.graphs import from_edge_list
 from odyn.integrate import euler_integrate
 from odyn.kernels import coupling, kernel_setup, rhs_reduced_1d
-from oracles import laplacian
+from oracles import dense_adjacency, edge_list, laplacian
 
 
 def fully_connected(n):
@@ -130,7 +129,7 @@ class TestDirichletEnergy:
         x = rng.standard_normal((n, 2))
         energy = dirichlet_energy(x, g)
         pairs_equal = all(
-            np.allclose(x[s], x[d], atol=1e-12) for s, d, _ in g.to_edge_list()
+            np.allclose(x[s], x[d], atol=1e-12) for s, d, _ in edge_list(g)
         )
         assert (energy <= 1e-12) == pairs_equal
 
@@ -184,6 +183,26 @@ class TestBifurcation:
         assert len(eq) == 1
         y, stable = eq[0]
         assert y > 0 and stable
+
+    def test_a_rounding_plateau_holds_no_false_root(self):
+        # at d = 1e-20 and b = 1, tanh(c y) rounds to -1 and swallows -d y
+        # for y below about -19 / c, so the rounded rhs is 0 there, though
+        # the true one, d |y| + 1 + tanh(c y), is positive
+        for u in (0.05, 0.325, 0.6):
+            assert reduced_equilibria(u, 1e-20, 1.0, 1.0) == ((2e20, True),)
+
+    @pytest.mark.parametrize("u", [-0.6, -0.325, -0.05])
+    def test_a_root_inside_a_rounding_plateau_is_the_true_one(self, u):
+        # with c < 0 the one root lies where d y = 1 - tanh(|c| y), beyond
+        # the y at which tanh rounds to 1
+        c = u * 4.0
+
+        def rhs(y):
+            return -1e-20 * y + 2.0 / (1.0 + math.exp(2.0 * abs(c) * y))
+
+        ((y, stable),) = reduced_equilibria(u, 1e-20, 1.0, 1.0)
+        assert stable and math.tanh(c * y) == -1.0
+        assert rhs(y * (1 - 1e-12)) > 0 > rhs(y * (1 + 1e-12))
 
     @staticmethod
     def changes_sign_at(y, u, d, alpha, b):
@@ -271,7 +290,7 @@ class TestPowerIteration:
 
     def test_toy_communication_with_swap_option(self):
         ao = np.array([[0.0, 1.0], [1.0, 0.0]])
-        res = power_iteration(*coupling_matvec(toy_adjacency(), ao), tol=1e-10)
+        res = power_iteration(*coupling_matvec(dense_adjacency(toy_graph()), ao), tol=1e-10)
         assert res.eigenvalue == pytest.approx(4.0, abs=1e-8)
 
     def test_ten_random_stochastic_factor_pairs(self):
@@ -295,7 +314,7 @@ class TestPowerIteration:
         assert np.linalg.norm(res.eigenvector) == pytest.approx(1.0, abs=1e-15)
 
     def test_the_start_is_drawn_afresh_on_every_call(self):
-        results = [power_iteration(*coupling_matvec(toy_adjacency(), np.eye(2)[::-1]))
+        results = [power_iteration(*coupling_matvec(dense_adjacency(toy_graph()), np.eye(2)[::-1]))
                    for _ in range(2)]
         assert results[0].iterations == results[1].iterations > 1
         assert results[0].eigenvalue.hex() == results[1].eigenvalue.hex()
@@ -396,7 +415,7 @@ class TestClosedForm:
 
 class TestScrambling:
     def test_two_copies_of_toy_influence(self):
-        a = toy_adjacency()
+        a = dense_adjacency(toy_graph())
         x0 = toy_initial_state()[:, :1]
         report = scrambling_check([a, a], zeta=0.3, x0=x0)
         assert report.window == 2

@@ -125,9 +125,11 @@ def test_the_battery_runs_the_criteria_the_tracer_names(tracing):
 
 
 @pytest.mark.parametrize("criterion, updates, rhs, unrolls, adjoints", [
-    # 20 gradient checks (one unroll, one reverse sweep and 2 f No
-    # finite-difference unrolls each) and the depth-128 chain norm's unroll
-    ("criterion_gradient_suite", 115_160, 3_655, 381, 20),
+    # 20 gradient checks and the depth-128 chain norm's unroll; each check
+    # makes one unroll, one reverse sweep and one finite-difference unroll
+    # of its 2 f No perturbed encoders side by side, M rhs calls on the
+    # union's state, outside forward_unroll
+    ("criterion_gradient_suite", 115_160, 462, 21, 20),
     # 200 descent epochs and the terminal evaluation, eight steps each
     ("criterion_training_smoke", 128_320, 1_608, 201, 200),
 ])
@@ -144,3 +146,13 @@ def test_gradient_criteria_trace_the_counts_of_their_reverse_sweeps(
     assert calls["kernels.rhs"] == rhs
     assert calls["train.forward_unroll"] == unrolls
     assert calls["train.encoding_grad"] == adjoints
+
+
+def test_the_whole_battery_runs_under_the_benchmarks_warm_up_tracer(tracing, tmp_path):
+    # the verify-battery warm-up: counts without spans over every criterion,
+    # so a state the hooks cannot count or a lost counter fails here first
+    tracer = tracing.Tracer(keep_spans=False)
+    with tracer.patched():
+        assert main(["verify", "--out", str(tmp_path / "report.json")]) == 3
+    assert tracer.counts["updates"] == 1_105_376
+    assert tracer.spans == []

@@ -98,11 +98,6 @@ BAD_INPUTS = [
      "error:"),
     ("graph-duplicate-edge", ["simulate", "--graph", "duplicate.json", "--out", "out"], 1,
      "error: duplicate edge (0, 1)"),
-    # a node without out-edges cannot be row-normalized
-    ("bimp-sink-node", ["simulate", "--graph", "sink.json", "--out", "out"], 1,
-     "error: row 1 has no positive entry"),
-    ("graphcon-tran-sink-node", ["simulate", "--kernel", "graphcon-tran", "--graph", "sink.json",
-                                 "--out", "out"], 1, "error: row 1 has no positive entry"),
     # a NaN weight is a validation error, not a non-finite state at step 1
     ("graph-nan-weight", ["simulate", "--kernel", "laplacian", "--graph", "nan-weight.json",
                           "--out", "out"], 1, "error: non-finite weight nan on edge (0, 1)"),
@@ -241,7 +236,7 @@ def test_bad_input_exit_code_and_one_line_diagnostic(tmp_path, argv, code, prefi
     (tmp_path / "textn.json").write_text(json.dumps({"n": "3", "edges": []}))
     for name, edges in (("pairs", [[0, 1], [1, 2], [2, 0]]), ("text-index", [[0, "a", 1.0]]),
                         ("duplicate", [[0, 1, 1.0], [1, 2, 1.0], [2, 0, 1.0], [0, 1, 0.5]]),
-                        ("sink", [[0, 1, 1.0]]), ("cycle", [[0, 1, 1], [1, 2, 1], [2, 0, 1]]),
+                        ("cycle", [[0, 1, 1], [1, 2, 1], [2, 0, 1]]),
                         ("nan-weight", [[0, 1, math.nan], [1, 2, 1.0], [2, 0, 1.0]]),
                         ("fractional-index", [[0.5, 1, 1], [1, 2, 1], [2, 0, 1]]),
                         ("huge-index", [[1e300, 1, 1]]),
@@ -548,6 +543,22 @@ class TestSimulate:
         save_matrix_csv(np.zeros((2, 2)), xpath)
         assert main(["simulate", "--graph", str(gpath), "--init", str(xpath)]) == 1
 
+    @pytest.mark.parametrize("kernel", ["bimp", "graphcon-tran", "laplacian"])
+    def test_a_sink_node_hears_only_itself(self, tmp_path, capsys, kernel):
+        # nodes 1 and 2 have no out-edge; a new start of node 0 leaves their runs alone
+        (tmp_path / "sink.json").write_text(json.dumps({"n": 3, "edges": [[0, 1, 1.0]]}))
+        finals = []
+        for k, x0 in enumerate((toy_initial_state(), toy_initial_state() * [[-2.0], [1], [1]])):
+            save_matrix_csv(x0, tmp_path / "x.csv")
+            out = tmp_path / f"out{k}"
+            assert main(["simulate", "--kernel", kernel, "--graph", str(tmp_path / "sink.json"),
+                         "--init", str(tmp_path / "x.csv"), "--steps", "40",
+                         "--out", str(out)]) == 0
+            rows = (out / f"{kernel}.csv").read_text().splitlines()[-9:]
+            finals.append([float(row.split(",")[3]) for row in rows])
+        assert finals[0][3:] == finals[1][3:] and finals[0][:3] != finals[1][:3]
+        assert "error" not in capsys.readouterr().err
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"kernel": "laplacian", "steps": 10, "dt": 0.05}))
@@ -577,6 +588,14 @@ class TestBifurcation:
         below = [c for u, c in counts.items() if u < 0.24]
         above = [c for u, c in counts.items() if u > 0.26]
         assert set(below) == {1} and set(above) == {3}
+
+    def test_a_tiny_damping_prints_only_the_true_roots(self, capsys):
+        # tanh(c y) rounds to -1 and swallows -d y at y < 0, where the
+        # rounded rhs is 0 though the true one is positive
+        assert main(["bifurcation", "--d", "1e-20", "--b", "1", "--points", "3",
+                     "--out", "-"]) == 0
+        assert capsys.readouterr().out == ("u,y,stable\n0.05,2e+20,1\n"
+                                           "0.32499999999999996,2e+20,1\n0.6,2e+20,1\n")
 
     def test_stdout_mode(self, capsys):
         assert main(["bifurcation", "--points", "3", "--u-min", "0.1",

@@ -15,19 +15,22 @@ from hypothesis import strategies as st
 from odyn.attention import build_communication_attention, init_attention_weights
 from odyn import graphs as graphs_module
 from odyn.cli import main
-from odyn.fixtures import toy_adjacency, toy_graph
+from odyn.fixtures import toy_graph
 from odyn.graphs import (
     _sorted_graph,
     degrees,
+    disjoint_union,
     from_edge_list,
     load_graph_json,
     load_matrix_csv,
     save_matrix_csv,
     sparse_laplacian,
 )
-from odyn.kernels import kernel_setup
+from odyn.integrate import euler_integrate
+from odyn.kernels import KERNEL_TAGS, kernel_setup
 from odyn.train import ATTENTION_DIM, make_sbm_task
-from oracles import dense_adjacency, graph_product, laplacian, row_normalize, save_graph_json
+from oracles import (dense_adjacency, edge_list, graph_product, laplacian, row_normalize,
+                     save_graph_json)
 from oracles import load_graph_json as oracle_load_graph_json
 
 EPS = np.finfo(np.float64).eps
@@ -142,13 +145,13 @@ class TestFromEdgeList:
         g = from_edge_list(TOY_EDGES, 3)
         assert g.n == 3
         assert g.edge_count == 6
-        np.testing.assert_allclose(dense_adjacency(g), toy_adjacency())
+        np.testing.assert_allclose(dense_adjacency(g), dense_adjacency(toy_graph()))
 
     def test_empty_graph_is_valid(self):
         g = from_edge_list([], 2)
         assert g.n == 2
         assert g.edge_count == 0
-        assert g.to_edge_list() == []
+        assert edge_list(g) == []
 
     def test_single_self_loop(self):
         g = from_edge_list([(0, 0, 1.0)], 1)
@@ -187,13 +190,13 @@ class TestFromEdgeList:
                 edges.append((s, d, w))
         edges.sort(key=lambda e: (e[0], e[1]))
         g = from_edge_list(edges, 6)
-        assert g.to_edge_list() == [(s, d, float(w)) for s, d, w in edges]
+        assert edge_list(g) == [(s, d, float(w)) for s, d, w in edges]
 
 
 class TestVectorizedBuild:
     @given(graphs(), st.data())
     def test_arrays_match_a_sorted_counting_oracle(self, g, data):
-        edges = g.to_edge_list()
+        edges = edge_list(g)
         data.draw(st.randoms()).shuffle(edges)
         rebuilt = from_edge_list(edges, g.n)
         triples = sorted(edges)
@@ -252,7 +255,7 @@ class TestVectorizedBuild:
             with pytest.raises(ValueError, match=message):
                 from_edge_list([(0, 1, 1.0), (0.0, index, 1.0)], 2)
         # a whole number of any type reads as that index
-        assert from_edge_list([(1.0, True, 2.0)], 2).to_edge_list() == [(1, 1, 2.0)]
+        assert edge_list(from_edge_list([(1.0, True, 2.0)], 2)) == [(1, 1, 2.0)]
 
 
 class TestSegmentSumProduct:
@@ -291,7 +294,7 @@ class TestSegmentSumProduct:
         rng = np.random.default_rng(2)
         for shape in ((3,), (3, 2), (3, 5), (3,), (3, 1), (3, 2)):
             x = rng.standard_normal(shape)
-            np.testing.assert_allclose(g @ x, toy_adjacency() @ x, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(g @ x, dense_adjacency(toy_graph()) @ x, rtol=0, atol=1e-15)
 
     def test_wrong_row_count_rejected(self):
         with pytest.raises(ValueError, match="cannot act"):
@@ -310,9 +313,24 @@ class TestSegmentSumProduct:
                 g.row_normalized()
             return
         out = g.row_normalized()
-        np.testing.assert_array_equal(out.offsets, g.offsets)
-        np.testing.assert_array_equal(out.targets, g.targets)
+        if np.all(degrees(g) > 0):
+            # a graph without sinks keeps its edges
+            np.testing.assert_array_equal(out.offsets, g.offsets)
+            np.testing.assert_array_equal(out.targets, g.targets)
         assert np.all(np.abs(dense_adjacency(out) - expected) <= 4 * EPS * expected)
+        np.testing.assert_allclose(degrees(out), 1.0, rtol=0, atol=4 * EPS * max(g.n, 1))
+
+    @settings(max_examples=60)
+    @given(graphs(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    def test_every_graph_kernel_runs_on_a_graph_with_sinks(self, g, o, seed):
+        # the strategy's graphs have isolated nodes and zero-weight rows
+        assume(g.n > 0)
+        x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, (g.n, o))
+        # within the step bound of every kernel, the Laplacian's largest
+        dt = 0.5 / max(1.0, float(degrees(g).max()))
+        for tag in sorted(set(KERNEL_TAGS) - {"reduced"}):
+            traj = euler_integrate(kernel_setup(tag, g, x0), dt, 3)
+            assert np.all(np.isfinite(traj.states))
 
     @settings(max_examples=100)
     @given(graphs(), st.data())
@@ -385,10 +403,37 @@ class TestSegmentSumProduct:
         with pytest.raises(ValueError, match="^non-finite entries$"):
             g = from_edge_list([(0, 1, 1.0), (1, 0, 1.0)], 2)
             replace(g, weights=np.array([math.nan, 1.0])).row_normalized()
-        with pytest.raises(ValueError, match="^row 1 has no positive entry$"):
-            from_edge_list([(0, 1, 1.0)], 3).row_normalized()
-        with pytest.raises(ValueError, match="^row 1 has no positive entry$"):
-            from_edge_list([(0, 1, 1.0), (1, 0, 0.0)], 2).row_normalized()
+
+    def test_a_sink_becomes_a_unit_self_loop(self):
+        # a row without edges or with zero weights only hears itself
+        out = from_edge_list([(0, 1, 2.0)], 3).row_normalized()
+        assert edge_list(out) == [(0, 1, 1.0), (1, 1, 1.0), (2, 2, 1.0)]
+        g = from_edge_list([(0, 1, 1.0), (1, 0, 0.0), (2, 0, 3.0), (2, 1, 1.0)], 3)
+        out = g.row_normalized()
+        assert edge_list(out) == [(0, 1, 1.0), (1, 1, 1.0), (2, 0, 0.75), (2, 1, 0.25)]
+
+
+class TestDisjointUnion:
+    @settings(max_examples=60)
+    @given(graphs(), st.integers(0, 5))
+    def test_equals_the_union_built_edge_by_edge(self, g, copies):
+        edges = [(s + g.n * c, t + g.n * c, w)
+                 for c in range(copies) for s, t, w in edge_list(g)]
+        want = from_edge_list(edges, g.n * copies)
+        got = disjoint_union(g, copies)
+        assert got.n == want.n
+        for name in ("offsets", "targets", "weights", "rows"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    @settings(max_examples=60)
+    @given(st.one_of(graphs(), skewed_graphs()), st.integers(1, 5), st.integers(1, 3),
+           st.integers(0, 2**32 - 1))
+    def test_each_block_of_a_product_has_the_bits_of_its_own(self, g, copies, o, seed):
+        rng = np.random.default_rng(seed)
+        blocks = [rng.standard_normal((g.n, o)) for _ in range(copies)]
+        out = disjoint_union(g, copies) @ np.concatenate(blocks)
+        for k, block in enumerate(blocks):
+            assert np.array_equal(out[k * g.n:(k + 1) * g.n], g @ block)
 
 
 class TestProductSummationOrder:
@@ -554,16 +599,16 @@ class TestProductPlanMemory:
 
 class TestRowNormalize:
     def test_toy_already_stochastic(self):
-        a = toy_adjacency()
+        a = dense_adjacency(toy_graph())
         np.testing.assert_allclose(row_normalize(a), a, atol=1e-15)
 
     def test_forced_by_definition(self):
         out = row_normalize(np.array([[2.0, 2.0], [0.0, 5.0]]))
         np.testing.assert_allclose(out, [[0.5, 0.5], [0.0, 1.0]])
 
-    def test_zero_row_rejected(self):
-        with pytest.raises(ValueError, match="no positive entry"):
-            row_normalize(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    def test_zero_row_becomes_a_unit_diagonal_entry(self):
+        out = row_normalize(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        np.testing.assert_array_equal(out, np.eye(2))
 
     def test_negative_entry_rejected(self):
         with pytest.raises(ValueError, match="negative"):
@@ -590,7 +635,7 @@ class TestLaplacian:
     def test_toy_is_identity_minus_a(self):
         g = toy_graph()
         lap = laplacian(g)
-        np.testing.assert_allclose(lap, np.eye(3) - toy_adjacency(), atol=1e-15)
+        np.testing.assert_allclose(lap, np.eye(3) - dense_adjacency(toy_graph()), atol=1e-15)
         np.testing.assert_allclose(lap.sum(axis=1), 0.0, atol=1e-12)
 
     def test_empty_graph_gives_zero(self):
@@ -616,7 +661,7 @@ class TestLaplacian:
 
     def test_degrees_match_row_sums(self):
         g = toy_graph()
-        np.testing.assert_allclose(degrees(g), toy_adjacency().sum(axis=1))
+        np.testing.assert_allclose(degrees(g), dense_adjacency(toy_graph()).sum(axis=1))
 
 
 # JSON spellings of numbers, each read to the json module's double: the
@@ -712,7 +757,7 @@ class TestFileFormats:
         path = tmp_path / "g.json"
         save_graph_json(g, path)
         g2 = load_graph_json(path)
-        assert g2.to_edge_list() == g.to_edge_list()
+        assert edge_list(g2) == edge_list(g)
         assert g2.n == g.n
 
     @pytest.mark.parametrize("token", SPELLINGS)

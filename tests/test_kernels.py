@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from odyn.fixtures import (
     random_row_stochastic,
-    toy_adjacency,
     toy_graph,
     toy_initial_state,
 )
@@ -55,7 +54,7 @@ def dense_bimp(x, aa, ao, p):
 class TestJointCoupling:
     def test_identity_option_factor(self):
         # A zero option coupling makes that factor the identity.
-        aa = toy_adjacency()
+        aa = dense_adjacency(toy_graph())
         x0 = toy_initial_state()[:, :2]
         out = kernels.coupling(x0, aa, np.zeros((2, 2)), 1.0)
         np.testing.assert_allclose(out, (aa + np.eye(3)) @ x0, atol=1e-14)
@@ -92,7 +91,7 @@ class TestBimpForms:
 
     def test_matrix_matches_dense_oracle(self):
         rng = np.random.default_rng(1)
-        aa = toy_adjacency()
+        aa = dense_adjacency(toy_graph())
         ao = random_row_stochastic(3, rng)
         x = toy_initial_state()
         p = toy_params(b=toy_initial_state())
@@ -211,27 +210,27 @@ class TestBimpForms:
 
 class TestLinearKernels:
     def test_hand_evaluated_entry(self):
-        a = toy_adjacency()
+        a = dense_adjacency(toy_graph())
         out = rhs_linear_opinion(toy_initial_state(), a, a.sum(axis=1))
         assert out[0, 0] == pytest.approx(-0.43 + 0.43 * 0.14 + 0.57 * 0.46, abs=1e-12)
         assert out[0, 0] == pytest.approx(-0.1076, abs=1e-10)
 
     def test_consensus_is_equilibrium(self):
-        a = toy_adjacency()
+        a = dense_adjacency(toy_graph())
         x = np.tile([0.2, 0.5, 0.7], (3, 1))
         np.testing.assert_allclose(
             rhs_linear_opinion(x, a, a.sum(axis=1)), 0.0, atol=1e-14
         )
 
     def test_ones_column_is_equilibrium(self):
-        a = toy_adjacency()
+        a = dense_adjacency(toy_graph())
         np.testing.assert_allclose(
             rhs_linear_opinion(np.ones((3, 1)), a, a.sum(axis=1)), 0.0, atol=1e-14
         )
 
     def test_damping_must_match_row_sums(self):
         with pytest.raises(ValueError, match="row sums"):
-            rhs_linear_opinion(np.zeros((3, 1)), toy_adjacency(), np.ones(3) * 2.0)
+            rhs_linear_opinion(np.zeros((3, 1)), dense_adjacency(toy_graph()), np.ones(3) * 2.0)
 
     def test_laplacian_consensus_zero(self):
         x = np.ones((3, 2)) * 0.4
@@ -241,7 +240,7 @@ class TestLinearKernels:
 
     @pytest.mark.parametrize("tag", ["laplacian", "linear-od"])
     def test_laplacian_equals_linear_opinion_on_toy(self, tag):
-        a = toy_adjacency()
+        a = dense_adjacency(toy_graph())
         x = toy_initial_state()
         np.testing.assert_allclose(
             kernel_setup(tag, toy_graph(), x).rhs(x),
@@ -276,7 +275,7 @@ class TestGraphconTran:
         np.testing.assert_allclose(d[1], 0.0, atol=1e-14)
 
     def test_initial_derivatives(self):
-        aa = toy_adjacency()
+        aa = dense_adjacency(toy_graph())
         x0 = toy_initial_state()
         setup = kernel_setup("graphcon-tran", toy_graph(), x0)
         np.testing.assert_array_equal(setup.state0, np.stack([x0, np.zeros_like(x0)]))

@@ -2,6 +2,7 @@ import collections
 import dataclasses
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from odyn.attention import (
     init_attention_weights,
 )
 from odyn.errors import NumericalError
-from odyn.fixtures import _gradient_problem, random_graph, random_row_stochastic
+from odyn.fixtures import _gradient_problem, complete_graph, random_graph, random_row_stochastic
 from odyn.graphs import Graph, from_edge_list
 from odyn.kernels import coupling
 from odyn.train import (
@@ -33,7 +34,7 @@ from odyn.train import (
     train_sgd,
 )
 import oracles
-from oracles import dense_adjacency
+from oracles import dense_adjacency, edge_list
 
 
 def small_fixture(seed, na=6, no=3, f=3, steps=4, dt=0.05, d=1.0, alpha=1.0):
@@ -65,20 +66,17 @@ def assert_same_graph(got, want):
 def count_couplings_by_operand(tape, monkeypatch):
     """Count :func:`coupling` calls, looked up in either module, by their operands.
 
-    On a tape with dense couplings, a call with ``tape.aa`` counts as
-    "forward", one with views of the transposes of ``tape.aa`` and
-    ``tape.ao`` as "transposed", and any other as "other".
+    A call with ``tape.aa`` counts as "forward", one with the graph's
+    transpose ``tape.aa.T`` and a view of the transpose of ``tape.ao`` as
+    "transposed", and any other as "other".
     """
     calls = collections.Counter()
     product = kernels.coupling
 
-    def is_transpose(view, m):
-        return np.shares_memory(view, m) and np.array_equal(view, m.T)
-
     def counted(x, aa, ao, alpha):
         if aa is tape.aa:
             calls["forward"] += 1
-        elif is_transpose(aa, tape.aa) and is_transpose(ao, tape.ao):
+        elif aa is tape.aa.T and np.shares_memory(ao, tape.ao) and np.array_equal(ao, tape.ao.T):
             calls["transposed"] += 1
         else:
             calls["other"] += 1
@@ -173,11 +171,31 @@ class TestForwardUnroll:
         forward_unroll(x_in, w, aa, ao, cfg)
         assert calls["rhs_bimp"] == cfg.steps
         calls.clear()
-        aa, ao = {"agent": (np.eye(5), ao), "agent-graph": (from_edge_list([], 7), ao),
+        aa, ao = {"agent": (complete_graph(np.eye(5)), ao),
+                  "agent-graph": (from_edge_list([], 7), ao),
                   "option": (aa, np.eye(2))}[bad]
         with pytest.raises(ValueError, match=f"{bad.split('-')[0]} coupling must be"):
             forward_unroll(x_in, w, aa, ao, cfg)
         assert calls["rhs_bimp"] == 0
+
+
+class TestCompleteGraph:
+    @settings(max_examples=60)
+    @given(st.integers(1, 12), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_its_identity_product_is_the_dense_draw_bit_for_bit(self, n, zero_diagonal, seed):
+        # the draws that the gradient suite's deep chain and rhs-equivalence hold
+        m = random_row_stochastic(n, np.random.default_rng(seed), zero_diagonal=zero_diagonal)
+        g = complete_graph(m)
+        assert g.edge_count == n * n
+        assert np.array_equal(g @ np.eye(n), m)
+
+    @settings(max_examples=30)
+    @given(st.integers(1, 16), st.integers(1, 4), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_the_gradient_problem_holds_its_dense_draw(self, na, no, f, seed):
+        aa = _gradient_problem(np.random.default_rng(seed), na, no, f)[2]
+        dense = random_row_stochastic(na, np.random.default_rng(seed), zero_diagonal=False)
+        assert isinstance(aa, Graph)
+        assert np.array_equal(aa @ np.eye(na), dense)
 
 
 class TestMseLoss:
@@ -240,7 +258,7 @@ class TestBackwardGrad:
             weights = init_attention_weights(4, n_options, seed=seed)
             aa = build_communication_attention(x_in @ w, weights, graph)
         else:
-            aa = random_row_stochastic(n, rng, zero_diagonal=False)
+            aa = complete_graph(random_row_stochastic(n, rng, zero_diagonal=False))
         ao = random_row_stochastic(n_options, rng, zero_diagonal=False)
         tape = forward_unroll(x_in, w, aa, ao, cfg)
         # oracle: the same reverse loop, recomputing each pre-activation from the states
@@ -270,7 +288,7 @@ class TestFiniteDifference:
         cfg = TrainConfig(lr=0.0, epochs=0, steps=0, dt=0.1, d=1.0, alpha=1.0)
         x_in = np.array([[np.sqrt(2.0)]])
         target = np.array([[0.0]])
-        aa = np.ones((1, 1))
+        aa = complete_graph(np.ones((1, 1)))
         ao = np.ones((1, 1))
         w = np.array([[3.0]])
         fd = finite_difference_grad(forward_unroll(x_in, w, aa, ao, cfg), target, h=1e-5)
@@ -282,6 +300,41 @@ class TestFiniteDifference:
         tape = forward_unroll(x_in, w, aa, ao, cfg)
         with pytest.raises(ValueError, match="difference step h must be finite and positive"):
             finite_difference_grad(tape, target, h=h)
+
+    @settings(max_examples=40)
+    @given(st.integers(3, 16), st.integers(2, 4), st.integers(2, 4), st.integers(1, 16),
+           st.sampled_from([0.05, 0.1]), st.floats(0.5, 1.5), st.floats(0.0, 2.0),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    def test_the_union_unroll_equals_the_per_entry_loop_bit_for_bit(
+        self, na, no, f, steps, dt, d, alpha, one_copy, seed
+    ):
+        # the gradient suite's ranges, with every perturbed encoder in one
+        # union or, at a cap of one copy, each unrolled on its own
+        cfg, aa, ao, x_in, w, target = small_fixture(seed, na=na, no=no, f=f, steps=steps,
+                                                     dt=dt, d=d, alpha=alpha)
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
+        with mock.patch.object(train, "FD_UNION_EDGES", 1 if one_copy else train.FD_UNION_EDGES):
+            fd = finite_difference_grad(tape, target, h=1e-5)
+        expected = oracles.finite_difference_loop(tape, target, h=1e-5)
+        assert np.array_equal(fd, expected)
+
+    @pytest.mark.parametrize("copies, unrolls", [(1, 24), (5, 5), (24, 1), (1000, 1)])
+    def test_one_unroll_of_a_two_d_state_per_batch_of_copies(self, copies, unrolls, monkeypatch):
+        # 2 f o = 24 perturbed encoders on a 6-node complete graph of 36 edges
+        states = []
+
+        def recorded(x, *args):
+            states.append(x.shape)
+            return kernels.rhs_bimp(x, *args)
+
+        cfg, aa, ao, x_in, w, target = small_fixture(13, na=6, no=3, f=4, steps=5)
+        tape = forward_unroll(x_in, w, aa, ao, cfg)
+        monkeypatch.setattr(train, "FD_UNION_EDGES", copies * aa.edge_count)
+        monkeypatch.setattr(train, "rhs_bimp", recorded)
+        finite_difference_grad(tape, target)
+        assert len(states) == cfg.steps * unrolls
+        assert all(len(shape) == 2 and shape[0] <= 6 * min(copies, 24) for shape in states)
+        assert sum(shape[0] for shape in states) == cfg.steps * 24 * 6
 
     def test_error_shrinks_quadratically_with_h(self):
         cfg, aa, ao, x_in, w, target = small_fixture(8, steps=3)
@@ -303,8 +356,8 @@ class TestGradientBound:
         states = np.zeros((cfg.steps + 1, na, no))
         states[0, 0, 0] = -x0_norm
         x_in = np.full((na, 1), xin_norm)
-        return train.Tape(x_in=x_in, w=np.ones((1, no)), aa=np.eye(na), ao=np.eye(no),
-                          cfg=cfg, states=states, preacts=[])
+        return train.Tape(x_in=x_in, w=np.ones((1, no)), aa=complete_graph(np.eye(na)),
+                          ao=np.eye(no), cfg=cfg, states=states, preacts=[])
 
     def test_zero_norms_give_zero(self):
         cfg = TrainConfig(lr=0.0, epochs=0, steps=8, dt=0.1, d=1.0, alpha=1.0)
@@ -342,7 +395,7 @@ class TestJacobianChain:
         # damped identity factor
         cfg, aa, ao, x_in, w, _ = small_fixture(9, steps=1)
         tape = forward_unroll(x_in, w, aa, ao, cfg)
-        j = oracles.step_jacobian(tape.states[0], aa, ao, cfg)
+        j = oracles.step_jacobian(tape.states[0], dense_adjacency(aa), ao, cfg)
         base = (1.0 - cfg.d * cfg.dt) * np.eye(j.shape[0])
         drift = np.max(np.sum(np.abs(j - base), axis=1))
         assert drift <= cfg.dt * cfg.u * (abs(cfg.alpha - 1.0) + 4.0) + 1e-12
@@ -350,7 +403,7 @@ class TestJacobianChain:
     def test_deep_chain_does_not_vanish(self):
         cfg = TrainConfig(lr=0.0, epochs=0, steps=128, dt=0.05, d=1.0, alpha=1.0, seed=0)
         rng = np.random.default_rng(20)
-        aa = random_row_stochastic(8, rng, zero_diagonal=False)
+        aa = complete_graph(random_row_stochastic(8, rng, zero_diagonal=False))
         ao = random_row_stochastic(3, rng, zero_diagonal=False)
         x_in = rng.uniform(-1, 1, (8, 3))
         w = rng.uniform(-1, 1, (3, 3))
@@ -444,7 +497,7 @@ class TestSbmTask:
         t1 = make_sbm_task(5, 0.8, 0.05, noise=0.1, seed=42)
         t2 = make_sbm_task(5, 0.8, 0.05, noise=0.1, seed=42)
         np.testing.assert_array_equal(t1.x_in, t2.x_in)
-        assert t1.graph.to_edge_list() == t2.graph.to_edge_list()
+        assert edge_list(t1.graph) == edge_list(t2.graph)
 
     def test_probability_validation(self):
         with pytest.raises(ValueError, match="p_in"):
